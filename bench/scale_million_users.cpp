@@ -14,7 +14,9 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "common.hpp"
@@ -33,6 +35,22 @@ double peak_rss_mib() {
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
+/// Resident set size now: VmRSS of /proc/self/status (KiB), 0 where procfs
+/// is unavailable.
+double resident_mib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmRSS:") {
+      double kib = 0.0;
+      status >> kib;
+      return kib / 1024.0;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0.0;
 }
 
 /// FNV-1a style mix; order-sensitive, so equal digests mean equal streams.
@@ -344,6 +362,9 @@ int main(int argc, char** argv) {
   // the perf trajectory.
   harness.phase("packet");
   {
+    // The process peak is set by generate, so peak_rss_mib never sees
+    // the replay; its resident growth is reported on its own.
+    const double rss_before = resident_mib();
     harness.note("des.shards", std::to_string(des_shards));
     harness.note("des.window_ms", stats::fmt(des_window_ms, 3));
     harness.note("des.sync", des_sync_text);
@@ -378,13 +399,18 @@ int main(int argc, char** argv) {
         harness.result("packet_digest",
                        static_cast<double>(packets.digest.fingerprint() &
                                            0xffffffffULL));
-        // Deterministic load-balance / comms shape (thread-invariant):
-        // gated, so skew or bundling drift shows up as a failure.
+        // Deterministic load-balance / comms / window shape
+        // (thread-invariant): gated, so skew, bundling or barrier-count
+        // drift shows up as a failure.
         harness.result("des_shard_imbalance",
                        std::round(packets.shard_imbalance * 1000.0) /
                            1000.0);
         harness.result("des_bundles",
                        static_cast<double>(packets.bundles));
+        harness.result("des_windows",
+                       static_cast<double>(packets.windows));
+        harness.result("des_handoffs",
+                       static_cast<double>(packets.handoffs));
       } else if (packets.digest != first_digest) {
         std::cerr << "scale_million_users: " << sync_key
                   << " digest diverged from the first sync arm (fp "
@@ -420,6 +446,10 @@ int main(int argc, char** argv) {
                 << packets.digest.sent << " delivered, digest "
                 << (packets.digest.fingerprint() & 0xffffffffULL) << "\n";
     }
+    const double rss_growth = resident_mib() - rss_before;
+    harness.result("packet_rss_growth_mib", rss_growth);
+    std::cout << "packet: resident set grew " << stats::fmt(rss_growth, 1)
+              << " MiB\n";
   }
 
   harness.result("peak_rss_mib", peak_rss_mib());

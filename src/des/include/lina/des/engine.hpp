@@ -89,7 +89,10 @@ struct EngineConfig {
   /// (conservative) or rollback (optimistic).
   double window_ms = 0.0;
   /// lina::exec worker bound for the per-window shard fan-out (0 =
-  /// exec::default_threads()).
+  /// exec::default_threads()). replay_packets_streamed reads it as the
+  /// number of batches run at once instead, each batch's engine on one
+  /// thread, so its memory bound is `threads` session models and engines
+  /// plus the one batch being decoded.
   std::size_t threads = 0;
   /// Conservative barriers-every-window, or optimistic speculate-and-
   /// rollback. The digest is identical either way; only the barrier /

@@ -2,11 +2,16 @@
 
 // Out-of-core packet replay: sessions stream out of a lina::trace shard
 // set in bounded user batches; each batch becomes a PacketModel and runs
-// through the sharded engine (or the serial reference), and the
-// per-batch digests fold commutatively — so peak memory is one decoded
-// batch plus the per-shard event heaps, no matter how many users the set
-// holds, and the combined digest is invariant across batch size, shard
-// count, and thread count.
+// through its own sharded engine (or the serial reference), and the
+// per-batch digests fold commutatively, so the combined digest is
+// invariant across batch size, shard count, and thread count.
+//
+// Parallelism is across batches, not inside them: the calling thread
+// decodes batches and builds their models in stream order, then runs a
+// round of up to `engine.threads` models concurrently, each engine on
+// one thread. Peak memory is one decoded batch on the calling thread plus
+// at most `engine.threads` compact session models and their engines, no
+// matter how many users the set holds.
 
 #include <cstdint>
 #include <vector>
@@ -28,6 +33,8 @@ struct PacketReplayConfig {
   /// replicated architecture uses the whole pool.
   std::vector<topology::AsId> replicas;
   std::size_t batch_users = 8192;
+  /// `engine.threads` bounds how many batches run at once; each batch's
+  /// engine itself runs single-threaded.
   EngineConfig engine;
   const sim::FailurePlan* failures = nullptr;
   /// Run the serial sim::EventQueue reference instead of the sharded
@@ -54,7 +61,8 @@ struct PacketReplayStats {
 };
 
 /// Streams every user of `set` through the packet engine. Throws
-/// std::invalid_argument on a config the model rejects.
+/// std::invalid_argument on the calling thread on a config the model or
+/// engine rejects; no batch is still running when it does.
 [[nodiscard]] PacketReplayStats replay_packets_streamed(
     const sim::ForwardingFabric& fabric, const trace::ShardSet& set,
     const PacketReplayConfig& config);

@@ -57,6 +57,10 @@ class ThreadPool {
   /// Workers currently alive (grows on demand; for tests/telemetry).
   [[nodiscard]] std::size_t worker_count() const;
 
+  /// True when no job is in flight (for tests: a rethrown failure must
+  /// leave the pool idle).
+  [[nodiscard]] bool idle() const;
+
  private:
   ThreadPool() = default;
 

@@ -76,6 +76,11 @@ std::size_t ThreadPool::worker_count() const {
   return workers_.size();
 }
 
+bool ThreadPool::idle() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return job_ == nullptr;
+}
+
 void ThreadPool::ensure_workers(std::size_t count) {
   // Caller holds mutex_.
   while (workers_.size() < std::min(count, kMaxWorkers)) {

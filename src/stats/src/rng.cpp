@@ -1,5 +1,6 @@
 #include "lina/stats/rng.hpp"
 
+#include <mutex>
 #include <stdexcept>
 
 namespace lina::stats {
@@ -69,6 +70,11 @@ double Rng::exponential(double rate) {
 std::size_t Rng::poisson(double mean) {
   if (mean < 0.0) throw std::invalid_argument("Rng::poisson: mean < 0");
   if (mean == 0.0) return 0;
+  // std::poisson_distribution calls std::lgamma, which POSIX does not
+  // require to be thread-safe (glibc writes the global signgam), and the
+  // workload generators sample on every lina::exec worker at once.
+  static std::mutex lgamma_mutex;
+  const std::lock_guard<std::mutex> lock(lgamma_mutex);
   return static_cast<std::size_t>(
       std::poisson_distribution<long>(mean)(engine_));
 }
