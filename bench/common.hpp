@@ -517,4 +517,17 @@ inline void print_router_rates(const std::vector<core::RouterUpdateStats>&
   std::cout << stats::bar_chart(rows, "%") << "\n" << unit_note << "\n";
 }
 
+/// Records each router's event and update counts as gated headline
+/// results, keyed "<label>.<router>.events" / "<label>.<router>.updates",
+/// so compare_runs.py pins every tally exactly rather than one rate.
+inline void record_router_tallies(
+    Harness& harness, const std::string& label,
+    const std::vector<core::RouterUpdateStats>& router_stats) {
+  for (const core::RouterUpdateStats& s : router_stats) {
+    const std::string prefix = label + "." + s.router + ".";
+    harness.result(prefix + "events", static_cast<double>(s.events));
+    harness.result(prefix + "updates", static_cast<double>(s.updates));
+  }
+}
+
 }  // namespace lina::bench

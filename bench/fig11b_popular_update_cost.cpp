@@ -26,6 +26,9 @@ int main(int argc, char** argv) {
   const auto best =
       evaluator.evaluate(popular, strategy::StrategyKind::kBestPort);
 
+  bench::record_router_tallies(harness, "flooding", flooding);
+  bench::record_router_tallies(harness, "best_port", best);
+
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"router", "controlled flooding", "best-port"});
   double flood_max = 0.0, best_max = 0.0;

@@ -25,6 +25,9 @@ int main(int argc, char** argv) {
   const auto best =
       evaluator.evaluate(catalog.unpopular, strategy::StrategyKind::kBestPort);
 
+  bench::record_router_tallies(harness, "flooding", flooding);
+  bench::record_router_tallies(harness, "best_port", best);
+
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"router", "controlled flooding", "best-port"});
   std::vector<double> best_rates;

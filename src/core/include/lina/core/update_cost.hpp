@@ -1,12 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "lina/exec/memo.hpp"
 #include "lina/mobility/content_trace.hpp"
 #include "lina/mobility/device_multihoming.hpp"
 #include "lina/mobility/device_trace.hpp"
@@ -63,23 +61,22 @@ class DeviceUpdateCostEvaluator {
       double end_hour) const;
 
   std::span<const routing::VantageRouter> routers_;
-  // One longest-prefix-match port memo per router, persistent across
-  // evaluate/evaluate_day calls: the 20-day sensitivity sweep re-queries
-  // the same addresses every day, so the trie walk is paid once per
-  // (router, address). Memos are thread-safe, so routers fan out across
-  // the lina::exec pool while sharing the evaluator.
-  mutable std::vector<exec::Memo<std::uint32_t, routing::Port>> port_memos_;
-  // Lazily-built frozen FIB snapshot per router, so memo misses walk the
-  // flat preorder arena rather than the live trie. Slot r is only touched
-  // by the worker evaluating router r (parallel_map partitions by index),
-  // and FIBs are immutable for the evaluator's lifetime.
-  mutable std::vector<std::optional<routing::FrozenFib>> frozen_fibs_;
+  // Frozen FIB snapshot per router, built in the constructor: lookups walk
+  // the flat preorder arena rather than the live trie, and evaluate calls
+  // only read it (safe from any number of threads). FIBs are immutable for
+  // the evaluator's lifetime.
+  std::vector<routing::FrozenFib> frozen_fibs_;
 };
 
 /// Evaluates the update cost of *content* mobility (§7.2) under a chosen
 /// forwarding strategy: each trace's snapshot sequence is replayed through
-/// a per-(router, name) strategy instance; an event counts as an update at
-/// a router iff the strategy's forwarding state changed.
+/// the router's strategy instance (reset per name); an event counts as an
+/// update at a router iff the strategy's forwarding state changed.
+///
+/// Each evaluate call interns the traces' addresses into one read-only
+/// index (DESIGN.md §4k), resolves every distinct address once per router
+/// with a batched longest-prefix match, then folds the snapshots through
+/// the strategy; routers fan out across the lina::exec pool.
 class ContentUpdateCostEvaluator {
  public:
   explicit ContentUpdateCostEvaluator(

@@ -8,10 +8,10 @@
 
 namespace lina::strategy {
 
-/// Answers "which forwarding entry does this router use for this address" —
-/// the only question forwarding strategies ask. Abstracting it lets the
-/// evaluation harnesses memoize longest-prefix-match lookups across the
-/// millions of repeated addresses in a content catalog.
+/// Answers "which forwarding entry does this router use for this address"
+/// for callers that resolve addresses one at a time (best_entry over a
+/// name's final address set). Abstracting it lets them memoize
+/// longest-prefix-match lookups across repeated addresses.
 class PortOracle {
  public:
   virtual ~PortOracle() = default;
@@ -76,7 +76,7 @@ class CachingFibOracle final : public PortOracle {
 
 /// Memoizing oracle over a frozen FIB snapshot: one flat-arena trie walk
 /// per distinct address, O(1) after. For read-mostly phases that can
-/// afford a freeze() up front (aggregateability scans, snapshot series).
+/// afford a freeze() up front (aggregateability scans).
 class FrozenFibOracle final : public PortOracle {
  public:
   explicit FrozenFibOracle(const routing::Fib& fib) : fib_(fib.freeze()) {}

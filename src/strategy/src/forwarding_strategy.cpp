@@ -1,7 +1,7 @@
 #include "lina/strategy/forwarding_strategy.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 namespace lina::strategy {
 
@@ -17,14 +17,34 @@ std::string_view strategy_name(StrategyKind kind) {
   throw std::invalid_argument("strategy_name: unknown kind");
 }
 
-std::set<routing::Port> eligible_ports(
-    const PortOracle& oracle, std::span<const net::Ipv4Address> addrs) {
-  std::set<routing::Port> ports;
-  for (const net::Ipv4Address addr : addrs) {
-    const auto port = oracle.port_for(addr);
-    if (port.has_value()) ports.insert(*port);
+namespace {
+
+/// The best-port choice rule, shared by both best_entry forms: a routed
+/// candidate replaces the running best only if strictly preferred.
+bool displaces(const routing::FibEntry& candidate,
+               const routing::FibEntry* best) {
+  return best == nullptr || routing::entry_preferred(candidate, *best);
+}
+
+}  // namespace
+
+void eligible_ports(std::span<const routing::FibEntry* const> entries,
+                    std::vector<routing::Port>& out) {
+  out.clear();
+  for (const routing::FibEntry* entry : entries) {
+    if (entry != nullptr) out.push_back(entry->port);
   }
-  return ports;
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
+const routing::FibEntry* best_entry(
+    std::span<const routing::FibEntry* const> entries) {
+  const routing::FibEntry* best = nullptr;
+  for (const routing::FibEntry* entry : entries) {
+    if (entry != nullptr && displaces(*entry, best)) best = entry;
+  }
+  return best;
 }
 
 std::optional<routing::FibEntry> best_entry(
@@ -32,12 +52,18 @@ std::optional<routing::FibEntry> best_entry(
   std::optional<routing::FibEntry> best;
   for (const net::Ipv4Address addr : addrs) {
     const auto hit = oracle.entry_for(addr);
-    if (!hit.has_value()) continue;
-    if (!best.has_value() || routing::entry_preferred(*hit, *best)) {
+    if (hit.has_value() && displaces(*hit, best ? &*best : nullptr)) {
       best = *hit;
     }
   }
   return best;
+}
+
+bool ForwardingStrategy::commit_next() {
+  const bool changed = initialized_ && next_ != ports_;
+  ports_.swap(next_);
+  initialized_ = true;
+  return changed;
 }
 
 namespace {
@@ -48,30 +74,13 @@ class BestPortStrategy final : public ForwardingStrategy {
     return StrategyKind::kBestPort;
   }
 
-  bool observe(const PortOracle& oracle,
-               std::span<const net::Ipv4Address> addrs) override {
-    const auto best = best_entry(oracle, addrs);
-    std::set<routing::Port> ports;
-    if (best.has_value()) ports.insert(best->port);
-    const bool changed = initialized_ && ports != ports_;
-    ports_ = std::move(ports);
-    initialized_ = true;
-    return changed;
+  bool observe(std::span<const routing::FibEntry* const> entries) override {
+    next_.clear();
+    if (const routing::FibEntry* best = best_entry(entries)) {
+      next_.push_back(best->port);
+    }
+    return commit_next();
   }
-
-  [[nodiscard]] const std::set<routing::Port>& current_ports()
-      const override {
-    return ports_;
-  }
-
-  void reset() override {
-    ports_.clear();
-    initialized_ = false;
-  }
-
- private:
-  std::set<routing::Port> ports_;
-  bool initialized_ = false;
 };
 
 class ControlledFloodingStrategy final : public ForwardingStrategy {
@@ -80,28 +89,10 @@ class ControlledFloodingStrategy final : public ForwardingStrategy {
     return StrategyKind::kControlledFlooding;
   }
 
-  bool observe(const PortOracle& oracle,
-               std::span<const net::Ipv4Address> addrs) override {
-    std::set<routing::Port> ports = eligible_ports(oracle, addrs);
-    const bool changed = initialized_ && ports != ports_;
-    ports_ = std::move(ports);
-    initialized_ = true;
-    return changed;
+  bool observe(std::span<const routing::FibEntry* const> entries) override {
+    eligible_ports(entries, next_);
+    return commit_next();
   }
-
-  [[nodiscard]] const std::set<routing::Port>& current_ports()
-      const override {
-    return ports_;
-  }
-
-  void reset() override {
-    ports_.clear();
-    initialized_ = false;
-  }
-
- private:
-  std::set<routing::Port> ports_;
-  bool initialized_ = false;
 };
 
 class HistoryUnionStrategy final : public ForwardingStrategy {
@@ -110,38 +101,24 @@ class HistoryUnionStrategy final : public ForwardingStrategy {
     return StrategyKind::kHistoryUnion;
   }
 
-  bool observe(const PortOracle& oracle,
-               std::span<const net::Ipv4Address> addrs) override {
-    // FIB state is computed over the union of every address ever observed
-    // (§3.3.3), so the port set can only grow; an update happens only when
-    // a genuinely new network location adds a new port.
-    for (const net::Ipv4Address addr : addrs) history_.insert(addr.value());
-    std::set<routing::Port> ports;
-    for (const std::uint32_t raw : history_) {
-      const auto port = oracle.port_for(net::Ipv4Address(raw));
-      if (port.has_value()) ports.insert(*port);
+  bool observe(std::span<const routing::FibEntry* const> entries) override {
+    // FIB state covers the union of every address ever observed (§3.3.3).
+    // The FIB is fixed, so that union's ports are the union of each
+    // observation's ports: the set only grows, and an update happens only
+    // when a genuinely new network location adds a new port.
+    bool grew = false;
+    for (const routing::FibEntry* entry : entries) {
+      if (entry == nullptr) continue;
+      const auto it = std::lower_bound(ports_.begin(), ports_.end(),
+                                       entry->port);
+      if (it != ports_.end() && *it == entry->port) continue;
+      ports_.insert(it, entry->port);
+      grew = true;
     }
-    const bool changed = initialized_ && ports != ports_;
-    ports_ = std::move(ports);
+    const bool changed = initialized_ && grew;
     initialized_ = true;
     return changed;
   }
-
-  [[nodiscard]] const std::set<routing::Port>& current_ports()
-      const override {
-    return ports_;
-  }
-
-  void reset() override {
-    history_.clear();
-    ports_.clear();
-    initialized_ = false;
-  }
-
- private:
-  std::unordered_set<std::uint32_t> history_;
-  std::set<routing::Port> ports_;
-  bool initialized_ = false;
 };
 
 }  // namespace

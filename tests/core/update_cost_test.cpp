@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <set>
+#include <tuple>
+
 #include "../support/fixtures.hpp"
 #include "lina/stats/summary.hpp"
+#include "lina/strategy/port_oracle.hpp"
 
 namespace lina::core {
 namespace {
@@ -11,6 +18,169 @@ namespace {
 using lina::testing::shared_content_catalog;
 using lina::testing::shared_device_traces;
 using lina::testing::shared_internet;
+using strategy::StrategyKind;
+
+constexpr StrategyKind kAllKinds[] = {StrategyKind::kBestPort,
+                                      StrategyKind::kControlledFlooding,
+                                      StrategyKind::kHistoryUnion};
+
+/// Independent reference for the §3.3.1 snapshot replay: a plain loop per
+/// router and per trace over an uncached FibOracle, with std::set port
+/// sets and the strategy rules written out here (nothing from
+/// lina::strategy beyond the kind enum and the address resolver).
+template <typename Traces>
+std::vector<RouterUpdateStats> reference_update_cost(
+    std::span<const routing::VantageRouter> routers, const Traces& traces,
+    StrategyKind kind) {
+  std::vector<RouterUpdateStats> out;
+  for (const routing::VantageRouter& router : routers) {
+    const strategy::FibOracle oracle(router.fib());
+    RouterUpdateStats tally{std::string(router.name()), 0, 0};
+    for (const auto& trace : traces) {
+      std::set<routing::Port> ports;
+      std::set<std::uint32_t> history;
+      bool first = true;
+      for (const auto& snapshot : trace.snapshots()) {
+        std::set<routing::Port> next;
+        if (kind == StrategyKind::kBestPort) {
+          std::optional<routing::FibEntry> best;
+          for (const net::Ipv4Address addr : snapshot.addresses) {
+            const auto hit = oracle.entry_for(addr);
+            if (hit && (!best || routing::entry_preferred(*hit, *best))) {
+              best = hit;
+            }
+          }
+          if (best) next.insert(best->port);
+        } else {
+          // Flooding forwards on the current set's ports, history-union on
+          // the ports of every address seen so far.
+          if (kind == StrategyKind::kControlledFlooding) history.clear();
+          for (const net::Ipv4Address addr : snapshot.addresses) {
+            history.insert(addr.value());
+          }
+          for (const std::uint32_t raw : history) {
+            const auto port = oracle.port_for(net::Ipv4Address(raw));
+            if (port) next.insert(*port);
+          }
+        }
+        if (!first) {
+          ++tally.events;
+          if (next != ports) ++tally.updates;
+        }
+        ports = std::move(next);
+        first = false;
+      }
+    }
+    out.push_back(std::move(tally));
+  }
+  return out;
+}
+
+void expect_same_tallies(const std::vector<RouterUpdateStats>& got,
+                         const std::vector<RouterUpdateStats>& want,
+                         StrategyKind kind) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(got[r].router, want[r].router);
+    EXPECT_EQ(got[r].events, want[r].events)
+        << want[r].router << " " << strategy::strategy_name(kind);
+    EXPECT_EQ(got[r].updates, want[r].updates)
+        << want[r].router << " " << strategy::strategy_name(kind);
+  }
+}
+
+/// Hand-made address sets covering the replay's edge cases, as snapshot
+/// sequences (each becomes one content and one multihomed trace).
+struct EdgeCaseSets {
+  std::vector<std::vector<std::vector<net::Ipv4Address>>> series;
+  net::Ipv4Address tie_a, tie_b;  // equal class, path and MED at router 0
+};
+
+EdgeCaseSets edge_case_sets() {
+  const auto routers = shared_internet().vantages();
+  // An address no vantage router routes.
+  std::optional<net::Ipv4Address> unrouted;
+  for (const char* candidate : {"0.0.0.1", "127.0.0.1", "240.0.0.1",
+                                "255.255.255.254"}) {
+    const auto addr = net::Ipv4Address::parse(candidate);
+    if (std::none_of(routers.begin(), routers.end(), [&](const auto& r) {
+          return r.fib().lookup(addr).has_value();
+        })) {
+      unrouted = addr;
+      break;
+    }
+  }
+  EXPECT_TRUE(unrouted.has_value()) << "no unrouted probe address";
+  const net::Ipv4Address u1 = unrouted.value_or(net::Ipv4Address(1));
+  const net::Ipv4Address u2(u1.value() + 1);
+
+  // Two addresses whose router-0 entries tie on class, path length and MED
+  // but leave on different ports.
+  std::map<std::tuple<routing::RouteClass, std::uint32_t, std::uint32_t>,
+           std::pair<net::Ipv4Address, routing::Port>>
+      seen;
+  std::optional<std::pair<net::Ipv4Address, net::Ipv4Address>> tie;
+  routers[0].fib().visit([&](const net::Prefix& prefix,
+                             const routing::FibEntry&) {
+    if (tie) return;
+    const net::Ipv4Address addr = prefix.network();
+    const auto hit = routers[0].fib().lookup(addr);
+    if (!hit) return;
+    const routing::FibEntry& e = hit->second;
+    const auto key = std::make_tuple(e.route_class, e.path_length, e.med);
+    const auto [it, inserted] = seen.try_emplace(key, addr, e.port);
+    if (!inserted && it->second.second != e.port) {
+      tie.emplace(it->second.first, addr);
+    }
+  });
+  EXPECT_TRUE(tie.has_value()) << "no tied entry pair at router 0";
+
+  stats::Rng rng(5);
+  const auto& edges = shared_internet().edge_ases();
+  const auto in = [&](std::size_t i) {
+    return shared_internet().random_address_in(edges[i % edges.size()], rng);
+  };
+  const net::Ipv4Address a = in(0), b = in(7), c = in(13), d = in(21);
+  EdgeCaseSets sets;
+  sets.tie_a = tie ? tie->first : a;
+  sets.tie_b = tie ? tie->second : b;
+  sets.series = {
+      {{a}, {}, {a, b}, {}},                         // empty snapshots
+      {{a, c}, {u1, u2}, {u1}, {c}},                 // all unroutable
+      {{b, d}},                                      // single snapshot
+      {{sets.tie_a}, {sets.tie_a, sets.tie_b}, {sets.tie_b},
+       {sets.tie_a, sets.tie_b}, {sets.tie_a}},      // tied entries
+      {{a}, {b}, {a}, {b}, {a}, {c}, {a}},           // A -> B -> A revisits
+      {{d, a}, {d}, {a, b, c, d}, {b}},              // addresses shared
+  };
+  return sets;
+}
+
+std::vector<mobility::ContentTrace> edge_case_content_traces() {
+  std::vector<mobility::ContentTrace> traces;
+  const auto sets = edge_case_sets();
+  for (std::size_t i = 0; i < sets.series.size(); ++i) {
+    traces.emplace_back(
+        names::ContentName::from_dns("edge" + std::to_string(i) + ".example"),
+        true, false, 1);
+    for (std::size_t t = 0; t < sets.series[i].size(); ++t) {
+      traces.back().observe(static_cast<double>(t), sets.series[i][t]);
+    }
+  }
+  return traces;
+}
+
+std::vector<mobility::MultihomedDeviceTrace> edge_case_multihomed_traces() {
+  std::vector<mobility::MultihomedDeviceTrace> traces;
+  const auto sets = edge_case_sets();
+  for (std::size_t i = 0; i < sets.series.size(); ++i) {
+    traces.emplace_back(static_cast<std::uint32_t>(i));
+    for (std::size_t t = 0; t < sets.series[i].size(); ++t) {
+      traces.back().observe(static_cast<double>(t), sets.series[i][t]);
+    }
+  }
+  return traces;
+}
 
 TEST(RouterUpdateStatsTest, RateHandlesZeroEvents) {
   const RouterUpdateStats empty{"r", 0, 0};
@@ -165,6 +335,69 @@ TEST(ContentUpdateCostTest, EventCountsMatchTraceEvents) {
   const auto stats = evaluator.evaluate(shared_content_catalog().unpopular,
                                         strategy::StrategyKind::kBestPort);
   for (const auto& s : stats) EXPECT_EQ(s.events, expected);
+}
+
+TEST(ContentUpdateCostTest, MatchesReferenceOnCatalogSubset) {
+  std::vector<mobility::ContentTrace> traces;
+  const auto& catalog = shared_content_catalog();
+  for (const auto* part : {&catalog.popular, &catalog.unpopular}) {
+    const std::size_t n = std::min<std::size_t>(part->size(), 20);
+    traces.insert(traces.end(), part->begin(), part->begin() + n);
+  }
+  const auto routers = shared_internet().vantages();
+  const ContentUpdateCostEvaluator evaluator(routers);
+  for (const StrategyKind kind : kAllKinds) {
+    expect_same_tallies(evaluator.evaluate(traces, kind),
+                        reference_update_cost(routers, traces, kind), kind);
+  }
+}
+
+TEST(ContentUpdateCostTest, MatchesReferenceOnEdgeCases) {
+  const auto traces = edge_case_content_traces();
+  const auto routers = shared_internet().vantages();
+  const ContentUpdateCostEvaluator evaluator(routers);
+  for (const StrategyKind kind : kAllKinds) {
+    const auto got = evaluator.evaluate(traces, kind);
+    expect_same_tallies(got, reference_update_cost(routers, traces, kind),
+                        kind);
+    // 3 + 3 + 0 + 4 + 6 + 3 events: the single-snapshot trace has none.
+    for (const RouterUpdateStats& s : got) EXPECT_EQ(s.events, 19u);
+  }
+  // The tied pair never moves best-port at router 0: equal preference up
+  // to the port, so the lower port wins in every snapshot holding both.
+  const std::vector<mobility::ContentTrace> tie_only{traces[3]};
+  const auto tie = evaluator.evaluate(tie_only, StrategyKind::kBestPort);
+  const auto flood =
+      evaluator.evaluate(tie_only, StrategyKind::kControlledFlooding);
+  EXPECT_EQ(flood[0].updates, 4u);
+  EXPECT_EQ(tie[0].updates, 2u);
+}
+
+TEST(ContentUpdateCostTest, EmptyInputsYieldZeroTallies) {
+  const ContentUpdateCostEvaluator evaluator(shared_internet().vantages());
+  for (const StrategyKind kind : kAllKinds) {
+    const auto stats = evaluator.evaluate({}, kind);
+    ASSERT_EQ(stats.size(), shared_internet().vantages().size());
+    for (const RouterUpdateStats& s : stats) {
+      EXPECT_EQ(s.events, 0u);
+      EXPECT_EQ(s.updates, 0u);
+    }
+  }
+}
+
+TEST(MultihomedUpdateCostTest, MatchesReferenceOnEdgeCasesAndViews) {
+  auto traces = edge_case_multihomed_traces();
+  const std::span<const mobility::DeviceTrace> device =
+      shared_device_traces();
+  const auto views = mobility::multihomed_views(
+      device.subspan(0, std::min<std::size_t>(device.size(), 12)), 1.0);
+  traces.insert(traces.end(), views.begin(), views.end());
+  const auto routers = shared_internet().vantages();
+  const MultihomedDeviceUpdateCostEvaluator evaluator(routers);
+  for (const StrategyKind kind : kAllKinds) {
+    expect_same_tallies(evaluator.evaluate(traces, kind),
+                        reference_update_cost(routers, traces, kind), kind);
+  }
 }
 
 }  // namespace

@@ -2,12 +2,15 @@
 // is that every parallelized pipeline returns byte-for-byte the same result
 // at any thread count. These tests pin that for the workload generator, the
 // session simulator (all four architectures), the indirection-stretch
-// pipeline, and the update-cost evaluator, and check the fabric's memoized
-// degraded graph builds exactly once per (plan, epoch) key.
+// pipeline, and the device, content and multihomed update-cost
+// evaluators, and check the fabric's memoized degraded graph builds
+// exactly once per (plan, epoch) key.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "../support/fixtures.hpp"
@@ -15,6 +18,7 @@
 #include "lina/core/update_cost.hpp"
 #include "lina/exec/parallel.hpp"
 #include "lina/exec/thread_pool.hpp"
+#include "lina/mobility/device_multihoming.hpp"
 #include "lina/mobility/device_workload.hpp"
 #include "lina/obs/metrics.hpp"
 #include "lina/obs/registry.hpp"
@@ -26,6 +30,7 @@
 namespace lina {
 namespace {
 
+using lina::testing::shared_content_catalog;
 using lina::testing::shared_device_traces;
 using lina::testing::shared_internet;
 using topology::AsId;
@@ -184,6 +189,83 @@ TEST(UpdateCostDeterminismTest, RatesBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(parallel[r].updates, serial[r].updates);
     }
   }
+}
+
+void expect_same_tallies(const std::vector<core::RouterUpdateStats>& a,
+                         const std::vector<core::RouterUpdateStats>& b,
+                         std::string_view what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    EXPECT_EQ(a[r].router, b[r].router) << what;
+    EXPECT_EQ(a[r].events, b[r].events) << what << " " << a[r].router;
+    EXPECT_EQ(a[r].updates, b[r].updates) << what << " " << a[r].router;
+  }
+}
+
+constexpr strategy::StrategyKind kAllStrategies[] = {
+    strategy::StrategyKind::kBestPort,
+    strategy::StrategyKind::kControlledFlooding,
+    strategy::StrategyKind::kHistoryUnion};
+
+TEST(ContentUpdateCostDeterminismTest, TalliesIdenticalAcrossThreadCounts) {
+  // Routers fan out over one shared read-only address index; every
+  // strategy's tallies must not depend on the worker count.
+  ThreadCountGuard guard;
+  const core::ContentUpdateCostEvaluator evaluator(
+      shared_internet().vantages());
+  for (const auto kind : kAllStrategies) {
+    const auto run = [&](std::size_t threads) {
+      exec::set_default_threads(threads);
+      return evaluator.evaluate(shared_content_catalog().popular, kind);
+    };
+    const auto serial = run(1);
+    for (const std::size_t threads : {2u, 8u}) {
+      expect_same_tallies(run(threads), serial,
+                          strategy::strategy_name(kind));
+    }
+  }
+}
+
+TEST(MultihomedUpdateCostDeterminismTest,
+     TalliesIdenticalAcrossThreadCounts) {
+  ThreadCountGuard guard;
+  const auto views =
+      mobility::multihomed_views(shared_device_traces(), 1.0);
+  const core::MultihomedDeviceUpdateCostEvaluator evaluator(
+      shared_internet().vantages());
+  for (const auto kind : kAllStrategies) {
+    const auto run = [&](std::size_t threads) {
+      exec::set_default_threads(threads);
+      return evaluator.evaluate(views, kind);
+    };
+    const auto serial = run(1);
+    for (const std::size_t threads : {2u, 8u}) {
+      expect_same_tallies(run(threads), serial,
+                          strategy::strategy_name(kind));
+    }
+  }
+}
+
+TEST(DeviceUpdateCostConcurrencyTest, TwoCallersShareOneEvaluator) {
+  // Two plain threads calling evaluate on one evaluator: at one worker
+  // each call runs its router loop inline on its own thread, so the
+  // evaluator's shared state must be read-only or synchronized (a lazily
+  // filled per-router slot would race here under TSan).
+  ThreadCountGuard guard;
+  exec::set_default_threads(1);
+  const core::DeviceUpdateCostEvaluator evaluator(
+      shared_internet().vantages());
+  std::vector<core::RouterUpdateStats> first, second;
+  std::thread a([&] { first = evaluator.evaluate(shared_device_traces()); });
+  std::thread b(
+      [&] { second = evaluator.evaluate_day(shared_device_traces(), 2); });
+  a.join();
+  b.join();
+  const core::DeviceUpdateCostEvaluator fresh(shared_internet().vantages());
+  expect_same_tallies(first, fresh.evaluate(shared_device_traces()),
+                      "evaluate");
+  expect_same_tallies(second, fresh.evaluate_day(shared_device_traces(), 2),
+                      "evaluate_day");
 }
 
 TEST(FabricMemoTest, DegradedGraphBuildsOncePerPlanEpoch) {

@@ -35,6 +35,34 @@ std::vector<Ipv4Address> addrs(std::initializer_list<const char*> list) {
   return out;
 }
 
+// Strategies observe resolved entries; the frozen FIB's entries live in its
+// arena, so the pointers stay valid for the test's lifetime.
+const routing::FrozenFib& frozen_fib() {
+  static const routing::FrozenFib fib = make_fib().freeze();
+  return fib;
+}
+
+std::vector<const FibEntry*> entries(std::initializer_list<const char*> list) {
+  std::vector<const FibEntry*> out;
+  for (const Ipv4Address addr : addrs(list)) {
+    out.push_back(frozen_fib().entry_for(addr));
+  }
+  return out;
+}
+
+std::vector<routing::Port> ports_of(const ForwardingStrategy& strat) {
+  const auto ports = strat.current_ports();
+  return {ports.begin(), ports.end()};
+}
+
+std::vector<routing::Port> eligible(std::initializer_list<const char*> list) {
+  std::vector<routing::Port> out{99};  // stale content must be cleared
+  eligible_ports(entries(list), out);
+  return out;
+}
+
+using Ports = std::vector<routing::Port>;
+
 TEST(StrategyNameTest, AllKindsNamed) {
   EXPECT_EQ(strategy_name(StrategyKind::kBestPort), "best-port");
   EXPECT_EQ(strategy_name(StrategyKind::kControlledFlooding),
@@ -43,144 +71,168 @@ TEST(StrategyNameTest, AllKindsNamed) {
 }
 
 TEST(EligiblePortsTest, CollectsPortsOfRoutedAddresses) {
-  const Fib fib = make_fib();
-  const FibOracle oracle(fib);
-  const auto ports = eligible_ports(
-      oracle, addrs({"1.0.0.1", "2.0.0.1", "9.9.9.9"}));
-  EXPECT_EQ(ports, (std::set<routing::Port>{11, 22}));
+  EXPECT_EQ(eligible({"1.0.0.1", "2.0.0.1", "9.9.9.9"}), (Ports{11, 22}));
+  // Sorted and de-duplicated whatever the address order.
+  EXPECT_EQ(eligible({"3.0.0.1", "2.0.0.1", "2.0.0.7", "1.0.0.1"}),
+            (Ports{11, 22, 33}));
 }
 
 TEST(EligiblePortsTest, EmptyForUnroutedSet) {
-  const Fib fib = make_fib();
-  const FibOracle oracle(fib);
-  EXPECT_TRUE(eligible_ports(oracle, addrs({"9.9.9.9"})).empty());
-  EXPECT_TRUE(eligible_ports(oracle, {}).empty());
+  EXPECT_TRUE(eligible({"9.9.9.9"}).empty());
+  EXPECT_TRUE(eligible({}).empty());
 }
 
 TEST(BestEntryTest, PicksMostPreferredAcrossAddresses) {
+  const FibEntry* best = best_entry(entries({"1.0.0.1", "2.0.0.1", "3.0.0.1"}));
+  ASSERT_NE(best, nullptr);
+  EXPECT_EQ(best->port, 22u);  // customer route wins
+  // The oracle form makes the same choice.
   const Fib fib = make_fib();
   const FibOracle oracle(fib);
-  const auto best = best_entry(
-      oracle, addrs({"1.0.0.1", "2.0.0.1", "3.0.0.1"}));
-  ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->port, 22u);  // customer route wins
+  const auto via_oracle =
+      best_entry(oracle, addrs({"1.0.0.1", "2.0.0.1", "3.0.0.1"}));
+  ASSERT_TRUE(via_oracle.has_value());
+  EXPECT_EQ(*via_oracle, *best);
 }
 
 TEST(BestEntryTest, NulloptWhenNothingRouted) {
+  EXPECT_EQ(best_entry(entries({"9.9.9.9"})), nullptr);
+  EXPECT_EQ(best_entry(entries({})), nullptr);
   const Fib fib = make_fib();
   const FibOracle oracle(fib);
   EXPECT_EQ(best_entry(oracle, addrs({"9.9.9.9"})), std::nullopt);
 }
 
-TEST(BestPortStrategyTest, FirstObservationNeverCounts) {
-  const Fib fib = make_fib();
-  const FibOracle oracle(fib);
+TEST(BestEntryTest, TieOnClassPathAndMedBreaksOnPort) {
+  // Equal class, path length and MED on different ports: the lower port
+  // wins whatever the address order, so reordering is never an update.
+  Fib fib;
+  fib.insert(Prefix::parse("4.0.0.0/16"),
+             FibEntry{.port = 44, .route_class = RouteClass::kPeer,
+                      .path_length = 2, .med = 5});
+  fib.insert(Prefix::parse("5.0.0.0/16"),
+             FibEntry{.port = 43, .route_class = RouteClass::kPeer,
+                      .path_length = 2, .med = 5});
+  const routing::FrozenFib frozen = fib.freeze();
+  const FibEntry* e4 = frozen.entry_for(Ipv4Address::parse("4.0.0.1"));
+  const FibEntry* e5 = frozen.entry_for(Ipv4Address::parse("5.0.0.1"));
+  ASSERT_NE(e4, nullptr);
+  ASSERT_NE(e5, nullptr);
+  const std::vector<const FibEntry*> forward{e4, e5}, backward{e5, e4};
+  EXPECT_EQ(best_entry(forward), e5);
+  EXPECT_EQ(best_entry(backward), e5);
   const auto strat = make_strategy(StrategyKind::kBestPort);
-  EXPECT_FALSE(strat->observe(oracle, addrs({"1.0.0.1"})));
-  EXPECT_EQ(strat->current_ports(), (std::set<routing::Port>{11}));
+  EXPECT_FALSE(strat->observe(forward));
+  EXPECT_FALSE(strat->observe(backward));
+  EXPECT_EQ(ports_of(*strat), (Ports{43}));
+}
+
+TEST(BestPortStrategyTest, FirstObservationNeverCounts) {
+  const auto strat = make_strategy(StrategyKind::kBestPort);
+  EXPECT_TRUE(strat->current_ports().empty());
+  EXPECT_FALSE(strat->observe(entries({"1.0.0.1"})));
+  EXPECT_EQ(ports_of(*strat), (Ports{11}));
 }
 
 TEST(BestPortStrategyTest, UpdatesOnlyWhenBestPortChanges) {
-  const Fib fib = make_fib();
-  const FibOracle oracle(fib);
   const auto strat = make_strategy(StrategyKind::kBestPort);
-  strat->observe(oracle, addrs({"2.0.0.1", "3.0.0.1"}));  // best = 22
+  strat->observe(entries({"2.0.0.1", "3.0.0.1"}));  // best = 22
+  EXPECT_EQ(ports_of(*strat), (Ports{22}));
   // Losing the provider replica does not move the best port.
-  EXPECT_FALSE(strat->observe(oracle, addrs({"2.0.0.1"})));
+  EXPECT_FALSE(strat->observe(entries({"2.0.0.1"})));
   // Losing the customer replica does.
-  EXPECT_TRUE(strat->observe(oracle, addrs({"3.0.0.1"})));
-  EXPECT_EQ(strat->current_ports(), (std::set<routing::Port>{33}));
+  EXPECT_TRUE(strat->observe(entries({"3.0.0.1"})));
+  EXPECT_EQ(ports_of(*strat), (Ports{33}));
 }
 
 TEST(BestPortStrategyTest, AddressChurnWithinBestPrefixIsFree) {
   // The paper's key best-port observation: replica churn that keeps the
   // preferred location does not update the router.
-  const Fib fib = make_fib();
-  const FibOracle oracle(fib);
   const auto strat = make_strategy(StrategyKind::kBestPort);
-  strat->observe(oracle, addrs({"2.0.0.1", "1.0.0.1"}));
-  EXPECT_FALSE(strat->observe(oracle, addrs({"2.0.0.99", "1.0.0.7"})));
-  EXPECT_FALSE(strat->observe(oracle, addrs({"2.0.55.1"})));
+  strat->observe(entries({"2.0.0.1", "1.0.0.1"}));
+  EXPECT_FALSE(strat->observe(entries({"2.0.0.99", "1.0.0.7"})));
+  EXPECT_FALSE(strat->observe(entries({"2.0.55.1"})));
+  EXPECT_EQ(ports_of(*strat), (Ports{22}));
 }
 
 TEST(BestPortStrategyTest, TransitionToUnroutedCounts) {
-  const Fib fib = make_fib();
-  const FibOracle oracle(fib);
   const auto strat = make_strategy(StrategyKind::kBestPort);
-  strat->observe(oracle, addrs({"1.0.0.1"}));
-  EXPECT_TRUE(strat->observe(oracle, addrs({"9.9.9.9"})));
+  strat->observe(entries({"1.0.0.1"}));
+  EXPECT_TRUE(strat->observe(entries({"9.9.9.9"})));
   EXPECT_TRUE(strat->current_ports().empty());
+  // Staying unrouted (or empty) is not a further change.
+  EXPECT_FALSE(strat->observe(entries({})));
 }
 
 TEST(ControlledFloodingStrategyTest, UpdatesOnAnyEligibleSetChange) {
-  const Fib fib = make_fib();
-  const FibOracle oracle(fib);
   const auto strat = make_strategy(StrategyKind::kControlledFlooding);
-  strat->observe(oracle, addrs({"1.0.0.1", "2.0.0.1"}));  // {11, 22}
+  strat->observe(entries({"1.0.0.1", "2.0.0.1"}));  // {11, 22}
+  EXPECT_EQ(ports_of(*strat), (Ports{11, 22}));
   // Same ports, different addresses: no update.
-  EXPECT_FALSE(strat->observe(oracle, addrs({"1.0.0.2", "2.0.0.9"})));
+  EXPECT_FALSE(strat->observe(entries({"1.0.0.2", "2.0.0.9"})));
   // Extra port appears: update.
-  EXPECT_TRUE(strat->observe(oracle, addrs({"1.0.0.2", "2.0.0.9", "3.0.0.1"})));
-  EXPECT_EQ(strat->current_ports(), (std::set<routing::Port>{11, 22, 33}));
+  EXPECT_TRUE(strat->observe(entries({"1.0.0.2", "2.0.0.9", "3.0.0.1"})));
+  EXPECT_EQ(ports_of(*strat), (Ports{11, 22, 33}));
   // Port disappears: update.
-  EXPECT_TRUE(strat->observe(oracle, addrs({"1.0.0.2"})));
+  EXPECT_TRUE(strat->observe(entries({"1.0.0.2"})));
+  EXPECT_EQ(ports_of(*strat), (Ports{11}));
 }
 
 TEST(ControlledFloodingStrategyTest, AtLeastAsCostlyAsBestPort) {
   // §3.3.3: controlled flooding's update cost is at least best-port's.
-  const Fib fib = make_fib();
-  const FibOracle oracle(fib);
   const auto flood = make_strategy(StrategyKind::kControlledFlooding);
   const auto best = make_strategy(StrategyKind::kBestPort);
-  const std::vector<std::vector<Ipv4Address>> snapshots{
-      addrs({"1.0.0.1", "2.0.0.1"}), addrs({"1.0.0.1", "2.0.0.1", "3.0.0.1"}),
-      addrs({"2.0.0.1", "3.0.0.1"}), addrs({"3.0.0.1"}),
-      addrs({"1.0.0.1", "3.0.0.1"}), addrs({"2.0.0.5"}),
+  const std::vector<std::vector<const FibEntry*>> snapshots{
+      entries({"1.0.0.1", "2.0.0.1"}),
+      entries({"1.0.0.1", "2.0.0.1", "3.0.0.1"}),
+      entries({"2.0.0.1", "3.0.0.1"}), entries({"3.0.0.1"}),
+      entries({"1.0.0.1", "3.0.0.1"}), entries({"2.0.0.5"}),
   };
   int flood_updates = 0, best_updates = 0;
   for (const auto& snapshot : snapshots) {
-    if (flood->observe(oracle, snapshot)) ++flood_updates;
-    if (best->observe(oracle, snapshot)) ++best_updates;
+    if (flood->observe(snapshot)) ++flood_updates;
+    if (best->observe(snapshot)) ++best_updates;
   }
+  EXPECT_EQ(flood_updates, 5);
+  EXPECT_EQ(best_updates, 3);
   EXPECT_GE(flood_updates, best_updates);
 }
 
 TEST(HistoryUnionStrategyTest, RevisitsAreFree) {
   // §3.3.3: once a location has been seen, flitting back and forth across
   // known locations never updates the router.
-  const Fib fib = make_fib();
-  const FibOracle oracle(fib);
   const auto strat = make_strategy(StrategyKind::kHistoryUnion);
-  strat->observe(oracle, addrs({"1.0.0.1"}));
-  EXPECT_TRUE(strat->observe(oracle, addrs({"2.0.0.1"})));   // new port
-  EXPECT_FALSE(strat->observe(oracle, addrs({"1.0.0.1"})));  // revisit
-  EXPECT_FALSE(strat->observe(oracle, addrs({"2.0.0.1"})));  // revisit
+  strat->observe(entries({"1.0.0.1"}));
+  EXPECT_TRUE(strat->observe(entries({"2.0.0.1"})));   // new port
+  EXPECT_FALSE(strat->observe(entries({"1.0.0.1"})));  // revisit
+  EXPECT_FALSE(strat->observe(entries({"2.0.0.1"})));  // revisit
   // Port set is the union of history.
-  EXPECT_EQ(strat->current_ports(), (std::set<routing::Port>{11, 22}));
+  EXPECT_EQ(ports_of(*strat), (Ports{11, 22}));
 }
 
 TEST(HistoryUnionStrategyTest, OnlyTrulyNewLocationsCost) {
-  const Fib fib = make_fib();
-  const FibOracle oracle(fib);
   const auto strat = make_strategy(StrategyKind::kHistoryUnion);
-  strat->observe(oracle, addrs({"1.0.0.1"}));
+  strat->observe(entries({"1.0.0.1"}));
   // New address, same prefix/port: union grows but ports unchanged.
-  EXPECT_FALSE(strat->observe(oracle, addrs({"1.0.0.2"})));
-  EXPECT_TRUE(strat->observe(oracle, addrs({"3.0.0.1"})));
+  EXPECT_FALSE(strat->observe(entries({"1.0.0.2"})));
+  // Unrouted and empty observations add nothing.
+  EXPECT_FALSE(strat->observe(entries({"9.9.9.9"})));
+  EXPECT_FALSE(strat->observe(entries({})));
+  EXPECT_TRUE(strat->observe(entries({"3.0.0.1"})));
+  EXPECT_EQ(ports_of(*strat), (Ports{11, 33}));
 }
 
 TEST(StrategyResetTest, ResetForgetsEverything) {
-  const Fib fib = make_fib();
-  const FibOracle oracle(fib);
   for (const auto kind :
        {StrategyKind::kBestPort, StrategyKind::kControlledFlooding,
         StrategyKind::kHistoryUnion}) {
     const auto strat = make_strategy(kind);
-    strat->observe(oracle, addrs({"1.0.0.1"}));
+    strat->observe(entries({"1.0.0.1"}));
     strat->reset();
     EXPECT_TRUE(strat->current_ports().empty());
     // Post-reset first observation initializes again without counting.
-    EXPECT_FALSE(strat->observe(oracle, addrs({"3.0.0.1"})));
+    EXPECT_FALSE(strat->observe(entries({"3.0.0.1"})));
+    EXPECT_EQ(ports_of(*strat), (Ports{33})) << strategy_name(kind);
   }
 }
 
