@@ -7,7 +7,10 @@
 // replay figure uses, so the run record carries trace.reuse), and a
 // second phase drives the same sessions through the lina::des sharded
 // packet engine, cross-checking its delivered-packet digest against the
-// serial reference — a digest mismatch fails the bench (exit 1).
+// serial reference — a digest mismatch fails the bench (exit 1). Both
+// models' per-variant counts (sim_*: sent, delivered, control messages,
+// stretch and outage sample sums; des_*: delivered, fingerprint) are
+// gated results (bench/baselines/BENCH_packet_level_threads1.json).
 //
 // Bench-specific flags (config block only, never results):
 //     --des-shards <n>      engine shard count (default 8)
@@ -197,6 +200,9 @@ int main(int argc, char** argv) {
         });
     std::size_t sent = 0, delivered = 0, control = 0;
     stats::EmpiricalCdf stretch, outage;
+    // Sums over every session's samples (sessions in user order, samples
+    // ascending): a fixed summation order, so they gate bit-for-bit.
+    double stretch_sum = 0.0, outage_sum = 0.0;
     for (const sim::SessionStats& result : sessions) {
       sent += result.packets_sent;
       delivered += result.packets_delivered;
@@ -205,7 +211,16 @@ int main(int argc, char** argv) {
       if (!result.outage_ms.empty()) {
         outage.add(result.outage_ms.quantile(0.5));
       }
+      for (const double x : result.stretch.sorted_samples()) stretch_sum += x;
+      for (const double x : result.outage_ms.sorted_samples())
+        outage_sum += x;
     }
+    const std::string prefix = "sim_" + variant.key + "_";
+    harness.result(prefix + "sent", static_cast<double>(sent));
+    harness.result(prefix + "delivered", static_cast<double>(delivered));
+    harness.result(prefix + "control_messages", static_cast<double>(control));
+    harness.result(prefix + "stretch_sum", stretch_sum);
+    harness.result(prefix + "outage_sum", outage_sum);
     rows.push_back(
         {variant.label,
          stats::pct(static_cast<double>(delivered) /
@@ -226,7 +241,7 @@ int main(int argc, char** argv) {
          "cheapest control plane.\n\n";
 
   // Same sessions through the sharded packet engine: the delivered-packet
-  // digest must match the serial sim::EventQueue reference bit-for-bit
+  // digest must match the serial run_serial reference bit-for-bit
   // for every variant, at whatever shard count / window the flags chose.
   harness.phase("packet-engine");
   harness.note("des.shards", std::to_string(des_shards));
@@ -298,7 +313,7 @@ int main(int argc, char** argv) {
   std::cout << stats::heading(
       "Sharded packet engine (lina::des) vs serial reference");
   std::cout << stats::text_table(engine_rows) << "\n";
-  std::cout << "Every digest matches the serial sim::EventQueue loop "
+  std::cout << "Every digest matches the serial run_serial loop "
                "bit-for-bit ("
             << des_shards << " shards, "
             << (des_window_ms > 0.0 ? stats::fmt(des_window_ms, 3) + " ms "

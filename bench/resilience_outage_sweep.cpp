@@ -90,6 +90,27 @@ sim::FailurePlan targeted_plan(sim::SimArchitecture arch,
   return plan;
 }
 
+double sample_sum(const stats::EmpiricalCdf& cdf) {
+  double sum = 0.0;
+  for (const double x : cdf.sorted_samples()) sum += x;
+  return sum;
+}
+
+/// Gated per-session counts and sample sums (ascending samples, so the
+/// sums are bit-reproducible): the failure-aware fabric routes feed the
+/// delivered count and the degraded-stretch sum.
+void record_session(bench::Harness& harness, const std::string& prefix,
+                    const sim::SessionStats& result) {
+  harness.result(prefix + ".delivered",
+                 static_cast<double>(result.packets_delivered));
+  harness.result(prefix + ".control_messages",
+                 static_cast<double>(result.control_messages));
+  harness.result(prefix + ".control_retries",
+                 static_cast<double>(result.control_retries));
+  harness.result(prefix + ".stretch_degraded_sum",
+                 sample_sum(result.stretch_degraded));
+}
+
 std::string fmt_recovery(const stats::EmpiricalCdf& recovery) {
   return recovery.empty() ? "-" : stats::fmt(recovery.quantile(0.5), 0);
 }
@@ -140,10 +161,9 @@ int main(int argc, char** argv) {
       });
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
     const sim::SessionStats& result = canonical[s];
-    harness.result(
-        std::string("delivery.") +
-            std::string(sim::sim_architecture_name(scenarios[s].arch)),
-        result.delivery_ratio());
+    const std::string arch(sim::sim_architecture_name(scenarios[s].arch));
+    harness.result("delivery." + arch, result.delivery_ratio());
+    record_session(harness, "outage." + arch, result);
     rows.push_back({scenarios[s].label,
                     stats::pct(result.delivery_ratio(), 1),
                     stats::pct(result.failure_loss_fraction(), 1),
@@ -249,7 +269,7 @@ int main(int argc, char** argv) {
   }
   {
     // Flattened scenario x failure-kind grid.
-    const std::vector<std::string> cells = exec::parallel_map(
+    const std::vector<sim::SessionStats> cells = exec::parallel_map(
         scenarios.size() * kinds.size(), [&](std::size_t i) {
           const Scenario& scenario = scenarios[i / kinds.size()];
           const Kind& kind = kinds[i % kinds.size()];
@@ -258,14 +278,18 @@ int main(int argc, char** argv) {
           if (!plan.has_value())
             plan = targeted_plan(scenario.arch, config, fabric, pool, 2000.0);
           config.failures = &*plan;
-          const auto result =
-              sim::simulate_session(fabric, scenario.arch, config);
-          return stats::pct(result.delivery_ratio(), 1);
+          return sim::simulate_session(fabric, scenario.arch, config);
         });
     for (std::size_t s = 0; s < scenarios.size(); ++s) {
       std::vector<std::string> row{scenarios[s].label};
       for (std::size_t k = 0; k < kinds.size(); ++k) {
-        row.push_back(cells[s * kinds.size() + k]);
+        const sim::SessionStats& result = cells[s * kinds.size() + k];
+        row.push_back(stats::pct(result.delivery_ratio(), 1));
+        record_session(
+            harness,
+            "kind." + kinds[k].label + "." +
+                std::string(sim::sim_architecture_name(scenarios[s].arch)),
+            result);
       }
       rows.push_back(std::move(row));
     }

@@ -25,7 +25,7 @@
 // straggler timestamp and replays (lina/des/optimistic.hpp).
 //
 // Both modes produce the bit-identical DeliveryDigest as the serial
-// sim::EventQueue reference — asserted by tests/des across all four
+// run_serial reference — asserted by tests/des across all four
 // architectures × shards {1,4,16} × threads {1,8}, ± FailurePlan.
 
 #include <cstdint>
@@ -202,10 +202,11 @@ class ShardedEngine {
   std::vector<std::uint64_t> rolled_back_;
 };
 
-/// The serial reference: the same PacketModel driven through
-/// sim::EventQueue (one global priority queue of std::function entries),
-/// executing every event in global (time, FIFO) order. Both sharded sync
-/// modes' digests must equal this one bit-for-bit.
+/// The serial reference: the same PacketModel driven through one flat
+/// min-heap of EventRecords, executing every event in global (time, FIFO)
+/// order. Both sharded sync modes' digests must equal this one
+/// bit-for-bit. Throws std::invalid_argument when a handler emits an
+/// event before the current time or at a non-finite time.
 RunStats run_serial(const PacketModel& model);
 
 }  // namespace lina::des

@@ -66,7 +66,7 @@ namespace detail {
 /// fold (XOR and wrapping sum of per-packet hashes), so any execution
 /// order of the same delivered-packet multiset produces the same digest —
 /// the property that lets the sharded engine be compared bit-for-bit
-/// against the serial sim::EventQueue loop at any shard or thread count.
+/// against the serial run_serial loop at any shard or thread count.
 /// Delay is accumulated in integer microseconds (exact, associative); a
 /// floating-point sum would depend on accumulation order.
 struct DeliveryDigest {

@@ -9,7 +9,7 @@
 // multiset of delivered packets — and therefore the DeliveryDigest — is
 // invariant under any execution order of the same event set. That is the
 // lemma that makes the sharded engine bit-identical to the serial
-// sim::EventQueue loop at any shard count and thread count.
+// run_serial loop at any shard count and thread count.
 //
 // Architecture semantics (who the correspondent/routers believe the
 // mobile is attached to) are *closed-form in time*: beliefs are derived
@@ -162,19 +162,19 @@ class PacketModel {
       digest.lost += 1;
       return;
     }
-    const std::optional<topology::AsId> next =
+    const std::optional<sim::Hop> hop =
         (failures_ != nullptr && failures_->data_plane_impaired(t))
-            ? fabric_->next_hop(at, dest, *failures_, t)
-            : fabric_->next_hop(at, dest);
-    if (!next.has_value() || *next == at) {
+            ? fabric_->hop_toward(at, dest, *failures_, t)
+            : fabric_->hop_toward(at, dest);
+    if (!hop.has_value() || hop->next == at) {
       digest.lost += 1;
       return;
     }
     EventRecord n = ev;
-    n.at = *next;
+    n.at = hop->next;
     n.dest = dest;
     n.hops = static_cast<std::uint16_t>(ev.hops + 1);
-    n.time_ms = t + fabric_->link_delay_ms(at, *next);
+    n.time_ms = t + hop->link_ms;
     emit(n);
   }
 

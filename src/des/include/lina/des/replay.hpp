@@ -37,7 +37,7 @@ struct PacketReplayConfig {
   /// engine itself runs single-threaded.
   EngineConfig engine;
   const sim::FailurePlan* failures = nullptr;
-  /// Run the serial sim::EventQueue reference instead of the sharded
+  /// Run the serial run_serial reference instead of the sharded
   /// engine (for identity gates).
   bool serial = false;
 };

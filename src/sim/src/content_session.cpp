@@ -203,16 +203,16 @@ class ContentSessionRunner {
       }
       return;
     }
-    const auto next = faults_
-                          ? fabric_.next_hop(at, dest, *plan_, queue_.now())
-                          : fabric_.next_hop(at, dest);
-    if (!next.has_value()) {
+    const auto step = faults_
+                          ? fabric_.hop_toward(at, dest, *plan_, queue_.now())
+                          : fabric_.hop_toward(at, dest);
+    if (!step.has_value()) {
       retransmit(segment, send_time_ms, attempt);
       return;
     }
-    const double link = fabric_.link_delay_ms(at, *next);
+    const double link = step->link_ms;
     queue_.schedule_in(
-        link, [this, next = *next, dest, segment, send_time_ms,
+        link, [this, next = step->next, dest, segment, send_time_ms,
                forward_delay_ms, link, path = std::move(path), hops,
                attempt]() mutable {
           hop_directed(next, dest, segment, send_time_ms,
@@ -253,16 +253,16 @@ class ContentSessionRunner {
       }
       return;
     }
-    const auto next = faults_
-                          ? fabric_.next_hop(at, dest, *plan_, queue_.now())
-                          : fabric_.next_hop(at, dest);
-    if (!next.has_value()) {
+    const auto step = faults_
+                          ? fabric_.hop_toward(at, dest, *plan_, queue_.now())
+                          : fabric_.hop_toward(at, dest);
+    if (!step.has_value()) {
       retransmit(segment, send_time_ms, attempt);
       return;
     }
-    const double link = fabric_.link_delay_ms(at, *next);
+    const double link = step->link_ms;
     queue_.schedule_in(
-        link, [this, next = *next, segment, send_time_ms, forward_delay_ms,
+        link, [this, next = step->next, segment, send_time_ms, forward_delay_ms,
                link, path = std::move(path), hops, attempt]() mutable {
           hop(next, segment, send_time_ms, forward_delay_ms + link,
               std::move(path), hops + 1, attempt);

@@ -918,14 +918,14 @@ class NameBasedRunner final : public SessionRunner {
       if (device_location(queue_.now()) == at) deliver(send_time_ms);
       return;  // belief said "here" but the device has left: lost
     }
-    const auto next = faults_
-                          ? fabric_.next_hop(at, dest, *plan_, queue_.now())
-                          : fabric_.next_hop(at, dest);
-    if (!next.has_value()) return;
-    const double delay = fabric_.link_delay_ms(at, *next);
-    queue_.schedule_in(delay, [this, next = *next, send_time_ms, hops] {
-      hop(next, send_time_ms, hops + 1);
-    });
+    const auto step = faults_
+                          ? fabric_.hop_toward(at, dest, *plan_, queue_.now())
+                          : fabric_.hop_toward(at, dest);
+    if (!step.has_value()) return;
+    queue_.schedule_in(step->link_ms,
+                       [this, next = step->next, send_time_ms, hops] {
+                         hop(next, send_time_ms, hops + 1);
+                       });
   }
 
   std::vector<MobilityStep> history_;

@@ -3,12 +3,15 @@
 // at any thread count. These tests pin that for the workload generator, the
 // session simulator (all four architectures), the indirection-stretch
 // pipeline, and the device, content and multihomed update-cost
-// evaluators, and check the fabric's memoized degraded graph builds
-// exactly once per (plan, epoch) key.
+// evaluators, check the fabric's memoized degraded graph builds exactly
+// once per (plan, epoch) key, and check that racing first touches of a
+// fresh fabric's route and BFS rows read what a serial fabric reads.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <latch>
+#include <optional>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -297,6 +300,61 @@ TEST(FabricMemoTest, DegradedGraphBuildsOncePerPlanEpoch) {
       8);
   EXPECT_EQ(obs::metric::fabric_degraded_graph_builds().value(), 1u);
   obs::Registry::instance().enable(false);
+}
+
+TEST(FabricConcurrencyTest, RacingFirstTouchesReadTheSerialRows) {
+  const sim::ForwardingFabric serial(shared_internet());
+  const sim::ForwardingFabric shared(shared_internet());
+  const auto count = static_cast<AsId>(shared_internet().graph().as_count());
+  // Every 5th destination against every source keeps the TSan run short
+  // while each row is still first touched by racing threads.
+  std::vector<AsId> dests;
+  for (AsId dest = 0; dest < count; dest += 5) dests.push_back(dest);
+
+  struct Answers {
+    std::vector<std::optional<AsId>> next;
+    std::vector<std::optional<double>> delay;
+    std::vector<std::size_t> physical;
+  };
+  const auto slot = [&](std::size_t d, AsId from) {
+    return d * count + from;
+  };
+  const auto answer = [&](const sim::ForwardingFabric& fabric,
+                          std::size_t first, bool reverse) {
+    Answers out;
+    out.next.resize(dests.size() * count);
+    out.delay.resize(dests.size() * count);
+    out.physical.resize(dests.size() * count);
+    for (std::size_t i = 0; i < dests.size(); ++i) {
+      const std::size_t d = (first + (reverse ? dests.size() - i : i)) %
+                            dests.size();
+      for (AsId from = 0; from < count; ++from) {
+        out.next[slot(d, from)] = fabric.next_hop(from, dests[d]);
+        out.delay[slot(d, from)] = fabric.path_delay_ms(from, dests[d]);
+        out.physical[slot(d, from)] = fabric.physical_hops(dests[d], from);
+      }
+    }
+    return out;
+  };
+  const Answers expected = answer(serial, 0, false);
+
+  constexpr std::size_t kThreads = 8;
+  std::vector<Answers> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[t] = answer(shared, t * dests.size() / kThreads, t % 2 == 1);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t].next, expected.next) << "thread " << t;
+    // Exact double equality on purpose: the contract is bit-identity.
+    EXPECT_EQ(got[t].delay, expected.delay) << "thread " << t;
+    EXPECT_EQ(got[t].physical, expected.physical) << "thread " << t;
+  }
 }
 
 }  // namespace
