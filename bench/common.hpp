@@ -29,6 +29,8 @@
 //                      carry counter deltas.
 //     --folded <path>  also write the profile as folded-stack text for
 //                      flamegraph.pl / speedscope
+// An unknown flag, a flag missing its value, or a --threads value that is
+// not a non-negative integer exits 2 before anything runs.
 // Passing --json/--csv/--trace enables the lina::obs registry for the
 // process; without them instrumentation stays disabled (no-op) and the
 // bench prints exactly its usual text output. The resolved thread count,
@@ -41,6 +43,7 @@
 // bit-identical with --profile on or off (tests/prof/bit_identity_test).
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -48,8 +51,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -65,6 +70,17 @@
 #include "lina/prof/prof.hpp"
 
 namespace lina::bench {
+
+/// `text` as a whole unsigned decimal integer; nullopt on an empty
+/// string, a sign, whitespace, trailing characters or overflow.
+[[nodiscard]] inline std::optional<std::uint64_t> parse_unsigned(
+    std::string_view text) {
+  std::uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
 
 /// Per-bench run harness: construct first thing in main(), then mark
 /// phases with phase("...") and record headline numbers with
@@ -91,7 +107,7 @@ class Harness {
       const auto take_value = [&]() -> std::string {
         if (i + 1 >= argc) {
           std::cerr << name_ << ": missing value for " << arg << "\n";
-          return {};
+          std::exit(2);
         }
         return argv[++i];
       };
@@ -103,12 +119,13 @@ class Harness {
         trace_path_ = take_value();
       } else if (arg == "--threads") {
         const std::string value = take_value();
-        try {
-          exec::set_default_threads(std::stoul(value));
-        } catch (const std::exception&) {
+        const std::optional<std::uint64_t> threads = parse_unsigned(value);
+        if (!threads) {
           std::cerr << name_ << ": bad --threads value '" << value
                     << "' (want a non-negative integer; 0 = hardware)\n";
+          std::exit(2);
         }
+        exec::set_default_threads(*threads);
       } else if (arg == "--out-dir") {
         out_dir_ = take_value();
       } else if (arg == "--trace-in") {
@@ -132,7 +149,7 @@ class Harness {
           break;
         }
         if (!consumed) {
-          std::cerr << name_ << ": ignoring unknown argument '" << arg
+          std::cerr << name_ << ": unknown argument '" << arg
                     << "' (supported: --json <path> --csv <path> --trace "
                        "<path> --threads <n> --out-dir <dir> --trace-in "
                        "<dir> --profile <path> --folded <path>";
@@ -141,6 +158,7 @@ class Harness {
                       << (flag.value != nullptr ? " <value>" : "");
           }
           std::cerr << ")\n";
+          std::exit(2);
         }
       }
     }

@@ -15,7 +15,6 @@
 // Bench-specific flags (config block only, never results):
 //     --des-shards <n>      engine shard count (default 8)
 //     --des-window-ms <x>   lookahead override (default 0 = auto)
-//     --des-sync <mode>     conservative | optimistic | both (default both)
 
 #include <chrono>
 #include <cmath>
@@ -87,24 +86,17 @@ std::vector<mobility::DeviceTrace> most_mobile_streamed(
 int main(int argc, char** argv) {
   std::string shards_flag = "8";
   std::string window_flag = "0";
-  std::string sync_flag = "both";
   bench::Harness harness(argc, argv, "packet_level_validation",
                          {{"--des-shards", &shards_flag, nullptr},
-                          {"--des-window-ms", &window_flag, nullptr},
-                          {"--des-sync", &sync_flag, nullptr}});
+                          {"--des-window-ms", &window_flag, nullptr}});
 
   // Fail fast on a bad engine configuration, before any measured phase —
   // the same contract as the harness's output-path probes (exit code 2).
-  std::size_t des_shards = 0;
-  try {
-    des_shards = std::stoul(shards_flag);
-  } catch (const std::exception&) {
+  const std::size_t des_shards =
+      bench::parse_unsigned(shards_flag).value_or(0);
+  if (des_shards == 0) {
     std::cerr << "packet_level_validation: bad --des-shards value '"
               << shards_flag << "' (want a positive integer)\n";
-    std::exit(2);
-  }
-  if (des_shards == 0) {
-    std::cerr << "packet_level_validation: --des-shards must be >= 1\n";
     std::exit(2);
   }
   double des_window_ms = 0.0;
@@ -118,23 +110,6 @@ int main(int argc, char** argv) {
   if (!(des_window_ms >= 0.0) || !std::isfinite(des_window_ms)) {
     std::cerr << "packet_level_validation: --des-window-ms must be a "
                  "finite non-negative number (0 = auto lookahead)\n";
-    std::exit(2);
-  }
-  struct SyncArm {
-    std::string key;
-    des::SyncMode mode;
-  };
-  std::vector<SyncArm> sync_arms;
-  if (sync_flag == "conservative" || sync_flag == "both") {
-    sync_arms.push_back({"conservative", des::SyncMode::kConservative});
-  }
-  if (sync_flag == "optimistic" || sync_flag == "both") {
-    sync_arms.push_back({"optimistic", des::SyncMode::kOptimistic});
-  }
-  if (sync_arms.empty()) {
-    std::cerr << "packet_level_validation: bad --des-sync value '"
-              << sync_flag
-              << "' (want conservative | optimistic | both)\n";
     std::exit(2);
   }
 
@@ -246,12 +221,11 @@ int main(int argc, char** argv) {
   harness.phase("packet-engine");
   harness.note("des.shards", std::to_string(des_shards));
   harness.note("des.window_ms", stats::fmt(des_window_ms, 3));
-  harness.note("des.sync", sync_flag);
   const des::ShardMap map = des::ShardMap::from_topology(internet,
                                                          des_shards);
   std::vector<std::vector<std::string>> engine_rows;
-  engine_rows.push_back({"architecture", "sync", "events", "events/sec",
-                         "windows", "rollbacks", "digest"});
+  engine_rows.push_back({"architecture", "events", "events/sec", "windows",
+                         "redrain passes", "digest"});
   for (const Variant& variant : variants) {
     des::PacketModel model(fabric, variant.arch);
     for (const mobility::DeviceTrace& trace : mobile_users) {
@@ -272,43 +246,37 @@ int main(int argc, char** argv) {
     harness.result("des_" + variant.key + "_fingerprint_lo32",
                    static_cast<double>(serial.digest.fingerprint() &
                                        0xffffffffULL));
-    for (const SyncArm& arm : sync_arms) {
-      des::EngineConfig engine_config;
-      engine_config.shard_count = des_shards;
-      engine_config.window_ms = des_window_ms;
-      engine_config.sync = arm.mode;
-      const auto start = std::chrono::steady_clock::now();
-      des::ShardedEngine engine(model, map, engine_config);
-      const des::RunStats sharded = engine.run();
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      if (sharded.digest != serial.digest ||
-          sharded.events != serial.events) {
-        std::cerr << "packet_level_validation: sharded engine digest "
-                     "mismatch for "
-                  << variant.label << " (" << arm.key << ", serial fp "
-                  << serial.digest.fingerprint() << ", sharded fp "
-                  << sharded.digest.fingerprint()
-                  << ") — the bit-identity contract is broken\n";
-        return 1;
-      }
-      const double events_per_sec =
-          seconds > 0.0 ? static_cast<double>(sharded.events) / seconds
-                        : 0.0;
-      engine_rows.push_back(
-          {variant.label, arm.key, std::to_string(sharded.events),
-           stats::fmt(events_per_sec / 1e6, 2) + "M",
-           std::to_string(sharded.windows),
-           std::to_string(sharded.rollbacks),
-           "ok (fp " + std::to_string(sharded.digest.fingerprint() &
-                                      0xffffffffULL) +
-               ")"});
-      harness.result("des_" + variant.key + "_" + arm.key +
-                         "_events_per_sec",
-                     events_per_sec);
+    des::EngineConfig engine_config;
+    engine_config.shard_count = des_shards;
+    engine_config.window_ms = des_window_ms;
+    const auto start = std::chrono::steady_clock::now();
+    des::ShardedEngine engine(model, map, engine_config);
+    const des::RunStats sharded = engine.run();
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
+    if (sharded.digest != serial.digest || sharded.events != serial.events) {
+      std::cerr << "packet_level_validation: sharded engine digest "
+                   "mismatch for "
+                << variant.label << " (serial fp "
+                << serial.digest.fingerprint() << ", sharded fp "
+                << sharded.digest.fingerprint()
+                << ") — the bit-identity contract is broken\n";
+      return 1;
     }
+    const double events_per_sec =
+        seconds > 0.0 ? static_cast<double>(sharded.events) / seconds : 0.0;
+    engine_rows.push_back(
+        {variant.label, std::to_string(sharded.events),
+         stats::fmt(events_per_sec / 1e6, 2) + "M",
+         std::to_string(sharded.windows),
+         std::to_string(sharded.redrain_passes),
+         "ok (fp " +
+             std::to_string(sharded.digest.fingerprint() & 0xffffffffULL) +
+             ")"});
+    harness.result("des_" + variant.key + "_conservative_events_per_sec",
+                   events_per_sec);
   }
   std::cout << stats::heading(
       "Sharded packet engine (lina::des) vs serial reference");
@@ -319,6 +287,6 @@ int main(int argc, char** argv) {
             << (des_window_ms > 0.0 ? stats::fmt(des_window_ms, 3) + " ms "
                                           "window"
                                     : std::string("auto lookahead"))
-            << ", sync " << sync_flag << ").\n";
+            << ").\n";
   return 0;
 }

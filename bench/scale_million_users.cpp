@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "common.hpp"
@@ -59,17 +60,18 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   return h * 1099511628211ULL;
 }
 
+/// `fallback` when the flag was not given; exits 2 on anything but a
+/// positive integer, before any measured phase.
 std::uint64_t parse_count(const std::string& text, std::uint64_t fallback,
                           const char* what) {
   if (text.empty()) return fallback;
-  try {
-    const std::uint64_t value = std::stoull(text);
-    if (value > 0) return value;
-  } catch (const std::exception&) {
+  const std::optional<std::uint64_t> value = bench::parse_unsigned(text);
+  if (!value || *value == 0) {
+    std::cerr << "scale_million_users: bad " << what << " value '" << text
+              << "' (want a positive integer)\n";
+    std::exit(2);
   }
-  std::cerr << "scale_million_users: bad " << what << " '" << text
-            << "', using " << fallback << "\n";
-  return fallback;
+  return *value;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -84,7 +86,6 @@ int main(int argc, char** argv) {
   std::string users_text, days_text, shard_users_text;
   std::string des_shards_text = "16";
   std::string des_window_text = "0";
-  std::string des_sync_text = "both";
   bool verify = false;
   bool keep = false;
   bench::Harness harness(
@@ -94,7 +95,6 @@ int main(int argc, char** argv) {
        {"--shard-users", &shard_users_text},
        {"--des-shards", &des_shards_text},
        {"--des-window-ms", &des_window_text},
-       {"--des-sync", &des_sync_text},
        {"--verify", nullptr, &verify},
        {"--keep", nullptr, &keep}});
 
@@ -105,11 +105,8 @@ int main(int argc, char** argv) {
 
   // Fail fast on a bad packet-engine configuration, before any measured
   // phase — the same contract as the harness's output-path probes.
-  std::size_t des_shards = 0;
-  try {
-    des_shards = std::stoul(des_shards_text);
-  } catch (const std::exception&) {
-  }
+  const std::size_t des_shards =
+      bench::parse_unsigned(des_shards_text).value_or(0);
   if (des_shards == 0) {
     std::cerr << "scale_million_users: bad --des-shards value '"
               << des_shards_text << "' (want a positive integer)\n";
@@ -124,20 +121,6 @@ int main(int argc, char** argv) {
     std::cerr << "scale_million_users: bad --des-window-ms value '"
               << des_window_text
               << "' (want a finite non-negative number; 0 = auto)\n";
-    std::exit(2);
-  }
-  std::vector<std::pair<std::string, des::SyncMode>> des_sync_arms;
-  if (des_sync_text == "conservative" || des_sync_text == "both") {
-    des_sync_arms.emplace_back("conservative",
-                               des::SyncMode::kConservative);
-  }
-  if (des_sync_text == "optimistic" || des_sync_text == "both") {
-    des_sync_arms.emplace_back("optimistic", des::SyncMode::kOptimistic);
-  }
-  if (des_sync_arms.empty()) {
-    std::cerr << "scale_million_users: bad --des-sync value '"
-              << des_sync_text
-              << "' (want conservative | optimistic | both)\n";
     std::exit(2);
   }
 
@@ -367,85 +350,49 @@ int main(int argc, char** argv) {
     const double rss_before = resident_mib();
     harness.note("des.shards", std::to_string(des_shards));
     harness.note("des.window_ms", stats::fmt(des_window_ms, 3));
-    harness.note("des.sync", des_sync_text);
     const sim::ForwardingFabric packet_fabric(internet);
-    bool first_arm = true;
-    des::DeliveryDigest first_digest;
-    for (const auto& [sync_key, sync_mode] : des_sync_arms) {
-      des::PacketReplayConfig packet_config;
-      packet_config.architecture = sim::SimArchitecture::kIndirection;
-      packet_config.hours = 24.0;
-      packet_config.interval_ms = 1000.0;
-      packet_config.correspondent = internet.edge_ases()[0];
-      packet_config.batch_users = shard_users;
-      packet_config.engine.shard_count = des_shards;
-      packet_config.engine.window_ms = des_window_ms;
-      packet_config.engine.sync = sync_mode;
-      const auto start = std::chrono::steady_clock::now();
-      const des::PacketReplayStats packets =
-          des::replay_packets_streamed(packet_fabric, set, packet_config);
-      const double elapsed = seconds_since(start);
-      if (first_arm) {
-        // Digest / count keys are mode-invariant (tests/des pins both
-        // modes to the serial reference), so they are emitted once and
-        // stay gated in compare_runs.py.
-        first_digest = packets.digest;
-        harness.result("packet_sessions",
-                       static_cast<double>(packets.sessions));
-        harness.result("packet_sent",
-                       static_cast<double>(packets.digest.sent));
-        harness.result("packet_delivered",
-                       static_cast<double>(packets.digest.delivered));
-        harness.result("packet_digest",
-                       static_cast<double>(packets.digest.fingerprint() &
-                                           0xffffffffULL));
-        // Deterministic load-balance / comms / window shape
-        // (thread-invariant): gated, so skew, bundling or barrier-count
-        // drift shows up as a failure.
-        harness.result("des_shard_imbalance",
-                       std::round(packets.shard_imbalance * 1000.0) /
-                           1000.0);
-        harness.result("des_bundles",
-                       static_cast<double>(packets.bundles));
-        harness.result("des_windows",
-                       static_cast<double>(packets.windows));
-        harness.result("des_handoffs",
-                       static_cast<double>(packets.handoffs));
-      } else if (packets.digest != first_digest) {
-        std::cerr << "scale_million_users: " << sync_key
-                  << " digest diverged from the first sync arm (fp "
-                  << (packets.digest.fingerprint() & 0xffffffffULL)
-                  << " vs "
-                  << (first_digest.fingerprint() & 0xffffffffULL)
-                  << ") — the bit-identity contract is broken\n";
-        return 1;
-      }
-      first_arm = false;
-      harness.result("des_" + sync_key + "_events_per_sec",
-                     static_cast<double>(packets.events) / elapsed);
-      if (sync_mode == des::SyncMode::kConservative) {
-        harness.result("des_conservative_redrain_passes",
-                       static_cast<double>(packets.redrain_passes));
-      } else {
-        harness.result("des_optimistic_rollbacks",
-                       static_cast<double>(packets.rollbacks));
-        harness.result("des_optimistic_rolled_back_events",
-                       static_cast<double>(packets.rolled_back_events));
-      }
-      std::cout << "packet[" << sync_key << "]: " << packets.sessions
-                << " sessions, " << packets.events << " events across "
-                << des_shards << " shards in " << stats::fmt(elapsed, 1)
-                << " s ("
-                << stats::fmt(static_cast<double>(packets.events) /
-                                  elapsed / 1e6,
-                              2)
-                << " M events/s, imbalance "
-                << stats::fmt(packets.shard_imbalance, 2) << ", "
-                << packets.bundles << " bundles, " << packets.rollbacks
-                << " rollbacks), " << packets.digest.delivered << "/"
-                << packets.digest.sent << " delivered, digest "
-                << (packets.digest.fingerprint() & 0xffffffffULL) << "\n";
-    }
+    des::PacketReplayConfig packet_config;
+    packet_config.architecture = sim::SimArchitecture::kIndirection;
+    packet_config.hours = 24.0;
+    packet_config.interval_ms = 1000.0;
+    packet_config.correspondent = internet.edge_ases()[0];
+    packet_config.batch_users = shard_users;
+    packet_config.engine.shard_count = des_shards;
+    packet_config.engine.window_ms = des_window_ms;
+    const auto start = std::chrono::steady_clock::now();
+    const des::PacketReplayStats packets =
+        des::replay_packets_streamed(packet_fabric, set, packet_config);
+    const double elapsed = seconds_since(start);
+    harness.result("packet_sessions", static_cast<double>(packets.sessions));
+    harness.result("packet_sent", static_cast<double>(packets.digest.sent));
+    harness.result("packet_delivered",
+                   static_cast<double>(packets.digest.delivered));
+    harness.result("packet_digest",
+                   static_cast<double>(packets.digest.fingerprint() &
+                                       0xffffffffULL));
+    // Deterministic load-balance / comms / window shape (thread-invariant):
+    // gated, so skew, bundling or barrier-count drift shows up as a
+    // failure.
+    harness.result("des_shard_imbalance",
+                   std::round(packets.shard_imbalance * 1000.0) / 1000.0);
+    harness.result("des_bundles", static_cast<double>(packets.bundles));
+    harness.result("des_windows", static_cast<double>(packets.windows));
+    harness.result("des_handoffs", static_cast<double>(packets.handoffs));
+    harness.result("des_conservative_events_per_sec",
+                   static_cast<double>(packets.events) / elapsed);
+    harness.result("des_conservative_redrain_passes",
+                   static_cast<double>(packets.redrain_passes));
+    std::cout << "packet: " << packets.sessions << " sessions, "
+              << packets.events << " events across " << des_shards
+              << " shards in " << stats::fmt(elapsed, 1) << " s ("
+              << stats::fmt(static_cast<double>(packets.events) / elapsed /
+                                1e6,
+                            2)
+              << " M events/s, imbalance "
+              << stats::fmt(packets.shard_imbalance, 2) << ", "
+              << packets.bundles << " bundles), " << packets.digest.delivered
+              << "/" << packets.digest.sent << " delivered, digest "
+              << (packets.digest.fingerprint() & 0xffffffffULL) << "\n";
     const double rss_growth = resident_mib() - rss_before;
     harness.result("packet_rss_growth_mib", rss_growth);
     std::cout << "packet: resident set grew " << stats::fmt(rss_growth, 1)

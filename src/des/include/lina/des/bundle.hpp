@@ -13,11 +13,9 @@
 // prefetching the next bundle while the current one is consumed, which is
 // what cuts the barrier-adjacent time at shard counts >= 4.
 //
-// Concurrency contract (same as the PR 9 vectors): each chain has exactly
-// one writer (the source shard's worker, during a window pass) and one
-// reader (the destination shard's worker, at the barrier drain), sequenced
-// by the lina::exec pool join — single writer, single reader, no locks,
-// never concurrent.
+// A chain is appended to while its source shard runs a window pass and
+// drained into its destination shard at the window barrier, both on the
+// engine's one thread — no locks, never concurrent.
 
 #include <cstddef>
 #include <cstdint>

@@ -1,7 +1,7 @@
 #pragma once
 
-// Internals shared by the engine's sync-mode translation units
-// (src/engine.cpp, src/optimistic.cpp). Not part of the public surface.
+// Internals shared by the engine and the serial reference
+// (src/engine.cpp, src/serial.cpp). Not part of the public surface.
 
 #include <limits>
 
@@ -13,8 +13,7 @@ inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Progress slice used when the topology admits zero-delay cross-shard
 /// hops (lookahead 0): windows still advance, and the intra-window
-/// re-drain fixpoint (conservative) or rollback (optimistic) carries
-/// correctness.
+/// re-drain fixpoint carries correctness.
 inline constexpr double kZeroLookaheadWindowMs = 0.25;
 
 /// Min-heap order: earliest time first, FIFO (push sequence) within a

@@ -1,6 +1,6 @@
 #pragma once
 
-// Sharded parallel discrete-event engine, two sync modes (DESIGN.md
+// Sharded discrete-event engine with conservative time windows (DESIGN.md
 // §4i/§4j).
 //
 // The event queue is split per AS region: every AS maps to a shard via a
@@ -8,25 +8,21 @@
 // onto the shard count), so intra-metro forwarding stays shard-local and
 // cross-shard traffic rides inter-metro links whose delay is the
 // lookahead. Cross-shard records travel in cache-line-aligned bundles
-// (lina/des/bundle.hpp) through per-(src,dst) single-writer mailboxes,
-// sealed at window barriers and drained bundle-at-a-time with prefetch.
+// (lina/des/bundle.hpp) through per-(src,dst) mailboxes, sealed at window
+// barriers and drained bundle-at-a-time with prefetch.
 //
-// Conservative mode (PR 9): shards drain their own flat binary heap
-// serially within [window_start, horizon); a handoff that lands *inside*
-// the still-open window (possible only at zero lookahead) triggers the
-// re-drain fixpoint, so every event executes at its exact timestamp
-// before the window advances.
+// Each window, the shards drain their own flat binary heap within
+// [window_start, horizon) one after another, in shard order, on the
+// calling thread; a handoff that lands *inside* the still-open window
+// (possible only at zero lookahead, or with a window wider than the true
+// lookahead) triggers the re-drain fixpoint, so every event executes at
+// its exact timestamp before the window advances. Parallelism lives one
+// level up: the streamed replay (lina/des/replay.hpp) runs whole batches,
+// each with its own engine, concurrently.
 //
-// Optimistic mode: shards execute speculatively past the horizon, keeping
-// an undo log of processed records; cross-shard emissions are staged and
-// released only once GVT (computed at the existing pool barriers) passes
-// their emitting event, so rollback is purely shard-local. A straggler
-// arrival below a shard's speculative clock rewinds the undo log past the
-// straggler timestamp and replays (lina/des/optimistic.hpp).
-//
-// Both modes produce the bit-identical DeliveryDigest as the serial
-// run_serial reference — asserted by tests/des across all four
-// architectures × shards {1,4,16} × threads {1,8}, ± FailurePlan.
+// The result is the bit-identical DeliveryDigest of the serial run_serial
+// reference — asserted by tests/des across all four architectures ×
+// shards {1,4,16}, ± FailurePlan.
 
 #include <cstdint>
 #include <span>
@@ -35,7 +31,6 @@
 #include "lina/des/bundle.hpp"
 #include "lina/des/event.hpp"
 #include "lina/des/model.hpp"
-#include "lina/des/optimistic.hpp"
 #include "lina/routing/synthetic_internet.hpp"
 #include "lina/topology/geo.hpp"
 
@@ -70,14 +65,11 @@ class ShardMap {
   std::size_t shard_count_ = 1;
 };
 
-/// How shards agree on time (DESIGN.md §4j).
+/// The one sync mode; an enum because perfbench/src/workloads.cpp names it.
 enum class SyncMode : std::uint8_t {
   /// Never execute past the safe horizon; zero-lookahead fabrics fall
   /// back to fixed slices plus the re-drain fixpoint.
   kConservative,
-  /// Execute speculatively past the horizon with undo-log rollback;
-  /// cross-shard sends are held until GVT commits their emitter.
-  kOptimistic,
 };
 
 struct EngineConfig {
@@ -85,37 +77,21 @@ struct EngineConfig {
   /// Lookahead window width; 0 = auto (the minimum cross-shard link
   /// delay — the conservative safe horizon). When the topology admits
   /// zero-delay cross-shard hops the auto window falls back to a small
-  /// positive slice and correctness is carried by the re-drain fixpoint
-  /// (conservative) or rollback (optimistic).
+  /// positive slice and correctness is carried by the re-drain fixpoint.
   double window_ms = 0.0;
-  /// lina::exec worker bound for the per-window shard fan-out (0 =
-  /// exec::default_threads()). replay_packets_streamed reads it as the
-  /// number of batches run at once instead, each batch's engine on one
-  /// thread, so its memory bound is `threads` session models and engines
-  /// plus the one batch being decoded.
-  std::size_t threads = 0;
-  /// Conservative barriers-every-window, or optimistic speculate-and-
-  /// rollback. The digest is identical either way; only the barrier /
-  /// rollback counters and the wall clock differ.
   SyncMode sync = SyncMode::kConservative;
-  /// Optimistic only: how many lookahead windows past GVT a shard may
-  /// speculate per pass. Larger values amortize more barriers but risk
-  /// deeper rollbacks on low-delay cross-shard traffic.
-  double speculation_windows = 4.0;
 };
 
 /// What a run did. The digest is the bit-identity surface; the window /
-/// handoff / rollback counters describe the engine's behaviour and vary
-/// with the shard count and sync mode (never with the thread count).
+/// handoff / bundle counters describe the engine's behaviour and vary
+/// with the shard count and window.
 struct RunStats {
   DeliveryDigest digest;
   std::uint64_t events = 0;
   std::uint64_t windows = 0;
-  std::uint64_t redrain_passes = 0;  // conservative zero-lookahead fixpoint
+  std::uint64_t redrain_passes = 0;  // extra passes of the re-drain fixpoint
   std::uint64_t handoffs = 0;        // records through cross-shard mailboxes
   std::uint64_t bundles = 0;         // sealed bundles drained at barriers
-  std::uint64_t rollbacks = 0;       // optimistic: straggler rollbacks
-  std::uint64_t rolled_back_events = 0;  // optimistic: events undone+replayed
   double lookahead_ms = 0.0;
   /// Net events executed per shard (load-balance observability; sums to
   /// `events`).
@@ -128,13 +104,13 @@ struct RunStats {
 class ShardedEngine {
  public:
   /// The model and map must outlive the engine. Throws
-  /// std::invalid_argument if the config window is negative or NaN, or
-  /// the speculation depth is not a positive finite number.
+  /// std::invalid_argument if the config window is negative or NaN.
   ShardedEngine(const PacketModel& model, const ShardMap& map,
                 EngineConfig config = {});
 
-  /// Seeds every session's initial event and runs the configured sync
-  /// mode to completion; returns the combined digest and engine counters.
+  /// Seeds every session's initial event and runs the window loop to
+  /// completion on the calling thread; returns the combined digest and
+  /// engine counters.
   RunStats run();
 
   /// The resolved lookahead (config window, or the auto-derived one).
@@ -150,29 +126,13 @@ class ShardedEngine {
     std::uint64_t executed = 0;
 
     void push(EventRecord record);
-    /// Append without restoring the heap property (rollback batches
-    /// re-pushes and removals, then calls restore_heap() once).
-    void append_raw(EventRecord record);
-    void restore_heap();
-    /// Remove one record matching `r` up to the seq tie-break (swap-pop;
-    /// leaves the heap property broken — pair with restore_heap()).
-    bool remove_match(const EventRecord& r);
     [[nodiscard]] bool empty() const { return heap.empty(); }
     [[nodiscard]] double top_time() const { return heap.front().time_ms; }
     EventRecord pop();
   };
 
-  RunStats run_conservative();
-  RunStats run_optimistic();  // src/optimistic.cpp
-
-  /// Seeds initial events and returns the earliest seeded time.
   void seed_sessions();
   [[nodiscard]] double global_min_time() const;
-  /// Undo every log entry newer than `straggler_ms` on shard `s`
-  /// (subtract recomputed digest deltas, retract recomputed emissions
-  /// from the heap and staging, re-push the records) and restore the
-  /// heap. Returns the number of events undone.
-  std::uint64_t rollback(std::size_t s, double straggler_ms);
   /// Fold per-shard digests/counters into `stats` and export lina.des.*
   /// metrics.
   void finish_stats(RunStats& stats) const;
@@ -185,28 +145,16 @@ class ShardedEngine {
   EngineConfig config_;
   double lookahead_ms_ = 0.0;
   std::vector<ShardQueue> shards_;
-  /// mailboxes_[src * S + dst]: bundled chain written only by the worker
-  /// running shard `src` during a window pass (conservative) or the
-  /// release step (optimistic), drained only by the worker running shard
-  /// `dst` at the barrier — single writer, single reader, no locks.
+  /// mailboxes_[src * S + dst]: bundled chain appended to while shard
+  /// `src` runs its window pass, drained into shard `dst` at the barrier.
   std::vector<BundleChain> mailboxes_;
-  /// Optimistic only: per-(src,dst) speculative output staging and the
-  /// per-shard undo logs / speculative clocks.
-  std::vector<std::vector<StagedRecord>> staged_;
-  std::vector<UndoLog> logs_;
-  std::vector<double> clock_;
-  /// Per-shard behaviour counters (filled by whichever mode ran).
-  std::vector<std::uint64_t> received_;
-  std::vector<std::uint64_t> bundles_;
-  std::vector<std::uint64_t> rollbacks_;
-  std::vector<std::uint64_t> rolled_back_;
 };
 
 /// The serial reference: the same PacketModel driven through one flat
 /// min-heap of EventRecords, executing every event in global (time, FIFO)
-/// order. Both sharded sync modes' digests must equal this one
-/// bit-for-bit. Throws std::invalid_argument when a handler emits an
-/// event before the current time or at a non-finite time.
+/// order. The sharded engine's digest must equal this one bit-for-bit.
+/// Throws std::invalid_argument when a handler emits an event before the
+/// current time or at a non-finite time.
 RunStats run_serial(const PacketModel& model);
 
 }  // namespace lina::des

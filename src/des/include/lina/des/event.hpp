@@ -38,18 +38,6 @@ struct EventRecord {
 
 static_assert(sizeof(EventRecord) <= 48, "event records must stay flat");
 
-/// Identity of two records up to the engine-assigned FIFO tie-break.
-/// Rollback retraction matches a re-generated emission against the copy
-/// sitting in a heap or staging area; `seq` is assigned per queue on push
-/// and is the one field a pure re-execution cannot reproduce.
-[[nodiscard]] constexpr bool same_event(const EventRecord& a,
-                                        const EventRecord& b) {
-  return a.time_ms == b.time_ms && a.sent_ms == b.sent_ms &&
-         a.session == b.session && a.packet == b.packet && a.at == b.at &&
-         a.dest == b.dest && a.hops == b.hops && a.type == b.type &&
-         a.stage == b.stage;
-}
-
 namespace detail {
 
 /// splitmix64 finalizer: the per-packet hash the digest folds over.
@@ -66,7 +54,7 @@ namespace detail {
 /// fold (XOR and wrapping sum of per-packet hashes), so any execution
 /// order of the same delivered-packet multiset produces the same digest —
 /// the property that lets the sharded engine be compared bit-for-bit
-/// against the serial run_serial loop at any shard or thread count.
+/// against the serial run_serial loop at any shard count or batch size.
 /// Delay is accumulated in integer microseconds (exact, associative); a
 /// floating-point sum would depend on accumulation order.
 struct DeliveryDigest {
@@ -97,23 +85,6 @@ struct DeliveryDigest {
         h ^ static_cast<std::uint64_t>(delay_ms * 1024.0 + 0.5));
     xor_mix ^= h;
     sum_mix += h;
-  }
-
-  /// Exact inverse of combine(): XOR is an involution and the counters /
-  /// sums use wrapping unsigned arithmetic, so subtracting the digest
-  /// delta a rolled-back event contributed restores the pre-event digest
-  /// bit-for-bit. This is what makes the optimistic engine's undo log a
-  /// plain record list: rollback re-runs the pure handler into a scratch
-  /// digest and subtracts it, no stored state needed.
-  void subtract(const DeliveryDigest& other) {
-    sent -= other.sent;
-    delivered -= other.delivered;
-    lost -= other.lost;
-    hop_events -= other.hop_events;
-    xor_mix ^= other.xor_mix;
-    sum_mix -= other.sum_mix;
-    delay_us_total -= other.delay_us_total;
-    hops_total -= other.hops_total;
   }
 
   /// Commutative merge of another shard's digest.

@@ -8,10 +8,10 @@
 //
 // Parallelism is across batches, not inside them: the calling thread
 // decodes batches and builds their models in stream order, then runs a
-// round of up to `engine.threads` models concurrently, each engine on
-// one thread. Peak memory is one decoded batch on the calling thread plus
-// at most `engine.threads` compact session models and their engines, no
-// matter how many users the set holds.
+// round of up to exec::default_threads() models concurrently, each engine
+// on the one pool thread that runs its batch. Peak memory is one decoded
+// batch on the calling thread plus at most that many compact session
+// models and their engines, no matter how many users the set holds.
 
 #include <cstdint>
 #include <vector>
@@ -33,8 +33,6 @@ struct PacketReplayConfig {
   /// replicated architecture uses the whole pool.
   std::vector<topology::AsId> replicas;
   std::size_t batch_users = 8192;
-  /// `engine.threads` bounds how many batches run at once; each batch's
-  /// engine itself runs single-threaded.
   EngineConfig engine;
   const sim::FailurePlan* failures = nullptr;
   /// Run the serial run_serial reference instead of the sharded
@@ -51,8 +49,6 @@ struct PacketReplayStats {
   std::uint64_t batches = 0;
   std::uint64_t redrain_passes = 0;
   std::uint64_t bundles = 0;
-  std::uint64_t rollbacks = 0;
-  std::uint64_t rolled_back_events = 0;
   /// Per-engine-shard event totals summed across batches (empty for the
   /// serial reference).
   std::vector<std::uint64_t> shard_events;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "lina/des/detail.hpp"
-#include "lina/exec/parallel.hpp"
 #include "lina/obs/metrics.hpp"
 #include "lina/prof/prof.hpp"
 #include "lina/topology/geo.hpp"
@@ -51,28 +49,6 @@ void ShardedEngine::ShardQueue::push(EventRecord record) {
   std::push_heap(heap.begin(), heap.end(), detail::later);
 }
 
-void ShardedEngine::ShardQueue::append_raw(EventRecord record) {
-  record.seq = next_seq++;
-  heap.push_back(record);
-}
-
-void ShardedEngine::ShardQueue::restore_heap() {
-  std::make_heap(heap.begin(), heap.end(), detail::later);
-}
-
-bool ShardedEngine::ShardQueue::remove_match(const EventRecord& r) {
-  // Backward scan: rollback retracts recently emitted records, which sit
-  // near the heap's tail.
-  for (std::size_t i = heap.size(); i-- > 0;) {
-    if (same_event(heap[i], r)) {
-      heap[i] = heap.back();
-      heap.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
 EventRecord ShardedEngine::ShardQueue::pop() {
   std::pop_heap(heap.begin(), heap.end(), detail::later);
   EventRecord record = heap.back();
@@ -85,22 +61,10 @@ ShardedEngine::ShardedEngine(const PacketModel& model, const ShardMap& map,
     : model_(&model), map_(&map), config_(config) {
   if (std::isnan(config_.window_ms) || config_.window_ms < 0.0)
     throw std::invalid_argument("ShardedEngine: bad window_ms");
-  if (!(config_.speculation_windows > 0.0) ||
-      !std::isfinite(config_.speculation_windows))
-    throw std::invalid_argument("ShardedEngine: bad speculation_windows");
   config_.shard_count = map.shard_count();
   const std::size_t shard_count = config_.shard_count;
   shards_.resize(shard_count);
   mailboxes_.resize(shard_count * shard_count);
-  received_.assign(shard_count, 0);
-  bundles_.assign(shard_count, 0);
-  if (config_.sync == SyncMode::kOptimistic) {
-    staged_.resize(shard_count * shard_count);
-    logs_.resize(shard_count);
-    clock_.assign(shard_count, -detail::kInf);
-    rollbacks_.assign(shard_count, 0);
-    rolled_back_.assign(shard_count, 0);
-  }
   lookahead_ms_ =
       config_.window_ms > 0.0 ? config_.window_ms : auto_window_ms();
 }
@@ -151,18 +115,10 @@ void ShardedEngine::finish_stats(RunStats& stats) const {
   for (std::size_t s = 0; s < shard_count; ++s) {
     stats.digest.combine(shards_[s].digest);
     stats.events += shards_[s].executed;
-    stats.handoffs += received_[s];
-    stats.bundles += bundles_[s];
     stats.shard_events[s] = shards_[s].executed;
     max_events = std::max(max_events, shards_[s].executed);
     obs::metric::des_shard_events().record(
         static_cast<double>(shards_[s].executed));
-  }
-  if (config_.sync == SyncMode::kOptimistic) {
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      stats.rollbacks += rollbacks_[s];
-      stats.rolled_back_events += rolled_back_[s];
-    }
   }
   if (stats.events > 0) {
     const double mean = static_cast<double>(stats.events) /
@@ -174,8 +130,6 @@ void ShardedEngine::finish_stats(RunStats& stats) const {
   obs::metric::des_handoffs().add(stats.handoffs);
   obs::metric::des_redrain_passes().add(stats.redrain_passes);
   obs::metric::des_bundles_sealed().add(stats.bundles);
-  obs::metric::des_rollbacks().add(stats.rollbacks);
-  obs::metric::des_rolled_back_events().add(stats.rolled_back_events);
   obs::metric::des_shards().set(static_cast<double>(shard_count));
   obs::metric::des_shard_imbalance().set(stats.shard_imbalance);
   obs::metric::des_lookahead_ms().set(
@@ -185,14 +139,8 @@ void ShardedEngine::finish_stats(RunStats& stats) const {
 RunStats ShardedEngine::run() {
   PROF_SPAN("lina.des.run");
   seed_sessions();
-  return config_.sync == SyncMode::kOptimistic ? run_optimistic()
-                                               : run_conservative();
-}
-
-RunStats ShardedEngine::run_conservative() {
   const std::size_t shard_count = config_.shard_count;
   RunStats stats;
-  std::vector<std::uint8_t> early(shard_count, 0);
   double window_start = global_min_time();
   while (window_start < detail::kInf) {
     const double horizon = window_start + lookahead_ms_;
@@ -201,53 +149,41 @@ RunStats ShardedEngine::run_conservative() {
     while (rerun_window) {
       {
         PROF_SPAN("lina.des.window");
-        exec::parallel_for(
-            shard_count,
-            [&](std::size_t s) {
-              ShardQueue& shard = shards_[s];
-              const auto emit = [&](const EventRecord& next) {
-                const std::uint32_t owner = owner_shard(next);
-                if (owner == s) {
-                  shard.push(next);
-                } else {
-                  mailboxes_[s * shard_count + owner].append(next);
-                }
-              };
-              while (!shard.empty() && shard.top_time() < horizon) {
-                const EventRecord record = shard.pop();
-                shard.executed += 1;
-                model_->handle(record, shard.digest, emit);
-              }
-            },
-            config_.threads);
+        for (std::size_t s = 0; s < shard_count; ++s) {
+          ShardQueue& shard = shards_[s];
+          const auto emit = [&](const EventRecord& next) {
+            const std::uint32_t owner = owner_shard(next);
+            if (owner == s) {
+              shard.push(next);
+            } else {
+              mailboxes_[s * shard_count + owner].append(next);
+            }
+          };
+          while (!shard.empty() && shard.top_time() < horizon) {
+            const EventRecord record = shard.pop();
+            shard.executed += 1;
+            model_->handle(record, shard.digest, emit);
+          }
+        }
       }
-      {
-        // Barrier reached: hand mailbox columns to their owners. Each
-        // chain has exactly one writer (the source shard, last window
-        // pass) and one reader (here), sequenced by the pool join.
-        PROF_SPAN("lina.des.drain");
-        exec::parallel_for(
-            shard_count,
-            [&](std::size_t dst) {
-              early[dst] = 0;
-              for (std::size_t src = 0; src < shard_count; ++src) {
-                BundleChain& box = mailboxes_[src * shard_count + dst];
-                bundles_[dst] += box.pending_bundles();
-                received_[dst] += box.drain([&](const EventRecord& record) {
-                  if (record.time_ms < horizon) early[dst] = 1;
-                  shards_[dst].push(record);
-                });
-              }
-            },
-            config_.threads);
-      }
-      // A handoff that landed inside the still-open window (zero
-      // lookahead only) must run before the window closes: go around
-      // again. Chains are bounded by the packet hop TTL, so the fixpoint
-      // terminates.
+      // Barrier reached: hand mailbox columns to their owners. A handoff
+      // that landed inside the still-open window (zero lookahead, or a
+      // window wider than the true lookahead) must run before the window
+      // closes: go around again. Chains are bounded by the packet hop
+      // TTL, so the fixpoint terminates.
       rerun_window = false;
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        if (early[s] != 0) rerun_window = true;
+      {
+        PROF_SPAN("lina.des.drain");
+        for (std::size_t dst = 0; dst < shard_count; ++dst) {
+          for (std::size_t src = 0; src < shard_count; ++src) {
+            BundleChain& box = mailboxes_[src * shard_count + dst];
+            stats.bundles += box.pending_bundles();
+            stats.handoffs += box.drain([&](const EventRecord& record) {
+              if (record.time_ms < horizon) rerun_window = true;
+              shards_[dst].push(record);
+            });
+          }
+        }
       }
       if (rerun_window) stats.redrain_passes += 1;
     }

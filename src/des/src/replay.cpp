@@ -47,8 +47,6 @@ void fold(PacketReplayStats& total, std::uint64_t sessions,
   total.batches += 1;
   total.redrain_passes += run.redrain_passes;
   total.bundles += run.bundles;
-  total.rollbacks += run.rollbacks;
-  total.rolled_back_events += run.rolled_back_events;
   if (total.shard_events.size() < run.shard_events.size()) {
     total.shard_events.resize(run.shard_events.size());
   }
@@ -68,11 +66,7 @@ PacketReplayStats replay_packets_streamed(
   // Batches are independent, so the parallelism is across them: each
   // batch runs its own engine on one thread, with no window barriers
   // between threads.
-  const std::size_t threads = config.engine.threads == 0
-                                  ? exec::default_threads()
-                                  : config.engine.threads;
-  EngineConfig engine = config.engine;
-  engine.threads = 1;
+  const std::size_t threads = exec::default_threads();
 
   trace::DeviceTraceStream stream(set);
   PacketReplayStats total;
@@ -92,8 +86,9 @@ PacketReplayStats replay_packets_streamed(
     const std::vector<RunStats> runs = exec::parallel_map(
         round.size(),
         [&](std::size_t i) {
-          return config.serial ? run_serial(round[i])
-                               : ShardedEngine(round[i], map, engine).run();
+          return config.serial
+                     ? run_serial(round[i])
+                     : ShardedEngine(round[i], map, config.engine).run();
         },
         threads);
     for (std::size_t i = 0; i < runs.size(); ++i) {

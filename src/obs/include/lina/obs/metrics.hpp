@@ -85,15 +85,12 @@ LINA_OBS_COUNTER(des_handoffs, "lina.des.handoffs")
 LINA_OBS_COUNTER(des_redrain_passes, "lina.des.redrain_passes")
 LINA_OBS_GAUGE(des_shards, "lina.des.shards")
 LINA_OBS_GAUGE(des_lookahead_ms, "lina.des.lookahead_ms")
-// Load balance and sync-mode behaviour: per-shard event counts (one
-// histogram sample per shard per run), the max/mean skew of that
-// distribution, sealed cross-shard bundles, and the optimistic mode's
-// straggler rollbacks / gross undone-event count.
+// Load balance and comms: per-shard event counts (one histogram sample
+// per shard per run), the max/mean skew of that distribution, and sealed
+// cross-shard bundles.
 LINA_OBS_HISTOGRAM(des_shard_events, "lina.des.shard_events")
 LINA_OBS_GAUGE(des_shard_imbalance, "lina.des.shard_imbalance")
 LINA_OBS_COUNTER(des_bundles_sealed, "lina.des.bundles_sealed")
-LINA_OBS_COUNTER(des_rollbacks, "lina.des.rollbacks")
-LINA_OBS_COUNTER(des_rolled_back_events, "lina.des.rolled_back_events")
 
 // Failure plan (fault activations and injected control-message drops).
 LINA_OBS_COUNTER(failure_plan_events, "lina.sim.failure.plan_events")

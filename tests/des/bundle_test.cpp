@@ -48,7 +48,16 @@ TEST(BundleChainTest, DrainsInAppendOrder) {
   EXPECT_EQ(drained, n);
   ASSERT_EQ(seen.size(), n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(same_event(seen[i], record_at(i))) << "i=" << i;
+    const EventRecord want = record_at(i);
+    EXPECT_EQ(seen[i].time_ms, want.time_ms) << "i=" << i;
+    EXPECT_EQ(seen[i].sent_ms, want.sent_ms) << "i=" << i;
+    EXPECT_EQ(seen[i].session, want.session) << "i=" << i;
+    EXPECT_EQ(seen[i].packet, want.packet) << "i=" << i;
+    EXPECT_EQ(seen[i].at, want.at) << "i=" << i;
+    EXPECT_EQ(seen[i].dest, want.dest) << "i=" << i;
+    EXPECT_EQ(seen[i].hops, want.hops) << "i=" << i;
+    EXPECT_EQ(seen[i].type, want.type) << "i=" << i;
+    EXPECT_EQ(seen[i].stage, want.stage) << "i=" << i;
   }
   EXPECT_TRUE(chain.empty());
   EXPECT_EQ(chain.pending_records(), 0u);

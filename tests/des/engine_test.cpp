@@ -216,20 +216,15 @@ TEST(DesReplayTest, StreamedReplayIdentityAcrossBatchAndShards) {
   config.serial = false;
   for (const std::size_t shards : {1u, 4u}) {
     for (const std::size_t batch : {3u, 12u}) {
-      for (const SyncMode sync :
-           {SyncMode::kConservative, SyncMode::kOptimistic}) {
-        config.engine.shard_count = shards;
-        config.engine.sync = sync;
-        config.batch_users = batch;
-        const PacketReplayStats streamed =
-            replay_packets_streamed(fabric(), set, config);
-        EXPECT_EQ(streamed.digest, serial.digest)
-            << "shards=" << shards << " batch=" << batch
-            << " sync=" << static_cast<int>(sync);
-        EXPECT_EQ(streamed.sessions, serial.sessions);
-        EXPECT_EQ(streamed.events, serial.events);
-        EXPECT_EQ(streamed.shard_events.size(), shards);
-      }
+      config.engine.shard_count = shards;
+      config.batch_users = batch;
+      const PacketReplayStats streamed =
+          replay_packets_streamed(fabric(), set, config);
+      EXPECT_EQ(streamed.digest, serial.digest)
+          << "shards=" << shards << " batch=" << batch;
+      EXPECT_EQ(streamed.sessions, serial.sessions);
+      EXPECT_EQ(streamed.events, serial.events);
+      EXPECT_EQ(streamed.shard_events.size(), shards);
     }
   }
 }

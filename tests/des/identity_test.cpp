@@ -1,7 +1,7 @@
-// The acceptance gate of DESIGN.md §4i/§4j: both sharded sync modes'
-// delivered-packet digests must equal the serial sim::EventQueue loop's
-// digest bit-for-bit for every architecture, at shard counts {1, 4, 16}
-// and thread counts {1, 8}, with and without an active FailurePlan.
+// The acceptance gate of DESIGN.md §4i: the sharded engine's
+// delivered-packet digest must equal the serial run_serial flat-heap
+// reference bit-for-bit for every architecture, at shard counts
+// {1, 4, 16}, with and without an active FailurePlan.
 
 #include <gtest/gtest.h>
 
@@ -113,31 +113,22 @@ TEST(DesIdentityTest, ShardedMatchesSerialAcrossMatrix) {
       for (const std::size_t shards : {1u, 4u, 16u}) {
         const ShardMap map =
             ShardMap::from_topology(shared_internet(), shards);
-        for (const std::size_t threads : {1u, 8u}) {
-          for (const SyncMode sync :
-               {SyncMode::kConservative, SyncMode::kOptimistic}) {
-            EngineConfig config;
-            config.shard_count = shards;
-            config.threads = threads;
-            config.sync = sync;
-            ShardedEngine engine(model, map, config);
-            const RunStats sharded = engine.run();
-            EXPECT_EQ(sharded.digest, serial.digest)
-                << "arch=" << static_cast<int>(arch)
-                << " shards=" << shards << " threads=" << threads
-                << " sync=" << static_cast<int>(sync)
-                << " faults=" << with_faults;
-            EXPECT_EQ(sharded.events, serial.events);
-            EXPECT_EQ(sharded.shard_events.size(), shards);
-            std::uint64_t across = 0;
-            for (const std::uint64_t count : sharded.shard_events) {
-              across += count;
-            }
-            EXPECT_EQ(across, sharded.events);
-            if (sharded.events > 0) {
-              EXPECT_GE(sharded.shard_imbalance, 1.0 - 1e-9);
-            }
-          }
+        EngineConfig config;
+        config.shard_count = shards;
+        ShardedEngine engine(model, map, config);
+        const RunStats sharded = engine.run();
+        EXPECT_EQ(sharded.digest, serial.digest)
+            << "arch=" << static_cast<int>(arch) << " shards=" << shards
+            << " faults=" << with_faults;
+        EXPECT_EQ(sharded.events, serial.events);
+        EXPECT_EQ(sharded.shard_events.size(), shards);
+        std::uint64_t across = 0;
+        for (const std::uint64_t count : sharded.shard_events) {
+          across += count;
+        }
+        EXPECT_EQ(across, sharded.events);
+        if (sharded.events > 0) {
+          EXPECT_GE(sharded.shard_imbalance, 1.0 - 1e-9);
         }
       }
     }

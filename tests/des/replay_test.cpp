@@ -55,6 +55,13 @@ PacketReplayConfig base_config() {
   return config;
 }
 
+/// The replay sizes its rounds by the default pool width; restore the
+/// width a test found when it ends.
+struct DefaultThreadsGuard {
+  std::size_t saved = exec::default_threads();
+  ~DefaultThreadsGuard() { exec::set_default_threads(saved); }
+};
+
 void expect_same_replay(const PacketReplayStats& got,
                         const PacketReplayStats& want,
                         const std::string& where) {
@@ -65,8 +72,6 @@ void expect_same_replay(const PacketReplayStats& got,
   EXPECT_EQ(got.handoffs, want.handoffs) << where;
   EXPECT_EQ(got.bundles, want.bundles) << where;
   EXPECT_EQ(got.redrain_passes, want.redrain_passes) << where;
-  EXPECT_EQ(got.rollbacks, want.rollbacks) << where;
-  EXPECT_EQ(got.rolled_back_events, want.rolled_back_events) << where;
   EXPECT_EQ(got.batches, want.batches) << where;
   EXPECT_EQ(got.shard_events, want.shard_events) << where;
   EXPECT_EQ(got.shard_imbalance, want.shard_imbalance) << where;
@@ -76,42 +81,38 @@ TEST(DesReplayThreadsTest, CountersMatchOneThreadAcrossThreadMatrix) {
   // 12 users in batches of 5 (3 batches, the last partial) or 3 (4
   // batches): at 2, 3 and 8 threads at least one of the two leaves the
   // last round partly filled.
-  for (const SyncMode sync :
-       {SyncMode::kConservative, SyncMode::kOptimistic}) {
-    for (const std::size_t batch : {5u, 3u}) {
-      PacketReplayConfig config = base_config();
-      config.engine.sync = sync;
-      config.batch_users = batch;
-      config.engine.threads = 1;
-      const PacketReplayStats one_thread =
-          replay_packets_streamed(fabric(), trace_set(), config);
-      ASSERT_EQ(one_thread.sessions, 12u);
-      ASSERT_EQ(one_thread.batches, (12 + batch - 1) / batch);
-      ASSERT_GT(one_thread.handoffs, 0u);
-      for (const std::size_t threads : {2u, 3u, 8u}) {
-        config.engine.threads = threads;
-        expect_same_replay(
-            replay_packets_streamed(fabric(), trace_set(), config),
-            one_thread,
-            "sync=" + std::to_string(static_cast<int>(sync)) +
-                " batch=" + std::to_string(batch) +
-                " threads=" + std::to_string(threads));
-      }
+  const DefaultThreadsGuard guard;
+  for (const std::size_t batch : {5u, 3u}) {
+    PacketReplayConfig config = base_config();
+    config.batch_users = batch;
+    exec::set_default_threads(1);
+    const PacketReplayStats one_thread =
+        replay_packets_streamed(fabric(), trace_set(), config);
+    ASSERT_EQ(one_thread.sessions, 12u);
+    ASSERT_EQ(one_thread.batches, (12 + batch - 1) / batch);
+    ASSERT_GT(one_thread.handoffs, 0u);
+    for (const std::size_t threads : {2u, 3u, 8u}) {
+      exec::set_default_threads(threads);
+      expect_same_replay(
+          replay_packets_streamed(fabric(), trace_set(), config), one_thread,
+          "batch=" + std::to_string(batch) +
+              " threads=" + std::to_string(threads));
     }
   }
 }
 
 TEST(DesReplayThreadsTest, RejectionThrowsOnCallerAndLeavesPoolIdle) {
+  const DefaultThreadsGuard guard;
   PacketReplayConfig config = base_config();
   config.batch_users = 3;
   const PacketReplayStats fresh =
       replay_packets_streamed(fabric(), trace_set(), config);
 
   for (const std::size_t threads : {1u, 4u}) {
+    exec::set_default_threads(threads);
     // The model rejects every session: the calling thread throws while
     // building the first round, before any batch runs.
     PacketReplayConfig bad_model = config;
-    bad_model.engine.threads = threads;
     bad_model.correspondent = static_cast<topology::AsId>(
         shared_internet().graph().as_count());
     EXPECT_THROW((void)replay_packets_streamed(fabric(), trace_set(),
@@ -124,7 +125,6 @@ TEST(DesReplayThreadsTest, RejectionThrowsOnCallerAndLeavesPoolIdle) {
     // The engine rejects its config inside the round's pool job: the
     // failure is rethrown on the caller once every batch has drained.
     PacketReplayConfig bad_engine = config;
-    bad_engine.engine.threads = threads;
     bad_engine.engine.window_ms = -1.0;
     EXPECT_THROW((void)replay_packets_streamed(fabric(), trace_set(),
                                                bad_engine),
@@ -133,9 +133,7 @@ TEST(DesReplayThreadsTest, RejectionThrowsOnCallerAndLeavesPoolIdle) {
     EXPECT_TRUE(exec::ThreadPool::shared().idle());
     EXPECT_FALSE(exec::in_parallel_region());
 
-    PacketReplayConfig valid = config;
-    valid.engine.threads = threads;
-    expect_same_replay(replay_packets_streamed(fabric(), trace_set(), valid),
+    expect_same_replay(replay_packets_streamed(fabric(), trace_set(), config),
                        fresh, "after rejection, threads=" +
                                   std::to_string(threads));
   }
