@@ -1,6 +1,5 @@
 // Python-free telemetry self-check: drive a small instrumented run,
-// export the full BENCH_*.json record plus the CSV and JSONL trace, then
-// load the JSON back through the obs parser and verify every metric
+// export the full BENCH_*.json record plus the CSV, then load the JSON back through the obs parser and verify every metric
 // survives the round trip. Exits non-zero (with a message) on the first
 // mismatch, so it runs as a plain ctest entry under the `obs` label.
 
@@ -8,14 +7,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include "lina/obs/export.hpp"
 #include "lina/obs/json.hpp"
 #include "lina/obs/registry.hpp"
-#include "lina/obs/timer.hpp"
-#include "lina/obs/trace.hpp"
 
 namespace {
 
@@ -39,7 +35,6 @@ int main() {
   using namespace lina::obs;
 
   Registry::instance().reset();
-  TraceRing::instance().clear();
   EnabledScope scope;
 
   // A miniature instrumented "run" touching every metric shape.
@@ -50,8 +45,6 @@ int main() {
   depth.set(7.0);
   depth.set(3.0);
   for (int i = 1; i <= 100; ++i) delay.record(0.25 * i);
-  { ScopedTimer timer(delay); }
-  TraceRing::instance().record("check.event", 1.5, 42.0);
 
   RunInfo info;
   info.name = "check_json_roundtrip";
@@ -126,27 +119,6 @@ int main() {
        {"check.packets", "check.queue_depth", "check.delay_ms"}) {
     check(csv.find(metric) != std::string::npos, "csv carries " + metric);
   }
-
-  // 5. Every trace line is itself a valid JSON object.
-  const std::string jsonl =
-      export_trace_jsonl(TraceRing::instance().events());
-  std::istringstream is(jsonl);
-  std::string line;
-  std::size_t events = 0;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    try {
-      const Json event = Json::parse(line);
-      check(event.at("event").is_string(), "trace line has event name");
-      check(event.at("t_ms").is_number(), "trace line has timestamp");
-      ++events;
-    } catch (const std::exception& error) {
-      std::cerr << "FAIL: trace line does not parse: " << error.what()
-                << "\n";
-      ++failures;
-    }
-  }
-  check(events == 1, "one trace event emitted");
 
   if (failures != 0) {
     std::cerr << failures << " check(s) failed\n";

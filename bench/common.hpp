@@ -6,15 +6,14 @@
 // workloads (372 users, 500 + 500 domains, hourly resolution over three
 // weeks). Each bench binary is its own process; fixtures are built once
 // per process on first use, and every build is timed into the dedicated
-// "fixtures" phase so fixture construction never pollutes a measured
-// phase.
+// "fixtures" phase (and a lina.bench.fixture span under --profile) so
+// fixture construction never pollutes a measured phase.
 //
 // Telemetry: every bench accepts the shared flags
 //     --json <path>    write the machine-readable run record (metrics
 //                      registry snapshot + per-phase wall time + headline
 //                      results) — the BENCH_*.json perf-trajectory format
 //     --csv <path>     flat CSV of the metrics snapshot
-//     --trace <path>   JSONL event trace from the obs ring buffer
 //     --threads <n>    lina::exec worker count for parallel phases
 //                      (default: hardware concurrency; results are
 //                      bit-identical at any value — see DESIGN.md §4c)
@@ -22,18 +21,19 @@
 //                      cache) are written; default ./trace-cache
 //     --trace-in <dir> replay an existing shard directory instead of
 //                      generating (validated; mismatches are fatal)
-//     --profile <path> record a lina::prof span profile and write it as
-//                      Chrome trace-event JSON (Perfetto-loadable); the
-//                      export is parse-back validated before the bench
-//                      exits. Enables the obs registry too, so spans
-//                      carry counter deltas.
+//     --profile <path> record a lina::prof profile (spans, plus instant
+//                      events for moves, reconvergence, failovers and
+//                      lost updates) and write it as Chrome trace-event
+//                      JSON (Perfetto-loadable); the export is parse-back
+//                      validated before the bench exits. Enables the obs
+//                      registry too, so spans carry counter deltas.
 //     --folded <path>  also write the profile as folded-stack text for
 //                      flamegraph.pl / speedscope
 // An unknown flag, a flag missing its value, or a --threads value that is
 // not a non-negative integer exits 2 before anything runs.
-// Passing --json/--csv/--trace enables the lina::obs registry for the
-// process; without them instrumentation stays disabled (no-op) and the
-// bench prints exactly its usual text output. The resolved thread count,
+// Passing --json/--csv enables the lina::obs registry for the process;
+// without them instrumentation stays disabled (no-op) and the bench
+// prints exactly its usual text output. The resolved thread count,
 // --out-dir/--trace-in and any bench-specific extra flags are recorded in
 // the run record's config block (never in results, so serial and parallel
 // runs — and generated vs replayed workloads — stay headline-comparable).
@@ -64,8 +64,6 @@
 #include "lina/obs/export.hpp"
 #include "lina/obs/metrics.hpp"
 #include "lina/obs/registry.hpp"
-#include "lina/obs/timer.hpp"
-#include "lina/obs/trace.hpp"
 #include "lina/prof/export.hpp"
 #include "lina/prof/prof.hpp"
 
@@ -115,8 +113,6 @@ class Harness {
         json_path_ = take_value();
       } else if (arg == "--csv") {
         csv_path_ = take_value();
-      } else if (arg == "--trace") {
-        trace_path_ = take_value();
       } else if (arg == "--threads") {
         const std::string value = take_value();
         const std::optional<std::uint64_t> threads = parse_unsigned(value);
@@ -150,8 +146,8 @@ class Harness {
         }
         if (!consumed) {
           std::cerr << name_ << ": unknown argument '" << arg
-                    << "' (supported: --json <path> --csv <path> --trace "
-                       "<path> --threads <n> --out-dir <dir> --trace-in "
+                    << "' (supported: --json <path> --csv <path> "
+                       "--threads <n> --out-dir <dir> --trace-in "
                        "<dir> --profile <path> --folded <path>";
           for (const ExtraFlag& flag : extra) {
             std::cerr << ' ' << flag.name
@@ -172,14 +168,12 @@ class Harness {
     // here, not after the measured phases have run to completion.
     probe_writable("--json", json_path_);
     probe_writable("--csv", csv_path_);
-    probe_writable("--trace", trace_path_);
     probe_writable("--profile", profile_path_);
     probe_writable("--folded", folded_path_);
     probe_out_dir();
     if (wants_output() || wants_profile()) {
       obs::Registry::instance().reset();
       obs::Registry::instance().enable(true);
-      obs::TraceRing::instance().clear();
     }
     if (wants_profile()) {
       prof::Profiler::instance().reset();
@@ -195,11 +189,7 @@ class Harness {
     if (!wants_output() && !wants_profile()) return;
     if (wants_profile()) prof::Profiler::instance().enable(false);
     // Self-accounting gauges go in while the registry still records, so
-    // the snapshot shows whether the trace ring or span rings truncated.
-    obs::metric::trace_ring_events().set(
-        static_cast<double>(obs::TraceRing::instance().size()));
-    obs::metric::trace_ring_dropped().set(
-        static_cast<double>(obs::TraceRing::instance().dropped()));
+    // the snapshot shows whether the span rings truncated.
     if (wants_profile()) {
       const auto threads = prof::Profiler::instance().thread_profiles();
       std::uint64_t recorded = 0;
@@ -262,26 +252,25 @@ class Harness {
   /// generate-or-reuse the cache.
   [[nodiscard]] const std::string& trace_in() const { return trace_in_; }
 
-  /// Runs `build` and attributes its wall time to the "fixtures" phase
-  /// (and the lina.bench.fixture.build_ms histogram) instead of whatever
-  /// phase is open — fixture construction is reported separately from
-  /// every measured phase.
+  /// Runs `build` inside a lina.bench.fixture span and attributes its
+  /// wall time to the "fixtures" phase instead of whatever phase is open
+  /// — fixture construction is reported separately from every measured
+  /// phase.
   template <typename F>
   static auto timed_fixture(const char* what, F&& build) {
+    PROF_SPAN("lina.bench.fixture");
     const Clock::time_point start = Clock::now();
     auto result = build();
     const double ms =
         std::chrono::duration<double, std::milli>(Clock::now() - start)
             .count();
-    obs::metric::fixture_build_ms().record(ms);
     if (active_ != nullptr) active_->account_fixture(what, ms);
     return result;
   }
 
  private:
   [[nodiscard]] bool wants_output() const {
-    return !json_path_.empty() || !csv_path_.empty() ||
-           !trace_path_.empty();
+    return !json_path_.empty() || !csv_path_.empty();
   }
 
   [[nodiscard]] bool wants_profile() const {
@@ -365,13 +354,6 @@ class Harness {
       obs::write_text_file(csv_path_, obs::export_csv(snapshot));
       std::cout << "[obs] wrote " << csv_path_ << "\n";
     }
-    if (!trace_path_.empty()) {
-      const auto events = obs::TraceRing::instance().events();
-      obs::write_text_file(trace_path_, obs::export_trace_jsonl(events));
-      std::cout << "[obs] wrote " << trace_path_ << " (" << events.size()
-                << " events, " << obs::TraceRing::instance().dropped()
-                << " dropped)\n";
-    }
     if (wants_profile()) write_profile();
   }
 
@@ -384,7 +366,7 @@ class Harness {
       const std::size_t validated = prof::validate_chrome_trace(trace);
       obs::write_text_file(profile_path_, trace);
       std::cout << "[prof] wrote " << profile_path_ << " (" << validated
-                << " spans across " << report.threads.size()
+                << " records across " << report.threads.size()
                 << " threads, " << report.dropped_total()
                 << " dropped)\n";
     }
@@ -399,7 +381,6 @@ class Harness {
   std::string name_;
   std::string json_path_;
   std::string csv_path_;
-  std::string trace_path_;
   std::string out_dir_;
   std::string trace_in_;
   std::string profile_path_;

@@ -7,7 +7,6 @@
 
 #include "lina/obs/json.hpp"
 #include "lina/obs/registry.hpp"
-#include "lina/obs/trace.hpp"
 
 namespace lina::obs {
 
@@ -44,10 +43,6 @@ struct RunInfo {
 /// Flat CSV: metric,kind,field,value — one row per scalar, plus
 /// count/sum/min/max/mean/p50/p90/p99 rows per histogram.
 [[nodiscard]] std::string export_csv(const Snapshot& snapshot);
-
-/// Trace events as JSON lines (one event object per line).
-[[nodiscard]] std::string export_trace_jsonl(
-    const std::vector<TraceEvent>& events);
 
 /// Writes `content` to `path`; throws std::runtime_error when the file
 /// cannot be opened or written.

@@ -107,7 +107,6 @@ LINA_OBS_COUNTER(session_control_messages,
                  "lina.sim.session.control_messages")
 LINA_OBS_COUNTER(session_control_retries,
                  "lina.sim.session.control_retries")
-LINA_OBS_HISTOGRAM(session_run_wall_ms, "lina.sim.session.run_wall_ms")
 
 // Mapping caches on the resolution hot paths (lina::cache). Counters are
 // process-wide aggregates over every cache instance; per-instance counts
@@ -141,17 +140,10 @@ LINA_OBS_COUNTER(snap_loads, "lina.snap.loads")
 LINA_OBS_COUNTER(snap_load_failures, "lina.snap.load_failures")
 LINA_OBS_COUNTER(snap_fallback_rebuilds, "lina.snap.fallback_rebuilds")
 LINA_OBS_GAUGE(snap_snapshot_bytes, "lina.snap.snapshot_bytes")
-LINA_OBS_HISTOGRAM(snap_save_ms, "lina.snap.save_ms")
-LINA_OBS_HISTOGRAM(snap_load_ms, "lina.snap.load_ms")
 
-// Bench harness fixtures.
-LINA_OBS_HISTOGRAM(fixture_build_ms, "lina.bench.fixture.build_ms")
-
-// Instrumentation self-accounting: ring occupancy and truncation for the
-// obs trace ring and the prof span rings, set at export time so every
-// BENCH_*.json records whether its trace/profile was truncated.
-LINA_OBS_GAUGE(trace_ring_events, "lina.obs.trace_ring.events")
-LINA_OBS_GAUGE(trace_ring_dropped, "lina.obs.trace_ring.dropped")
+// Instrumentation self-accounting: occupancy and truncation of the prof
+// span rings, set at export time so every profiled BENCH_*.json records
+// whether its profile was truncated.
 LINA_OBS_GAUGE(prof_spans_recorded, "lina.prof.spans_recorded")
 LINA_OBS_GAUGE(prof_spans_dropped, "lina.prof.spans_dropped")
 LINA_OBS_GAUGE(prof_threads, "lina.prof.threads")

@@ -154,7 +154,6 @@ class Histogram {
 
  private:
   friend class Registry;
-  friend class ScopedTimer;
   explicit Histogram(detail::HistogramCell* cell) : cell_(cell) {}
   detail::HistogramCell* cell_ = nullptr;
 };

@@ -135,19 +135,6 @@ std::string export_csv(const Snapshot& snapshot) {
   return os.str();
 }
 
-std::string export_trace_jsonl(const std::vector<TraceEvent>& events) {
-  std::string out;
-  for (const TraceEvent& event : events) {
-    Json line = Json::object();
-    line["t_ms"] = Json(event.time_ms);
-    line["event"] = Json(event.name);
-    line["value"] = Json(event.value);
-    out += line.dump(0);
-    out += '\n';
-  }
-  return out;
-}
-
 void write_text_file(const std::string& path, const std::string& content) {
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
   if (!file) throw std::runtime_error("obs: cannot open " + path);

@@ -38,6 +38,11 @@ namespace lina::prof {
 /// every span they open for that job, so `parallel_for` chunks attribute
 /// to the region that spawned them.
 ///
+/// Instant events (`prof::instant`) share the same rings: a point on the
+/// simulated timeline (a move, a reconvergence, a lost update) recorded
+/// as a zero-length record under the innermost open span, carrying its
+/// simulated time and a payload value.
+///
 /// When a thread's buffer fills, further records are *dropped and
 /// counted* (never silently lost, never overwriting a parent another
 /// record references); per-thread drop counts ride along in every export.
@@ -70,11 +75,12 @@ inline constexpr std::size_t kAttributedCounters = 8;
 [[nodiscard]] const std::array<const char*, kAttributedCounters>&
 attributed_counter_names();
 
-/// One closed span. `name` points at the static literal passed to
-/// PROF_SPAN / Span::begin and must outlive the export.
+/// One closed span, or one instant event. `name` points at the static
+/// literal passed to PROF_SPAN / Span::begin / instant and must outlive
+/// the export.
 struct SpanRecord {
   const char* name = nullptr;
-  std::uint64_t id = 0;
+  std::uint64_t id = 0;  // 0 = instant event (never a parent)
   std::uint64_t parent = 0;  // 0 = root (no enclosing span on any thread)
   std::uint64_t begin_ns = 0;  // steady clock minus profiler epoch
   std::uint64_t end_ns = 0;
@@ -83,7 +89,10 @@ struct SpanRecord {
   std::uint32_t thread = 0;  // dense per-process thread index (1-based)
   std::uint32_t depth = 0;   // nesting depth on the recording thread
   std::array<std::uint64_t, kAttributedCounters> counter_deltas{};
+  double sim_ms = 0.0;  // instants: simulated time of the event
+  double value = 0.0;   // instants: payload (AS id, message id, ...)
 
+  [[nodiscard]] bool is_instant() const { return id == 0; }
   [[nodiscard]] double duration_us() const {
     return static_cast<double>(end_ns - begin_ns) / 1000.0;
   }
@@ -144,6 +153,11 @@ struct ThreadState {
   std::uint64_t current_span = 0;
   std::uint64_t adopted_parent = 0;
   std::uint32_t depth = 0;
+
+  /// The parent of a record opened now.
+  [[nodiscard]] std::uint64_t innermost() const noexcept {
+    return current_span != 0 ? current_span : adopted_parent;
+  }
 };
 
 [[nodiscard]] ThreadState& thread_state() noexcept;
@@ -158,6 +172,8 @@ struct ThreadState {
 /// Samples every attributed counter into `out`.
 void sample_counters(
     std::array<std::uint64_t, kAttributedCounters>& out) noexcept;
+
+void record_instant(const char* name, double sim_ms, double value) noexcept;
 
 }  // namespace detail
 
@@ -192,8 +208,9 @@ class Profiler {
   void set_ring_capacity(std::size_t capacity);
   [[nodiscard]] std::size_t ring_capacity() const;
 
-  /// All buffered spans across threads, ordered by (begin_ns, id). Call
-  /// after enable(false) once instrumented work has quiesced.
+  /// All buffered spans and instants across threads, ordered by
+  /// (begin_ns, id). Call after enable(false) once instrumented work has
+  /// quiesced.
   [[nodiscard]] std::vector<SpanRecord> drain() const;
 
   /// Per-thread recorded/dropped accounting.
@@ -260,9 +277,16 @@ class Span {
 
 inline std::uint64_t current_span_id() noexcept {
   if (!detail::profiling()) return 0;
-  const detail::ThreadState& state = detail::thread_state();
-  return state.current_span != 0 ? state.current_span
-                                 : state.adopted_parent;
+  return detail::thread_state().innermost();
+}
+
+/// Records an instant event: one zero-length record (begin == end) in
+/// this thread's ring, parented to the innermost open span, carrying the
+/// simulated time `sim_ms` and a payload `value`. One relaxed load while
+/// profiling is off; drops and counts like a span when the ring is full.
+inline void instant(const char* name, double sim_ms,
+                    double value = 0.0) noexcept {
+  if (detail::profiling()) detail::record_instant(name, sim_ms, value);
 }
 
 /// Marks spans opened on this thread as children of `parent_span` when no

@@ -46,23 +46,28 @@ std::string export_chrome_trace(const ProfileReport& report) {
   }
   for (const SpanRecord& span : report.spans) {
     Json event = Json::object();
-    event["ph"] = Json("X");
+    event["ph"] = Json(span.is_instant() ? "i" : "X");
     event["name"] = Json(span.name);
     event["cat"] = Json("lina");
     event["ts"] = Json(to_us(span.begin_ns));
-    event["dur"] = Json(to_us(span.end_ns - span.begin_ns));
     event["pid"] = Json(1);
     event["tid"] = Json(static_cast<std::uint64_t>(span.thread));
     Json args = Json::object();
-    args["span"] = Json(span.id);
     args["parent"] = Json(span.parent);
-    args["depth"] = Json(static_cast<std::uint64_t>(span.depth));
-    if (span.tsc_end >= span.tsc_begin && span.tsc_end != 0) {
-      args["tsc_cycles"] = Json(span.tsc_end - span.tsc_begin);
-    }
-    for (std::size_t i = 0; i < kAttributedCounters; ++i) {
-      if (span.counter_deltas[i] != 0) {
-        args[counter_names[i]] = Json(span.counter_deltas[i]);
+    if (span.is_instant()) {
+      args["sim_ms"] = Json(span.sim_ms);
+      args["value"] = Json(span.value);
+    } else {
+      event["dur"] = Json(to_us(span.end_ns - span.begin_ns));
+      args["span"] = Json(span.id);
+      args["depth"] = Json(static_cast<std::uint64_t>(span.depth));
+      if (span.tsc_end >= span.tsc_begin && span.tsc_end != 0) {
+        args["tsc_cycles"] = Json(span.tsc_end - span.tsc_begin);
+      }
+      for (std::size_t i = 0; i < kAttributedCounters; ++i) {
+        if (span.counter_deltas[i] != 0) {
+          args[counter_names[i]] = Json(span.counter_deltas[i]);
+        }
       }
     }
     event["args"] = std::move(args);
@@ -90,9 +95,12 @@ std::string export_chrome_trace(const ProfileReport& report) {
 std::string export_folded(const ProfileReport& report) {
   // Inclusive duration per span, minus the inclusive durations of direct
   // children = self time; attribute it to the parent-chain stack.
+  // Instants carry no duration and are skipped.
   std::unordered_map<std::uint64_t, const SpanRecord*> by_id;
   by_id.reserve(report.spans.size());
-  for (const SpanRecord& span : report.spans) by_id.emplace(span.id, &span);
+  for (const SpanRecord& span : report.spans) {
+    if (!span.is_instant()) by_id.emplace(span.id, &span);
+  }
 
   std::unordered_map<std::uint64_t, std::uint64_t> child_ns;
   for (const SpanRecord& span : report.spans) {
@@ -103,6 +111,7 @@ std::string export_folded(const ProfileReport& report) {
 
   std::map<std::string, std::uint64_t> folded;  // stack -> self us
   for (const SpanRecord& span : report.spans) {
+    if (span.is_instant()) continue;
     const std::uint64_t inclusive = span.end_ns - span.begin_ns;
     const auto children = child_ns.find(span.id);
     const std::uint64_t self_ns =
@@ -145,7 +154,7 @@ std::size_t validate_chrome_trace(const std::string& json_text) {
   const Json* events = document.find("traceEvents");
   if (events == nullptr || !events->is_array())
     throw std::runtime_error("chrome trace: missing traceEvents array");
-  std::size_t span_events = 0;
+  std::size_t records = 0;
   for (const Json& event : events->items()) {
     if (!event.is_object())
       throw std::runtime_error("chrome trace: event is not an object");
@@ -153,30 +162,35 @@ std::size_t validate_chrome_trace(const std::string& json_text) {
     if (!ph.is_string())
       throw std::runtime_error("chrome trace: event ph is not a string");
     if (ph.as_string() == "M") continue;  // metadata
-    if (ph.as_string() != "X")
+    const bool instant = ph.as_string() == "i";
+    if (!instant && ph.as_string() != "X")
       throw std::runtime_error("chrome trace: unexpected event phase '" +
                                ph.as_string() + "'");
-    for (const char* key : {"name", "cat", "ts", "dur", "pid", "tid"}) {
+    for (const char* key : {"name", "cat", "ts", "pid", "tid"}) {
       if (event.find(key) == nullptr)
-        throw std::runtime_error(
-            std::string("chrome trace: span event missing '") + key + "'");
+        throw std::runtime_error(std::string("chrome trace: ") +
+                                 (instant ? "instant" : "span") +
+                                 " event missing '" + key + "'");
     }
+    if (!instant && event.find("dur") == nullptr)
+      throw std::runtime_error("chrome trace: span event missing 'dur'");
     if (!event.at("name").is_string())
-      throw std::runtime_error("chrome trace: span name is not a string");
-    const double dur = event.at("dur").as_number();
+      throw std::runtime_error("chrome trace: event name is not a string");
+    const double dur = instant ? 0.0 : event.at("dur").as_number();
     const double ts = event.at("ts").as_number();
     if (!(dur >= 0.0) || !(ts >= 0.0))
       throw std::runtime_error(
-          "chrome trace: negative ts/dur on span '" +
+          "chrome trace: negative ts/dur on event '" +
           event.at("name").as_string() + "'");
-    ++span_events;
+    ++records;
   }
-  return span_events;
+  return records;
 }
 
 std::vector<std::string> span_layers(const ProfileReport& report) {
   std::set<std::string> layers;
   for (const SpanRecord& span : report.spans) {
+    if (span.is_instant()) continue;
     const std::string_view name(span.name);
     const std::size_t first = name.find('.');
     if (first == std::string_view::npos) continue;

@@ -88,12 +88,15 @@ double calibrate_ns_per_tick() {
   return static_cast<double>(t1 - t0) / static_cast<double>(c1 - c0);
 }
 
-detail::ThreadRing& register_ring() {
+/// The calling thread's ring, registered on its first record.
+detail::ThreadRing& thread_ring(detail::ThreadState& thread) {
+  if (thread.ring != nullptr) return *thread.ring;
   GlobalState& state = global();
   const std::lock_guard<std::mutex> lock(state.mutex);
   state.rings.push_back(std::make_unique<detail::ThreadRing>(
       static_cast<std::uint32_t>(state.rings.size() + 1), state.capacity));
-  return *state.rings.back();
+  thread.ring = state.rings.back().get();
+  return *thread.ring;
 }
 
 /// The attributed obs counter handles, registered on first use. Reading
@@ -186,6 +189,23 @@ void sample_counters(
   }
 }
 
+void record_instant(const char* name, double sim_ms,
+                    double value) noexcept {
+  ThreadState& state = thread_state();
+  ThreadRing& ring = thread_ring(state);
+  SpanRecord record;
+  timestamp(record.tsc_begin, record.begin_ns);
+  record.tsc_end = record.tsc_begin;
+  record.end_ns = record.begin_ns;
+  record.name = name;
+  record.parent = state.innermost();
+  record.thread = ring.thread_index();
+  record.depth = state.depth + 1;
+  record.sim_ms = sim_ms;
+  record.value = value;
+  ring.push(record);
+}
+
 }  // namespace detail
 
 Profiler& Profiler::instance() {
@@ -276,11 +296,10 @@ std::uint64_t Profiler::dropped() const {
 
 void Span::begin_impl(const char* name) noexcept {
   detail::ThreadState& state = detail::thread_state();
-  if (state.ring == nullptr) state.ring = &register_ring();
+  (void)thread_ring(state);
   name_ = name;
   id_ = detail::next_span_id();
-  parent_ =
-      state.current_span != 0 ? state.current_span : state.adopted_parent;
+  parent_ = state.innermost();
   previous_current_ = state.current_span;
   state.current_span = id_;
   ++state.depth;

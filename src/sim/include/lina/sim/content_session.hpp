@@ -102,7 +102,8 @@ struct ContentSessionStats {
 };
 
 /// Runs one consumer->publisher content session over the fabric.
-/// Throws std::invalid_argument on malformed configs.
+/// Throws std::invalid_argument on malformed configs, naming the field
+/// when a timing or delay is non-finite or non-positive.
 [[nodiscard]] ContentSessionStats simulate_content_session(
     const ForwardingFabric& fabric, const ContentSessionConfig& config);
 

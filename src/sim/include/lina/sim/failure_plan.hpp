@@ -46,9 +46,9 @@ class FailurePlan {
   /// `seed` drives only the kUpdateLoss coin; everything else is exact.
   explicit FailurePlan(std::uint64_t seed) : seed_(seed) {}
 
-  /// Adds one fault. Throws std::invalid_argument on end <= start,
-  /// negative start, a self-loop link cut, or a loss probability outside
-  /// [0, 1].
+  /// Adds one fault. Throws std::invalid_argument on a non-finite window
+  /// bound, end <= start, negative start, a self-loop link cut, or a loss
+  /// probability that is NaN or outside [0, 1].
   FailurePlan& add(const FailureEvent& event);
 
   FailurePlan& as_outage(topology::AsId as, double start_ms, double end_ms);

@@ -154,7 +154,8 @@ struct SessionStats {
 /// the §2/§5 trade-offs dynamically: indirection pays stretch, name
 /// resolution pays staleness on mobility, name-based routing pays
 /// convergence (and router updates) but no steady-state stretch.
-/// Throws std::invalid_argument on malformed configs.
+/// Throws std::invalid_argument on malformed configs, naming the field
+/// when a timing or delay is non-finite or non-positive.
 [[nodiscard]] SessionStats simulate_session(const ForwardingFabric& fabric,
                                             SimArchitecture architecture,
                                             const SessionConfig& config);

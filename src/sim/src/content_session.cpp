@@ -1,6 +1,8 @@
 #include "lina/sim/content_session.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "lina/cache/mapping_cache.hpp"
@@ -37,10 +39,20 @@ class ContentSessionRunner {
         throw std::invalid_argument(
             "simulate_content_session: schedule times must increase");
     }
-    if (config.request_interval_ms <= 0.0 || config.duration_ms <= 0.0 ||
-        config.update_hop_ms <= 0.0 || config.catalog_segments == 0)
+    // A NaN passes `<= 0.0`, and an infinite duration never ends the
+    // request loop.
+    const auto require_positive = [](double value, const char* name) {
+      if (!std::isfinite(value) || value <= 0.0)
+        throw std::invalid_argument(
+            std::string("simulate_content_session: ") + name +
+            " must be finite and positive");
+    };
+    require_positive(config.request_interval_ms, "request_interval_ms");
+    require_positive(config.duration_ms, "duration_ms");
+    require_positive(config.update_hop_ms, "update_hop_ms");
+    if (config.catalog_segments == 0)
       throw std::invalid_argument(
-          "simulate_content_session: non-positive parameter");
+          "simulate_content_session: catalog_segments must be positive");
     if (!config.retry.valid())
       throw std::invalid_argument(
           "simulate_content_session: malformed retry policy");

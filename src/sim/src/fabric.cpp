@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "lina/obs/metrics.hpp"
-#include "lina/obs/trace.hpp"
 #include "lina/prof/prof.hpp"
 #include "lina/routing/policy_routing.hpp"
 #include "lina/sim/failure_plan.hpp"
@@ -239,8 +238,8 @@ const ForwardingFabric::RouteRow& ForwardingFabric::detour_row(
   return detour_cache_.get_or_build(key, [&] {
     PROF_SPAN("lina.fabric.detour_build");
     obs::metric::fabric_detour_route_builds().add();
-    obs::TraceRing::instance().record("lina.sim.fabric.reconverge", time_ms,
-                                      static_cast<double>(dest));
+    prof::instant("lina.sim.fabric.reconverge", time_ms,
+                  static_cast<double>(dest));
 
     // BGP reconvergence: valley-free policy routes on the surviving
     // topology. Detours therefore obey the same export rules as healthy

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <stdexcept>
 
 #include "lina/obs/metrics.hpp"
-#include "lina/obs/trace.hpp"
+#include "lina/prof/prof.hpp"
 
 namespace lina::sim {
 
@@ -54,13 +55,18 @@ std::string_view failure_kind_name(FailureKind kind) {
 }
 
 FailurePlan& FailurePlan::add(const FailureEvent& event) {
+  // A NaN passes every ordered comparison below and would reach the
+  // boundary sort, which needs a strict weak order.
+  if (!std::isfinite(event.start_ms) || !std::isfinite(event.end_ms))
+    throw std::invalid_argument("FailurePlan: non-finite window bound");
   if (event.start_ms < 0.0 || event.end_ms <= event.start_ms)
     throw std::invalid_argument("FailurePlan: window must satisfy 0 <= start < end");
   if (event.kind == FailureKind::kLinkCut && event.element == event.element_b)
     throw std::invalid_argument("FailurePlan: link cut needs two distinct ASes");
   if (event.kind == FailureKind::kUpdateLoss &&
-      (event.loss_probability < 0.0 || event.loss_probability > 1.0))
-    throw std::invalid_argument("FailurePlan: loss probability outside [0, 1]");
+      !(event.loss_probability >= 0.0 && event.loss_probability <= 1.0))
+    throw std::invalid_argument(
+        "FailurePlan: loss probability is NaN or outside [0, 1]");
   events_.push_back(event);
   stamp_ = next_stamp();
   obs::metric::failure_plan_events().add();
@@ -166,9 +172,8 @@ bool FailurePlan::control_message_lost(std::uint64_t message_id,
   const bool lost = coin >= survive;
   if (lost) {
     obs::metric::failure_control_drops().add();
-    obs::TraceRing::instance().record("lina.sim.failure.control_drop",
-                                      time_ms,
-                                      static_cast<double>(message_id));
+    prof::instant("lina.sim.failure.control_drop", time_ms,
+                  static_cast<double>(message_id));
   }
   return lost;
 }

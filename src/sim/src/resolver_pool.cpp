@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "lina/obs/metrics.hpp"
-#include "lina/obs/trace.hpp"
 #include "lina/prof/prof.hpp"
 
 namespace lina::sim {
@@ -67,8 +66,8 @@ std::optional<AsId> ResolverPool::nearest_live_replica(
     AsId client, const FailurePlan& failures, double time_ms) const {
   PROF_SPAN("lina.resolver.failover_lookup");
   obs::metric::resolver_failover_lookups().add();
-  obs::TraceRing::instance().record("lina.sim.resolver.failover_lookup",
-                                    time_ms, static_cast<double>(client));
+  prof::instant("lina.sim.resolver.failover_lookup", time_ms,
+                static_cast<double>(client));
   std::optional<AsId> best;
   double best_delay = std::numeric_limits<double>::infinity();
   for (const AsId replica : replicas_) {

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "lina/cache/mapping_cache.hpp"
 #include "lina/obs/metrics.hpp"
-#include "lina/obs/timer.hpp"
-#include "lina/obs/trace.hpp"
 #include "lina/prof/prof.hpp"
 #include "lina/sim/event_queue.hpp"
 #include "lina/sim/resolver_pool.hpp"
@@ -44,10 +43,17 @@ void validate(const SessionConfig& config, const ForwardingFabric& fabric,
       throw std::invalid_argument(
           "simulate_session: schedule times must increase");
   }
-  if (config.packet_interval_ms <= 0.0 || config.duration_ms <= 0.0)
-    throw std::invalid_argument("simulate_session: non-positive timing");
-  if (config.update_hop_ms <= 0.0 || config.resolver_ttl_ms <= 0.0)
-    throw std::invalid_argument("simulate_session: non-positive delays");
+  // A NaN passes `<= 0.0`, and an infinite duration never ends the
+  // packet loop.
+  const auto require_positive = [](double value, const char* name) {
+    if (!std::isfinite(value) || value <= 0.0)
+      throw std::invalid_argument(std::string("simulate_session: ") + name +
+                                  " must be finite and positive");
+  };
+  require_positive(config.packet_interval_ms, "packet_interval_ms");
+  require_positive(config.duration_ms, "duration_ms");
+  require_positive(config.update_hop_ms, "update_hop_ms");
+  require_positive(config.resolver_ttl_ms, "resolver_ttl_ms");
   if (architecture == SimArchitecture::kReplicatedResolution &&
       config.resolver_replicas.empty())
     throw std::invalid_argument(
@@ -95,9 +101,8 @@ class SessionRunner {
     for (std::size_t i = 1; i < config_.schedule.size(); ++i) {
       const MobilityStep& step = config_.schedule[i];
       queue_.schedule(step.time_ms, [this, step] {
-        obs::TraceRing::instance().record("lina.sim.session.move",
-                                          queue_.now(),
-                                          static_cast<double>(step.as));
+        prof::instant("lina.sim.session.move", queue_.now(),
+                      static_cast<double>(step.as));
         if (move_pending_) {
           // The previous move never saw a delivery: record the censored
           // outage up to this move.
@@ -957,7 +962,6 @@ SessionStats simulate_session(const ForwardingFabric& fabric,
                               SimArchitecture architecture,
                               const SessionConfig& config) {
   validate(config, fabric, architecture);
-  obs::ScopedTimer timer(obs::metric::session_run_wall_ms());
   SessionStats stats;
   switch (architecture) {
     case SimArchitecture::kIndirection: {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -20,13 +19,6 @@ using routing::FibEntry;
 using routing::Port;
 
 constexpr std::uint16_t kManifestVersion = 1;
-
-[[nodiscard]] double elapsed_ms(
-    std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 void validate_table_name(const std::string& table) {
   const auto ok = [](char c) {
@@ -603,7 +595,6 @@ SavedInfo SnapshotStore::commit(
     const std::string& table, SnapHeader header,
     std::vector<std::pair<SectionId, std::vector<char>>> sections) {
   validate_table_name(table);
-  const auto start = std::chrono::steady_clock::now();
   const SnapKind kind = header.kind;
   Manifest m;
   try {
@@ -647,7 +638,6 @@ SavedInfo SnapshotStore::commit(
   obs::metric::snap_bytes_written().add(image.bytes.size());
   obs::metric::snap_snapshot_bytes().set(
       static_cast<double>(image.bytes.size()));
-  obs::metric::snap_save_ms().record(elapsed_ms(start));
   return SavedInfo{path, image.bytes.size(), generation,
                    std::move(image.records)};
 }
@@ -674,22 +664,18 @@ SavedInfo SnapshotStore::save_name_fib(const std::string& table,
 
 routing::FrozenFib SnapshotStore::load_ip_fib(const std::string& table) const {
   PROF_SPAN("lina.snap.load");
-  const auto start = std::chrono::steady_clock::now();
   Opened opened = open_table(*this, table, SnapKind::kIpFib);
   IpTrie trie = decode_ip(opened.file, opened.parsed, opened.ctx);
   obs::metric::snap_loads().add();
-  obs::metric::snap_load_ms().record(elapsed_ms(start));
   return routing::FrozenFib(std::move(trie));
 }
 
 routing::FrozenNameFib SnapshotStore::load_name_fib(
     const std::string& table) const {
   PROF_SPAN("lina.snap.load");
-  const auto start = std::chrono::steady_clock::now();
   Opened opened = open_table(*this, table, SnapKind::kNameFib);
   NameTrie trie = decode_name(opened.file, opened.parsed, opened.ctx);
   obs::metric::snap_loads().add();
-  obs::metric::snap_load_ms().record(elapsed_ms(start));
   return routing::FrozenNameFib(std::move(trie));
 }
 

@@ -1,5 +1,5 @@
 // lina::obs exporters: JSON document model round trips, snapshot ->
-// JSON -> snapshot self-check, CSV and JSONL shapes. Runs under the
+// JSON -> snapshot self-check, CSV shape. Runs under the
 // `obs` ctest label.
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "lina/obs/export.hpp"
 #include "lina/obs/json.hpp"
 #include "lina/obs/registry.hpp"
-#include "lina/obs/trace.hpp"
 
 namespace lina::obs {
 namespace {
@@ -20,12 +19,10 @@ class ExportTest : public ::testing::Test {
   void SetUp() override {
     Registry::instance().reset();
     Registry::instance().enable(true);
-    TraceRing::instance().clear();
   }
   void TearDown() override {
     Registry::instance().enable(false);
     Registry::instance().reset();
-    TraceRing::instance().clear();
   }
 };
 
@@ -162,7 +159,7 @@ TEST_F(ExportTest, ParseSnapshotRejectsCorruptedBuckets) {
   EXPECT_THROW((void)parse_snapshot(doc), std::runtime_error);
 }
 
-// --- CSV / JSONL shapes ----------------------------------------------
+// --- CSV shape --------------------------------------------------------
 
 TEST_F(ExportTest, CsvCarriesEveryMetricAsRows) {
   const std::string csv = export_csv(make_populated_snapshot());
@@ -182,25 +179,6 @@ TEST_F(ExportTest, CsvCarriesEveryMetricAsRows) {
   EXPECT_TRUE(saw_counter);
   EXPECT_TRUE(saw_gauge);
   EXPECT_TRUE(saw_p50);
-}
-
-TEST_F(ExportTest, TraceJsonlEmitsOneParsableObjectPerLine) {
-  TraceRing::instance().record("lina.test.event", 1.25, 7.0);
-  TraceRing::instance().record("lina.test.other", 2.5);
-  const std::string jsonl =
-      export_trace_jsonl(TraceRing::instance().events());
-  std::istringstream is(jsonl);
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const Json event = Json::parse(line);
-    EXPECT_TRUE(event.at("event").is_string());
-    EXPECT_TRUE(event.at("t_ms").is_number());
-    EXPECT_TRUE(event.at("value").is_number());
-    ++lines;
-  }
-  EXPECT_EQ(lines, 2u);
 }
 
 }  // namespace

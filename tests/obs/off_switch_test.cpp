@@ -11,7 +11,6 @@
 #include "../support/fixtures.hpp"
 #include "lina/obs/metrics.hpp"
 #include "lina/obs/registry.hpp"
-#include "lina/obs/trace.hpp"
 #include "lina/sim/failure_plan.hpp"
 #include "lina/sim/resolver_pool.hpp"
 #include "lina/sim/session.hpp"
@@ -91,7 +90,7 @@ TEST(ObsOffSwitchTest, SessionStatsBitIdenticalWithObservabilityOnVsOff) {
 }
 
 TEST(ObsOffSwitchTest, FaultedSessionIsAlsoBitIdenticalOnVsOff) {
-  // The failure paths carry extra instrumentation (control-drop traces,
+  // The failure paths carry extra instrumentation (control-drop and
   // failover counters); they must be observation-only too.
   SessionConfig config = mobile_config();
   FailurePlan plan(20140817u);
@@ -109,9 +108,8 @@ TEST(ObsOffSwitchTest, FaultedSessionIsAlsoBitIdenticalOnVsOff) {
         SimArchitecture::kReplicatedResolution}) {
     obs::Registry::instance().reset();
     obs::Registry::instance().enable(false);
-    obs::TraceRing::instance().clear();
     const SessionStats off = simulate_session(fabric(), arch, config);
-    EXPECT_EQ(obs::TraceRing::instance().size(), 0u);
+    EXPECT_TRUE(obs::Registry::instance().snapshot().empty());
 
     SessionStats on;
     {
@@ -119,8 +117,8 @@ TEST(ObsOffSwitchTest, FaultedSessionIsAlsoBitIdenticalOnVsOff) {
       on = simulate_session(fabric(), arch, config);
     }
     expect_identical(off, on);
+    EXPECT_GT(obs::metric::failure_active_sends().value(), 0u);
     obs::Registry::instance().reset();
-    obs::TraceRing::instance().clear();
   }
 }
 

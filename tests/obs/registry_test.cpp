@@ -1,6 +1,5 @@
-// lina::obs core: registry semantics, concurrency, histogram quantile
-// edge cases, scoped timers, and the trace ring. Runs under the `obs`
-// ctest label.
+// lina::obs core: registry semantics, concurrency and histogram quantile
+// edge cases. Runs under the `obs` ctest label.
 
 #include <gtest/gtest.h>
 
@@ -9,8 +8,6 @@
 #include <vector>
 
 #include "lina/obs/registry.hpp"
-#include "lina/obs/timer.hpp"
-#include "lina/obs/trace.hpp"
 
 namespace lina::obs {
 namespace {
@@ -20,12 +17,10 @@ class RegistryTest : public ::testing::Test {
   void SetUp() override {
     Registry::instance().reset();
     Registry::instance().enable(false);
-    TraceRing::instance().clear();
   }
   void TearDown() override {
     Registry::instance().enable(false);
     Registry::instance().reset();
-    TraceRing::instance().clear();
   }
 };
 
@@ -203,51 +198,6 @@ TEST_F(RegistryTest, QuantilesAreMonotoneOnMultiBucketData) {
   }
   EXPECT_NEAR(s.quantile(0.5), 5.0, 2.6);  // coarse buckets, honest range
   EXPECT_DOUBLE_EQ(s.quantile(1.0), 10.0);
-}
-
-// --- ScopedTimer ------------------------------------------------------
-
-TEST_F(RegistryTest, ScopedTimerRecordsOnlyWhenEnabled) {
-  Histogram h = Registry::instance().histogram("test.hist.timer");
-  { ScopedTimer timer(h); }
-  EXPECT_EQ(h.count(), 0u);
-  {
-    EnabledScope scope;
-    ScopedTimer timer(h);
-  }
-  EXPECT_EQ(h.count(), 1u);
-}
-
-// --- TraceRing --------------------------------------------------------
-
-TEST_F(RegistryTest, TraceRingIsNoOpWhileDisabled) {
-  TraceRing::instance().record("test.event", 1.0, 2.0);
-  EXPECT_EQ(TraceRing::instance().size(), 0u);
-}
-
-TEST_F(RegistryTest, TraceRingKeepsArrivalOrder) {
-  EnabledScope scope;
-  TraceRing::instance().record("a", 1.0, 10.0);
-  TraceRing::instance().record("b", 2.0, 20.0);
-  const auto events = TraceRing::instance().events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].name, "a");
-  EXPECT_DOUBLE_EQ(events[0].time_ms, 1.0);
-  EXPECT_DOUBLE_EQ(events[1].value, 20.0);
-}
-
-TEST_F(RegistryTest, TraceRingOverwritesOldestAndCountsDrops) {
-  EnabledScope scope;
-  TraceRing::instance().set_capacity(4);
-  for (int i = 0; i < 10; ++i) {
-    TraceRing::instance().record("e", static_cast<double>(i));
-  }
-  const auto events = TraceRing::instance().events();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_DOUBLE_EQ(events.front().time_ms, 6.0);  // oldest surviving
-  EXPECT_DOUBLE_EQ(events.back().time_ms, 9.0);
-  EXPECT_EQ(TraceRing::instance().dropped(), 6u);
-  TraceRing::instance().set_capacity(TraceRing::kDefaultCapacity);
 }
 
 }  // namespace

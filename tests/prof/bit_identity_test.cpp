@@ -2,17 +2,21 @@
 // profiler enabled vs. disabled, every architecture's SessionStats must
 // be bit-identical — spans observe, they never feed back. Checked serial
 // and through the exec pool (worker chunk spans and adopted parents must
-// not perturb results either). Runs under the `prof` ctest label, plain,
-// ASan+UBSan and TSan presets.
+// not perturb results either). A session under a failure plan must also
+// emit every control-plane instant event while staying bit-identical.
+// Runs under the `prof` ctest label, plain, ASan+UBSan and TSan presets.
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <vector>
 
 #include "../support/fixtures.hpp"
 #include "lina/exec/parallel.hpp"
 #include "lina/obs/registry.hpp"
 #include "lina/prof/prof.hpp"
+#include "lina/sim/failure_plan.hpp"
 #include "lina/sim/resolver_pool.hpp"
 #include "lina/sim/session.hpp"
 #include "lina/topology/geo.hpp"
@@ -124,6 +128,52 @@ TEST(ProfBitIdentityTest, PooledSessionsBitIdenticalProfilingOnVsOff) {
     expect_identical(off[i], on[i]);
   }
   EXPECT_FALSE(prof::Profiler::instance().drain().empty());
+  reset_everything();
+}
+
+TEST(ProfBitIdentityTest, FaultedSessionEmitsInstantsAndStaysBitIdentical) {
+  // A link cut on the correspondent's first hop (reconvergence), lossy
+  // updates (control drops) and replicated resolution (failover lookups
+  // on every move under faults).
+  SessionConfig config = mobile_config();
+  FailurePlan plan(20140817u);
+  plan.link_cut(config.correspondent,
+                *fabric().next_hop(config.correspondent,
+                                   config.schedule[1].as),
+                2000.0, 5000.0);
+  plan.update_loss(0.6, 1000.0, 7000.0);
+  config.failures = &plan;
+  const auto arch = SimArchitecture::kReplicatedResolution;
+
+  reset_everything();
+  // Fresh fabrics, so the detour routes (and their reconvergence
+  // instants) are built inside each run rather than memoized before it.
+  const SessionStats off =
+      simulate_session(ForwardingFabric(shared_internet()), arch, config);
+  EXPECT_TRUE(prof::Profiler::instance().drain().empty());
+
+  SessionStats on;
+  {
+    obs::EnabledScope obs_scope;
+    prof::EnabledScope prof_scope;
+    on = simulate_session(ForwardingFabric(shared_internet()), arch, config);
+  }
+  expect_identical(off, on);
+
+  std::set<std::string> names;
+  for (const prof::SpanRecord& record : prof::Profiler::instance().drain()) {
+    if (!record.is_instant()) continue;
+    names.insert(record.name);
+    EXPECT_NE(record.parent, 0u) << record.name;
+    EXPECT_GE(record.sim_ms, 0.0) << record.name;
+    EXPECT_LT(record.sim_ms, config.duration_ms) << record.name;
+  }
+  EXPECT_EQ(names, (std::set<std::string>{
+                       "lina.sim.fabric.reconverge",
+                       "lina.sim.failure.control_drop",
+                       "lina.sim.resolver.failover_lookup",
+                       "lina.sim.session.move"}));
+  EXPECT_EQ(prof::Profiler::instance().dropped(), 0u);
   reset_everything();
 }
 

@@ -148,6 +148,15 @@ TEST(ProfExportTest, ValidatorRejectsMalformedDocuments) {
           "{\"traceEvents\":[{\"ph\":\"X\",\"name\":\"x\"}]}"),
       std::runtime_error);
   EXPECT_EQ(validate_chrome_trace("{\"traceEvents\":[]}"), 0u);
+  // An instant needs no dur, but it does need its ts.
+  EXPECT_EQ(validate_chrome_trace(
+                R"({"traceEvents":[{"ph":"i","name":"x","cat":"lina",)"
+                R"("ts":1,"pid":1,"tid":1}]})"),
+            1u);
+  EXPECT_THROW(validate_chrome_trace(
+                   R"({"traceEvents":[{"ph":"i","name":"x","cat":"lina",)"
+                   R"("pid":1,"tid":1}]})"),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "../support/fixtures.hpp"
 
 namespace lina::sim {
@@ -42,6 +46,52 @@ TEST(ContentSessionTest, Validation) {
   config.request_interval_ms = 0.0;
   EXPECT_THROW((void)simulate_content_session(fabric(), config),
                std::invalid_argument);
+}
+
+// NaN first: it passed the old `<= 0.0` checks, so a run that accepts it
+// stops at the ASSERT before an infinite duration could loop forever.
+constexpr double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+
+/// The std::invalid_argument message `config` is rejected with; empty if
+/// the session runs.
+std::string rejection(const ContentSessionConfig& config) {
+  try {
+    (void)simulate_content_session(fabric(), config);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ContentSessionTest, RejectsNonFiniteRequestInterval) {
+  for (const double bad : kNonFinite) {
+    ContentSessionConfig config = base_config();
+    config.request_interval_ms = bad;
+    ASSERT_NE(rejection(config).find("request_interval_ms"),
+              std::string::npos)
+        << bad;
+  }
+}
+
+TEST(ContentSessionTest, RejectsNonFiniteDuration) {
+  for (const double bad : kNonFinite) {
+    ContentSessionConfig config = base_config();
+    config.duration_ms = bad;
+    ASSERT_NE(rejection(config).find("duration_ms"), std::string::npos)
+        << bad;
+  }
+}
+
+TEST(ContentSessionTest, RejectsNonFiniteUpdateHop) {
+  for (const double bad : kNonFinite) {
+    ContentSessionConfig config = base_config();
+    config.publisher_schedule.push_back({1000.0, edge(31)});
+    config.update_hop_ms = bad;
+    ASSERT_NE(rejection(config).find("update_hop_ms"), std::string::npos)
+        << bad;
+  }
 }
 
 TEST(ContentSessionTest, StationaryPublisherFullReachability) {

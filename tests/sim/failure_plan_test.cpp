@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace lina::sim {
@@ -16,6 +17,22 @@ TEST(FailurePlanTest, ValidatesWindows) {
   EXPECT_THROW(plan.update_loss(1.5, 0.0, 100.0), std::invalid_argument);
   EXPECT_THROW(plan.update_loss(-0.1, 0.0, 100.0), std::invalid_argument);
   EXPECT_TRUE(plan.empty());  // nothing invalid was recorded
+}
+
+TEST(FailurePlanTest, RejectsNonFiniteWindowsAndNanProbability) {
+  // A NaN bound passes both window comparisons and would reach the
+  // boundary sort; a NaN probability passes both range comparisons.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  FailurePlan plan;
+  EXPECT_THROW(plan.as_outage(1, kNan, 100.0), std::invalid_argument);
+  EXPECT_THROW(plan.as_outage(1, 0.0, kNan), std::invalid_argument);
+  EXPECT_THROW(plan.link_cut(1, 2, kNan, kNan), std::invalid_argument);
+  EXPECT_THROW(plan.as_outage(1, 0.0, kInf), std::invalid_argument);
+  EXPECT_THROW(plan.resolver_crash(1, -kInf, 100.0), std::invalid_argument);
+  EXPECT_THROW(plan.update_loss(kNan, 0.0, 100.0), std::invalid_argument);
+  EXPECT_TRUE(plan.empty());  // nothing invalid was recorded
+  EXPECT_EQ(plan.data_plane_epoch(50.0), 0u);
 }
 
 TEST(FailurePlanTest, WindowSemantics) {

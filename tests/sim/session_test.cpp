@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "../support/fixtures.hpp"
 
 namespace lina::sim {
@@ -74,6 +78,67 @@ TEST(SimSessionTest, ValidatesConfig) {
   config.schedule.push_back({0.0, edge(1)});  // non-increasing times
   EXPECT_THROW((void)simulate_session(fabric(), kAll[0], config),
                std::invalid_argument);
+}
+
+// NaN first: it passed the old `<= 0.0` checks, so a run that accepts it
+// stops at the ASSERT before an infinite duration could loop forever.
+constexpr double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+
+/// The std::invalid_argument message `config` is rejected with; empty if
+/// the session runs.
+std::string rejection(SimArchitecture arch, const SessionConfig& config) {
+  try {
+    (void)simulate_session(fabric(), arch, config);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(SimSessionTest, RejectsNonFinitePacketInterval) {
+  for (const double bad : kNonFinite) {
+    SessionConfig config = stationary_config();
+    config.packet_interval_ms = bad;
+    ASSERT_NE(rejection(SimArchitecture::kNameBased, config)
+                  .find("packet_interval_ms"),
+              std::string::npos)
+        << bad;
+  }
+}
+
+TEST(SimSessionTest, RejectsNonFiniteDuration) {
+  for (const double bad : kNonFinite) {
+    SessionConfig config = stationary_config();
+    config.duration_ms = bad;
+    ASSERT_NE(
+        rejection(SimArchitecture::kNameBased, config).find("duration_ms"),
+        std::string::npos)
+        << bad;
+  }
+}
+
+TEST(SimSessionTest, RejectsNonFiniteUpdateHop) {
+  for (const double bad : kNonFinite) {
+    SessionConfig config = mobile_config();
+    config.update_hop_ms = bad;
+    ASSERT_NE(
+        rejection(SimArchitecture::kNameBased, config).find("update_hop_ms"),
+        std::string::npos)
+        << bad;
+  }
+}
+
+TEST(SimSessionTest, RejectsNonFiniteResolverTtl) {
+  for (const double bad : kNonFinite) {
+    SessionConfig config = mobile_config();
+    config.resolver_ttl_ms = bad;
+    ASSERT_NE(rejection(SimArchitecture::kNameResolution, config)
+                  .find("resolver_ttl_ms"),
+              std::string::npos)
+        << bad;
+  }
 }
 
 TEST(SimSessionTest, StationaryDeviceFullDelivery) {
