@@ -185,11 +185,20 @@ int main(int argc, char** argv) {
   harness.result("bytes_per_visit",
                  static_cast<double>(bytes) /
                      static_cast<double>(set.visit_count()));
+  // The footer CRCs folded in shard order pin every shard byte: an
+  // encoder change that moves one byte moves this key.
+  std::uint64_t crc_fold = 1469598103934665603ULL;
+  for (const trace::ShardInfo& shard : set.shards()) {
+    crc_fold = mix(crc_fold, trace::shard_footer_crc(shard.path));
+  }
+  harness.result("shard_crc_fold", static_cast<double>(crc_fold >> 32));
 
   // Per-user trace replay: the figs 6-9 consumption pattern, batched.
   harness.phase("replay_traces");
   {
     const auto start = std::chrono::steady_clock::now();
+    const std::uint64_t bytes_read_before =
+        obs::metric::trace_bytes_read().value();
     trace::DeviceTraceStream stream(set);
     std::uint64_t digest = 1469598103934665603ULL;
     std::uint64_t visits = 0;
@@ -208,6 +217,13 @@ int main(int argc, char** argv) {
     harness.result("trace_replay_visits_per_sec",
                    static_cast<double>(visits) / elapsed);
     harness.result("trace_replay_digest", static_cast<double>(digest >> 32));
+    // Read volume of the per-user replay (the registry records it when
+    // --json or --csv is given): the user-block bytes behind each visit.
+    harness.result("trace_bytes_read_per_visit",
+                   static_cast<double>(
+                       obs::metric::trace_bytes_read().value() -
+                       bytes_read_before) /
+                       static_cast<double>(visits));
     std::cout << "replay_traces: " << visits << " visits in "
               << stats::fmt(elapsed, 1) << " s ("
               << stats::fmt(static_cast<double>(visits) / elapsed / 1e6, 2)

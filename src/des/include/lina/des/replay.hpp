@@ -6,12 +6,15 @@
 // per-batch digests fold commutatively, so the combined digest is
 // invariant across batch size, shard count, and thread count.
 //
-// Parallelism is across batches, not inside them: the calling thread
-// decodes batches and builds their models in stream order, then runs a
-// round of up to exec::default_threads() models concurrently, each engine
-// on the one pool thread that runs its batch. Peak memory is one decoded
-// batch on the calling thread plus at most that many compact session
-// models and their engines, no matter how many users the set holds.
+// Parallelism is across batches, not inside them: batch b is one
+// exec::parallel_map task that opens its own trace stream at user
+// b * batch_users (skipping whole shards by their header counts), streams
+// its users one at a time into a PacketModel, drops the stream, and runs
+// the model on its own engine on that pool thread. Per-batch results fold
+// on the caller in batch order. Peak memory is, per pool thread, one
+// shard's user blocks while a batch decodes, then one compact session
+// model and its engine — never a decoded batch, no matter how many users
+// the set holds.
 
 #include <cstdint>
 #include <vector>
@@ -57,8 +60,9 @@ struct PacketReplayStats {
 };
 
 /// Streams every user of `set` through the packet engine. Throws
-/// std::invalid_argument on the calling thread on a config the model or
-/// engine rejects; no batch is still running when it does.
+/// std::invalid_argument on the calling thread on a config the replay
+/// (batch_users == 0), the model or the engine rejects; no batch is still
+/// running when it does.
 [[nodiscard]] PacketReplayStats replay_packets_streamed(
     const sim::ForwardingFabric& fabric, const trace::ShardSet& set,
     const PacketReplayConfig& config);

@@ -1,6 +1,8 @@
 #include "lina/des/replay.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
 
 #include "lina/exec/parallel.hpp"
 #include "lina/obs/metrics.hpp"
@@ -11,31 +13,30 @@ namespace lina::des {
 
 namespace {
 
-/// One batch's session arena. `next_user` carries the global user index
-/// across batches: the digest folds it in, so it must follow stream
-/// order, not the batch-local session slot, for the digest to stay
-/// invariant across batch sizes.
-PacketModel build_batch_model(const sim::ForwardingFabric& fabric,
-                              const std::vector<mobility::DeviceTrace>& batch,
-                              const PacketReplayConfig& config,
-                              std::uint64_t& next_user) {
-  PacketModel model(fabric, config.architecture, config.failures);
-  for (const mobility::DeviceTrace& trace : batch) {
-    SessionParams params;
-    params.digest_id = next_user++;
-    params.correspondent = config.correspondent;
-    params.schedule = trace::session_schedule_from_trace(trace, config.hours);
-    params.duration_ms = config.hours * 1000.0;
-    params.interval_ms = config.interval_ms;
-    params.resolver_ttl_ms = config.resolver_ttl_ms;
-    if (!config.replicas.empty()) {
-      params.resolver_as = config.replicas.front();
-      params.resolver_replicas = config.replicas;
-    }
-    model.add_session(params);
+/// One user's session. `user_index` is the user's global stream position:
+/// the digest folds it in, so it must not be the batch-local session slot,
+/// for the digest to stay invariant across batch sizes.
+SessionParams session_params(const mobility::DeviceTrace& trace,
+                             const PacketReplayConfig& config,
+                             std::uint64_t user_index) {
+  SessionParams params;
+  params.digest_id = user_index;
+  params.correspondent = config.correspondent;
+  params.schedule = trace::session_schedule_from_trace(trace, config.hours);
+  params.duration_ms = config.hours * 1000.0;
+  params.interval_ms = config.interval_ms;
+  params.resolver_ttl_ms = config.resolver_ttl_ms;
+  if (!config.replicas.empty()) {
+    params.resolver_as = config.replicas.front();
+    params.resolver_replicas = config.replicas;
   }
-  return model;
+  return params;
 }
+
+struct BatchRun {
+  std::uint64_t sessions = 0;
+  RunStats run;
+};
 
 void fold(PacketReplayStats& total, std::uint64_t sessions,
           const RunStats& run) {
@@ -61,40 +62,42 @@ PacketReplayStats replay_packets_streamed(
     const sim::ForwardingFabric& fabric, const trace::ShardSet& set,
     const PacketReplayConfig& config) {
   PROF_SPAN("lina.des.replay");
+  if (config.batch_users == 0) {
+    throw std::invalid_argument(
+        "replay_packets_streamed: batch_users must be positive");
+  }
   const ShardMap map = ShardMap::from_topology(
       fabric.internet(), config.engine.shard_count);
-  // Batches are independent, so the parallelism is across them: each
-  // batch runs its own engine on one thread, with no window barriers
-  // between threads.
-  const std::size_t threads = exec::default_threads();
+  const std::size_t users = set.user_count();
+  const std::size_t batches =
+      (users + config.batch_users - 1) / config.batch_users;
 
-  trace::DeviceTraceStream stream(set);
+  // Batches are independent, so the parallelism is across them: each task
+  // decodes its own users, builds its model and runs its engine on one
+  // thread. Users stream into the model one at a time, and the task's
+  // shard reader is gone before its engine runs.
+  const std::vector<BatchRun> runs =
+      exec::parallel_map(batches, [&](std::size_t b) {
+        const std::size_t first = b * config.batch_users;
+        const std::size_t last = std::min(users, first + config.batch_users);
+        PacketModel model(fabric, config.architecture, config.failures);
+        {
+          trace::DeviceTraceStream stream(set, first);
+          for (std::size_t user = first; user < last; ++user) {
+            model.add_session(session_params(stream.next().value(), config,
+                                             user));
+          }
+        }
+        BatchRun batch;
+        batch.sessions = model.session_count();
+        batch.run = config.serial
+                        ? run_serial(model)
+                        : ShardedEngine(model, map, config.engine).run();
+        return batch;
+      });
+
   PacketReplayStats total;
-  std::uint64_t next_user = 0;
-  std::vector<PacketModel> round;
-  while (!stream.done()) {
-    // Decoding stays on the calling thread, one batch at a time: only the
-    // compact models of a round outlive their decoded traces.
-    round.clear();
-    while (round.size() < threads && !stream.done()) {
-      const std::vector<mobility::DeviceTrace> batch =
-          stream.next_batch(config.batch_users);
-      if (batch.empty()) break;
-      round.push_back(build_batch_model(fabric, batch, config, next_user));
-    }
-    if (round.empty()) break;
-    const std::vector<RunStats> runs = exec::parallel_map(
-        round.size(),
-        [&](std::size_t i) {
-          return config.serial
-                     ? run_serial(round[i])
-                     : ShardedEngine(round[i], map, config.engine).run();
-        },
-        threads);
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      fold(total, round[i].session_count(), runs[i]);
-    }
-  }
+  for (const BatchRun& batch : runs) fold(total, batch.sessions, batch.run);
   if (!total.shard_events.empty() && total.events > 0) {
     const std::uint64_t max_events = *std::max_element(
         total.shard_events.begin(), total.shard_events.end());

@@ -51,8 +51,12 @@ class DeviceTrace {
       : user_id_(user_id), day_count_(day_count) {}
 
   /// Appends a visit; must start exactly where the previous one ended
-  /// (contiguous coverage) and have positive duration. Throws otherwise.
+  /// (contiguous coverage) and have a finite start and a finite, positive
+  /// duration. Throws std::invalid_argument otherwise.
   void append(DeviceVisit visit);
+
+  /// Reserves room for `visits` visits (decoders know the count up front).
+  void reserve(std::size_t visits) { visits_.reserve(visits); }
 
   [[nodiscard]] std::uint32_t user_id() const { return user_id_; }
   [[nodiscard]] std::size_t day_count() const { return day_count_; }

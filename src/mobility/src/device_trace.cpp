@@ -13,6 +13,14 @@ constexpr double kEpsilon = 1e-9;
 }
 
 void DeviceTrace::append(DeviceVisit visit) {
+  // NaN passes both the sign and the gap checks below, so finiteness is
+  // checked first: every stored hour is then safe to order and sum.
+  if (!std::isfinite(visit.start_hour))
+    throw std::invalid_argument(
+        "DeviceTrace::append: non-finite start_hour");
+  if (!std::isfinite(visit.duration_hours))
+    throw std::invalid_argument(
+        "DeviceTrace::append: non-finite duration_hours");
   if (visit.duration_hours <= 0.0)
     throw std::invalid_argument("DeviceTrace::append: non-positive duration");
   if (!visits_.empty()) {

@@ -94,11 +94,6 @@ inline constexpr std::size_t kSnapHeaderBytes = 48;
 inline constexpr std::size_t kSectionRecordBytes = 24;
 inline constexpr std::size_t kSnapFooterBytes = 16;
 
-/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) — bit-compatible with
-/// the lina::trace shard checksum.
-[[nodiscard]] std::uint32_t crc32(std::uint32_t crc, const void* data,
-                                  std::size_t size);
-
 // --- byte-level encoding --------------------------------------------------
 
 void put_u8(std::vector<char>& out, std::uint8_t v);

@@ -4,26 +4,6 @@
 
 namespace lina::snap {
 
-std::uint32_t crc32(std::uint32_t crc, const void* data, std::size_t size) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  crc = ~crc;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xffu] ^ (crc >> 8);
-  }
-  return ~crc;
-}
-
 void put_u8(std::vector<char>& out, std::uint8_t v) {
   out.push_back(static_cast<char>(v));
 }

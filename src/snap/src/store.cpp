@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "lina/names/interner.hpp"
+#include "lina/net/crc32.hpp"
 #include "lina/obs/metrics.hpp"
 #include "lina/prof/prof.hpp"
 #include "lina/snap/io.hpp"
@@ -53,7 +54,7 @@ Image build_image(
     rec.id = id;
     rec.offset = offset;
     rec.bytes = payload.size();
-    rec.crc = crc32(0, payload.data(), payload.size());
+    rec.crc = net::crc32(0, payload.data(), payload.size());
     image.records.push_back(rec);
     offset += payload.size();
   }
@@ -66,11 +67,11 @@ Image build_image(
     put_u64(out, rec.bytes);
     put_u32(out, rec.crc);
   }
-  put_u32(out, crc32(0, out.data(), out.size()));
+  put_u32(out, net::crc32(0, out.data(), out.size()));
   for (const auto& [id, payload] : sections) {
     out.insert(out.end(), payload.begin(), payload.end());
   }
-  const std::uint32_t file_crc = crc32(0, out.data(), out.size());
+  const std::uint32_t file_crc = net::crc32(0, out.data(), out.size());
   out.insert(out.end(), kSnapFooterMagic.begin(), kSnapFooterMagic.end());
   put_u32(out, file_crc);
   put_u64(out, out.size() + 8);  // total size once the u64 itself lands
@@ -123,7 +124,7 @@ Parsed parse_snapshot(const MappedFile& file, const std::string& ctx) {
     rec.crc = toc.u32();
     parsed.sections.push_back(rec);
   }
-  if (crc32(0, data, toc_end) != toc.u32()) {
+  if (net::crc32(0, data, toc_end) != toc.u32()) {
     throw SnapFormatError(ctx + ": section-table CRC mismatch");
   }
 
@@ -136,12 +137,12 @@ Parsed parse_snapshot(const MappedFile& file, const std::string& ctx) {
       throw SnapFormatError(ctx + ": " + name +
                             " extends past the payload area (truncated?)");
     }
-    if (crc32(0, data + rec.offset, rec.bytes) != rec.crc) {
+    if (net::crc32(0, data + rec.offset, rec.bytes) != rec.crc) {
       throw SnapFormatError(ctx + ": " + name +
                             " CRC mismatch (bit rot or torn write)");
     }
   }
-  if (crc32(0, data, payload_end) != file_crc) {
+  if (net::crc32(0, data, payload_end) != file_crc) {
     throw SnapFormatError(ctx + ": whole-file CRC mismatch");
   }
   return parsed;
@@ -467,7 +468,7 @@ std::vector<char> encode_manifest(const Manifest& m) {
     put_u16(out, static_cast<std::uint16_t>(e.kind));
     put_u64(out, e.generation);
   }
-  put_u32(out, crc32(0, out.data(), out.size()));
+  put_u32(out, net::crc32(0, out.data(), out.size()));
   return out;
 }
 
@@ -479,7 +480,7 @@ Manifest decode_manifest(const MappedFile& file, const std::string& ctx) {
   }
   const std::uint64_t body = file.size() - 4;
   ByteCursor crc_cursor(file.data() + body, 4, ctx + " crc");
-  if (crc32(0, file.data(), body) != crc_cursor.u32()) {
+  if (net::crc32(0, file.data(), body) != crc_cursor.u32()) {
     throw SnapFormatError(ctx + ": manifest CRC mismatch");
   }
   ByteCursor cursor(file.data(), body, ctx);

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lina/net/ipv4.hpp"
@@ -103,11 +104,6 @@ inline bool event_precedes(const TraceEvent& a, const TraceEvent& b) {
 
 // --- primitive encoding ---------------------------------------------------
 
-/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), the checksum of the
-/// shard footer.
-[[nodiscard]] std::uint32_t crc32(std::uint32_t crc, const void* data,
-                                  std::size_t size);
-
 inline constexpr std::uint64_t zigzag_encode(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
          static_cast<std::uint64_t>(v >> 63);
@@ -118,41 +114,102 @@ inline constexpr std::int64_t zigzag_decode(std::uint64_t v) {
          -static_cast<std::int64_t>(v & 1);
 }
 
-/// Append helpers for the writer's in-memory shard image.
-void put_u8(std::vector<char>& out, std::uint8_t v);
-void put_u16(std::vector<char>& out, std::uint16_t v);
-void put_u32(std::vector<char>& out, std::uint32_t v);
-void put_u64(std::vector<char>& out, std::uint64_t v);
-void put_f64(std::vector<char>& out, double v);
+/// Raw little-endian encoders: write at `out`, return the end. The
+/// caller guarantees the room (8 bytes for u64, 10 for a varint).
+inline char* encode_u64(char* out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) *out++ = static_cast<char>(v >> (8 * i));
+  return out;
+}
+
 /// LEB128 (7 bits per byte, most-significant-bit continuation).
-void put_varint(std::vector<char>& out, std::uint64_t v);
+inline char* encode_varint(char* out, std::uint64_t v) {
+  while (v >= 0x80) {
+    *out++ = static_cast<char>(static_cast<std::uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  *out++ = static_cast<char>(v);
+  return out;
+}
+
+/// Appending forms of the encoders for the writer's growable buffers;
+/// inline, because the writer calls them several times per visit.
+inline void put_u8(std::vector<char>& out, std::uint8_t v) {
+  out.push_back(static_cast<char>(v));
+}
+
+inline void put_u16(std::vector<char>& out, std::uint16_t v) {
+  const char bytes[2] = {static_cast<char>(v), static_cast<char>(v >> 8)};
+  out.insert(out.end(), bytes, bytes + 2);
+}
+
+inline void put_u32(std::vector<char>& out, std::uint32_t v) {
+  char bytes[8];
+  encode_u64(bytes, v);
+  out.insert(out.end(), bytes, bytes + 4);
+}
+
+inline void put_u64(std::vector<char>& out, std::uint64_t v) {
+  char bytes[8];
+  out.insert(out.end(), bytes, encode_u64(bytes, v));
+}
+
+inline void put_f64(std::vector<char>& out, double v) {
+  put_u64(out, std::bit_cast<std::uint64_t>(v));
+}
+
+inline void put_varint(std::vector<char>& out, std::uint64_t v) {
+  char bytes[10];
+  out.insert(out.end(), bytes, encode_varint(bytes, v));
+}
 
 /// Bounded sequential decoder over a byte range; every read is
 /// bounds-checked and overruns throw TraceFormatError naming `context`.
+/// The hot reads (u8, u64/f64, a one-byte varint) are inline. `context`
+/// is viewed, not copied, so a cursor costs no allocation: the string it
+/// names must outlive the cursor.
 class ByteCursor {
  public:
-  ByteCursor(const char* data, std::size_t size, std::string context)
-      : data_(data), size_(size), context_(std::move(context)) {}
+  ByteCursor(const char* data, std::size_t size, std::string_view context)
+      : data_(data), size_(size), context_(context) {}
 
   [[nodiscard]] std::size_t offset() const { return offset_; }
   [[nodiscard]] std::size_t remaining() const { return size_ - offset_; }
   [[nodiscard]] bool done() const { return offset_ == size_; }
 
-  std::uint8_t u8();
+  std::uint8_t u8() {
+    if (offset_ == size_) overrun("u8");
+    return static_cast<std::uint8_t>(data_[offset_++]);
+  }
   std::uint16_t u16();
   std::uint32_t u32();
-  std::uint64_t u64();
-  double f64();
-  std::uint64_t varint();
+  std::uint64_t u64() {
+    if (remaining() < 8) overrun("u64");
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<std::uint64_t>(
+               static_cast<std::uint8_t>(data_[offset_ + i]))
+           << (8 * i);
+    }
+    offset_ += 8;
+    return v;
+  }
+  double f64() { return std::bit_cast<double>(u64()); }
+  std::uint64_t varint() {
+    if (offset_ < size_ && (data_[offset_] & 0x80) == 0) {
+      return static_cast<std::uint8_t>(data_[offset_++]);
+    }
+    return varint_multibyte();
+  }
   void bytes(void* into, std::size_t n);
 
  private:
   [[noreturn]] void overrun(const char* what) const;
+  std::uint64_t varint_multibyte();
 
   const char* data_;
   std::size_t size_;
   std::size_t offset_ = 0;
-  std::string context_;
+  std::string_view context_;
 };
 
 /// Serializes the header into exactly kHeaderBytes.

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "lina/mobility/device_trace.hpp"
@@ -29,6 +30,11 @@ enum class Validate : std::uint8_t {
 /// version/endianness mismatch, truncation, size bookkeeping, CRC).
 [[nodiscard]] ShardHeader validate_shard(const std::filesystem::path& path,
                                          Validate mode = Validate::kCrc);
+
+/// The CRC32 a shard's footer stores (over every byte before the footer).
+/// Checks the footer magic and size bookkeeping, not the CRC itself.
+[[nodiscard]] std::uint32_t shard_footer_crc(
+    const std::filesystem::path& path);
 
 /// A complete trace set: every `*.ltrc` shard of a directory, sorted by
 /// shard index and validated as one consistent set (same seed, day count
@@ -60,17 +66,25 @@ class TraceReader {
  public:
   explicit TraceReader(const ShardInfo& shard);
 
+  // cursor_ views image_ and name_, so a reader stays where it was built.
+  TraceReader(const TraceReader&) = delete;
+  TraceReader& operator=(const TraceReader&) = delete;
+
   [[nodiscard]] const ShardHeader& header() const { return shard_.header; }
 
   /// The next user's trace, or nullopt when the shard is exhausted (after
   /// which the user-block section must be fully consumed — leftover bytes
-  /// are a format error).
+  /// are a format error). A non-finite or non-positive duration, a
+  /// non-finite start hour or broken coverage is a TraceFormatError
+  /// naming the shard and the user.
   [[nodiscard]] std::optional<mobility::DeviceTrace> next();
 
  private:
   ShardInfo shard_;
+  std::string name_;  // shard path, the context of every error
   std::vector<char> image_;
-  std::unique_ptr<ByteCursor> cursor_;  // over the user-block section
+  ByteCursor cursor_;  // over the user-block section
+  std::vector<mobility::DeviceVisit> scratch_;  // one user's decoded columns
   std::uint32_t decoded_ = 0;
 };
 
@@ -84,20 +98,22 @@ class EventReader {
 
   [[nodiscard]] const ShardHeader& header() const { return shard_.header; }
 
-  /// Decodes the next event into `out`; false when exhausted.
+  /// Decodes the next event into `out`; false when exhausted. A
+  /// non-finite hour is a TraceFormatError naming the shard and the user.
   [[nodiscard]] bool next(TraceEvent& out);
 
  private:
   void refill();
 
   ShardInfo shard_;
+  std::string name_;  // shard path, the context of every error
   std::ifstream file_;
   std::vector<char> buffer_;
   std::size_t buffer_pos_ = 0;   // consumed bytes of buffer_
   std::size_t buffer_len_ = 0;   // valid bytes in buffer_
   std::uint64_t section_left_;   // unread bytes of the event section
   std::uint64_t decoded_ = 0;
-  std::int64_t previous_user_ = 0;
+  std::uint64_t previous_user_ = 0;  // delta base, modulo 2^64
 };
 
 }  // namespace lina::trace

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "lina/mobility/device_workload.hpp"
@@ -11,9 +13,10 @@
 namespace lina::trace {
 
 /// Knobs of the generate-to-shards pipeline. users_per_shard is the
-/// memory-vs-parallelism dial: each in-flight shard stages its image and
-/// event buffer in RAM (a few tens of MB at the default), and shards fan
-/// out across the lina::exec pool, so peak memory is threads × one shard.
+/// memory-vs-parallelism dial: each in-flight shard holds its encoded
+/// user blocks and its event records in RAM (TraceWriter; a few tens of
+/// MB at the default), and shards fan out across the lina::exec pool, so
+/// peak memory is threads × one shard's writer state.
 struct StreamingWorkloadConfig {
   std::size_t users_per_shard = 8192;
   /// Re-validate every shard (full CRC scan) right after writing.
@@ -47,12 +50,22 @@ class StreamingWorkload {
 };
 
 /// Batched, bounded-memory replay of a trace set in ascending user-id
-/// order: at most one decoded shard plus one decoded batch is resident.
-/// Feeding batches to the core accumulators in this order reproduces the
+/// order: at most one shard's user blocks (the stream's TraceReader) plus
+/// what the caller keeps of the decoded users are resident. Feeding
+/// batches to the core accumulators in this order reproduces the
 /// in-memory evaluators bit-for-bit.
 class DeviceTraceStream {
  public:
   explicit DeviceTraceStream(const ShardSet& set);
+
+  /// A stream that starts at global user index `first_index`. Shards
+  /// wholly before it are skipped by their header user counts, without
+  /// being read; the users of the shard it falls in that precede it are
+  /// decoded and dropped. Past the last user, the stream is empty.
+  DeviceTraceStream(const ShardSet& set, std::size_t first_index);
+
+  /// The next user's trace in user order; nullopt when exhausted.
+  [[nodiscard]] std::optional<mobility::DeviceTrace> next();
 
   /// Up to `max_users` traces, in user order; empty when exhausted.
   [[nodiscard]] std::vector<mobility::DeviceTrace> next_batch(
@@ -68,6 +81,7 @@ class DeviceTraceStream {
   const ShardSet* set_;
   std::size_t shard_ = 0;
   std::unique_ptr<TraceReader> reader_;
+  std::size_t skip_ = 0;  // users to drop when shard_ is opened
   std::size_t next_index_ = 0;
 };
 

@@ -23,12 +23,17 @@ struct ShardMeta {
 /// user ids must lie in [first_user, first_user + user_count), and exactly
 /// user_count traces must be appended before finish().
 ///
-/// The shard is staged in memory — user blocks stream into the image as
-/// they arrive; the event section is buffered so it can be sorted by
-/// (hour, user) — then written in one buffered sequential pass with the
-/// CRC32 footer. Peak memory is therefore one shard, which is what bounds
-/// the out-of-core pipeline: pick users_per_shard to fit your budget
-/// (StreamingWorkload's default keeps a shard in the tens of megabytes).
+/// User blocks are encoded into memory as they arrive; attachment events
+/// are buffered as 32-byte TraceEvent records so finish() can order them
+/// by (hour, user) — a counting pass into 1/64-hour buckets plus a small
+/// sort per bucket, linear in the event count. finish() then streams the
+/// header, the user blocks and the event section (encoded 64 KiB at a
+/// time) straight to the file, folding the footer CRC32 over them on the
+/// way; no staging copy of the shard is built. Peak memory per in-flight
+/// shard is therefore its encoded user blocks plus two event-record
+/// arrays during the sort (~38 MB for 2048 users × 30 days): pick
+/// users_per_shard to fit your budget (StreamingWorkload's default keeps
+/// a shard in the tens of megabytes).
 class TraceWriter {
  public:
   struct Totals {
@@ -46,7 +51,7 @@ class TraceWriter {
   /// Encodes one user's trace (its day_count must match the shard's).
   void append(const mobility::DeviceTrace& trace);
 
-  /// Sorts the event section, writes the file, and returns byte/record
+  /// Orders the event section, writes the file, and returns byte/record
   /// totals. Throws TraceFormatError on I/O failure; the partial file is
   /// removed so a crashed write never leaves a truncated shard behind.
   Totals finish();

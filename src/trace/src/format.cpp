@@ -2,74 +2,9 @@
 
 namespace lina::trace {
 
-namespace {
-
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t n = 0; n < 256; ++n) {
-    std::uint32_t c = n;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[n] = c;
-  }
-  return table;
-}
-
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
-
-}  // namespace
-
-std::uint32_t crc32(std::uint32_t crc, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  crc ^= 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = kCrcTable[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-void put_u8(std::vector<char>& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u16(std::vector<char>& out, std::uint16_t v) {
-  put_u8(out, static_cast<std::uint8_t>(v & 0xFF));
-  put_u8(out, static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<char>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<char>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_f64(std::vector<char>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_varint(std::vector<char>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    put_u8(out, static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  put_u8(out, static_cast<std::uint8_t>(v));
-}
-
 void ByteCursor::overrun(const char* what) const {
-  throw TraceFormatError(context_ + ": truncated while reading " + what +
-                         " at offset " + std::to_string(offset_));
-}
-
-std::uint8_t ByteCursor::u8() {
-  if (remaining() < 1) overrun("u8");
-  return static_cast<std::uint8_t>(data_[offset_++]);
+  throw TraceFormatError(std::string(context_) + ": truncated while reading " +
+                         what + " at offset " + std::to_string(offset_));
 }
 
 std::uint16_t ByteCursor::u16() {
@@ -95,28 +30,19 @@ std::uint32_t ByteCursor::u32() {
   return v;
 }
 
-std::uint64_t ByteCursor::u64() {
-  if (remaining() < 8) overrun("u64");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(
-             static_cast<std::uint8_t>(data_[offset_ + i]))
-         << (8 * i);
-  }
-  offset_ += 8;
-  return v;
-}
-
-double ByteCursor::f64() { return std::bit_cast<double>(u64()); }
-
-std::uint64_t ByteCursor::varint() {
+std::uint64_t ByteCursor::varint_multibyte() {
+  // A varint is at most 10 bytes: with that many left, no byte needs its
+  // own bounds check.
+  const bool checked = remaining() < 10;
   std::uint64_t v = 0;
   for (unsigned shift = 0; shift < 64; shift += 7) {
-    const std::uint8_t byte = u8();
+    if (checked && offset_ == size_) overrun("varint");
+    const auto byte = static_cast<std::uint8_t>(data_[offset_++]);
     v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) return v;
   }
-  throw TraceFormatError(context_ + ": varint longer than 64 bits at offset " +
+  throw TraceFormatError(std::string(context_) +
+                         ": varint longer than 64 bits at offset " +
                          std::to_string(offset_));
 }
 

@@ -1,8 +1,10 @@
 #include "lina/trace/reader.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
+#include "lina/net/crc32.hpp"
 #include "lina/obs/metrics.hpp"
 
 namespace lina::trace {
@@ -29,7 +31,8 @@ struct Footer {
 
 Footer decode_footer(const std::filesystem::path& path,
                      const char* data, std::uint64_t file_size) {
-  ByteCursor cursor(data, kFooterBytes, path.string());
+  const std::string name = path.string();
+  ByteCursor cursor(data, kFooterBytes, name);
   std::array<char, 4> magic{};
   cursor.bytes(magic.data(), magic.size());
   if (magic != kFooterMagic) {
@@ -84,7 +87,7 @@ ShardHeader validate_shard(const std::filesystem::path& path, Validate mode) {
       if (!file.read(chunk.data(), static_cast<std::streamsize>(n))) {
         throw TraceFormatError(path.string() + ": read failed during CRC");
       }
-      crc = crc32(crc, chunk.data(), n);
+      crc = net::crc32(crc, chunk.data(), n);
       left -= n;
     }
     if (crc != footer.crc) {
@@ -94,6 +97,23 @@ ShardHeader validate_shard(const std::filesystem::path& path, Validate mode) {
     }
   }
   return header;
+}
+
+std::uint32_t shard_footer_crc(const std::filesystem::path& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) {
+    throw TraceFormatError(path.string() + ": cannot open shard");
+  }
+  file.seekg(0, std::ios::end);
+  const auto file_size = static_cast<std::uint64_t>(file.tellg());
+  if (file_size < kFooterBytes) {
+    throw TraceFormatError(path.string() + ": file of " +
+                           std::to_string(file_size) +
+                           " bytes is shorter than a footer");
+  }
+  std::vector<char> bytes;
+  read_range(path, file, file_size - kFooterBytes, file_size, bytes);
+  return decode_footer(path, bytes.data(), file_size).crc;
 }
 
 ShardSet ShardSet::discover(const std::filesystem::path& dir, Validate mode) {
@@ -170,48 +190,58 @@ std::uint32_t ShardSet::day_count() const {
   return shards_.front().header.day_count;
 }
 
-TraceReader::TraceReader(const ShardInfo& shard) : shard_(shard) {
+TraceReader::TraceReader(const ShardInfo& shard)
+    : shard_(shard), name_(shard.path.string()), cursor_(nullptr, 0, name_) {
   std::ifstream file(shard_.path, std::ios::binary);
   if (!file) {
-    throw TraceFormatError(shard_.path.string() + ": cannot open shard");
+    throw TraceFormatError(name_ + ": cannot open shard");
   }
   read_range(shard_.path, file, kHeaderBytes, shard_.header.events_offset,
              image_);
-  cursor_ = std::make_unique<ByteCursor>(image_.data(), image_.size(),
-                                         shard_.path.string());
+  cursor_ = ByteCursor(image_.data(), image_.size(), name_);
   obs::metric::trace_shards_read().add(1);
   obs::metric::trace_bytes_read().add(image_.size());
 }
 
 std::optional<mobility::DeviceTrace> TraceReader::next() {
   if (decoded_ == shard_.header.user_count) {
-    if (!cursor_->done()) {
-      throw TraceFormatError(shard_.path.string() + ": " +
-                             std::to_string(cursor_->remaining()) +
+    if (!cursor_.done()) {
+      throw TraceFormatError(name_ + ": " +
+                             std::to_string(cursor_.remaining()) +
                              " stray bytes after the last user block");
     }
     return std::nullopt;
   }
-  const auto user_id = static_cast<std::uint32_t>(cursor_->varint());
+  const auto user_id = static_cast<std::uint32_t>(cursor_.varint());
   const std::uint32_t expected = shard_.header.first_user + decoded_;
   if (user_id != expected) {
-    throw TraceFormatError(shard_.path.string() + ": user block holds id " +
+    throw TraceFormatError(name_ + ": user block holds id " +
                            std::to_string(user_id) + ", expected " +
                            std::to_string(expected));
   }
-  const std::uint64_t visit_count = cursor_->varint();
+  const auto bad_visit = [&](const std::string& what) {
+    return TraceFormatError(name_ + ": " + what + " for user " +
+                            std::to_string(user_id));
+  };
+  const std::uint64_t visit_count = cursor_.varint();
   if (visit_count == 0 || visit_count > shard_.header.visit_count) {
-    throw TraceFormatError(shard_.path.string() + ": implausible visit count " +
-                           std::to_string(visit_count) + " for user " +
-                           std::to_string(user_id));
+    throw bad_visit("implausible visit count " + std::to_string(visit_count));
   }
-  const std::uint8_t flags = cursor_->u8();
+  const std::uint8_t flags = cursor_.u8();
 
-  std::vector<mobility::DeviceVisit> visits(visit_count);
-  double start = cursor_->f64();
-  for (auto& v : visits) v.duration_hours = cursor_->f64();
+  // Columns decode into the reused scratch row, which is then appended to
+  // a trace reserved to size: one allocation per decoded user.
+  std::vector<mobility::DeviceVisit>& visits = scratch_;
+  visits.resize(visit_count);
+  double start = cursor_.f64();
+  for (auto& v : visits) {
+    v.duration_hours = cursor_.f64();
+    if (!std::isfinite(v.duration_hours) || v.duration_hours <= 0.0) {
+      throw bad_visit("non-finite or non-positive duration");
+    }
+  }
   if ((flags & kBlockExplicitStarts) != 0) {
-    for (auto& v : visits) v.start_hour = cursor_->f64();
+    for (auto& v : visits) v.start_hour = cursor_.f64();
   } else {
     // The generator's own accumulation, replayed op-for-op: bit-identical
     // start hours without storing them.
@@ -220,34 +250,43 @@ std::optional<mobility::DeviceTrace> TraceReader::next() {
       start = start + v.duration_hours;
     }
   }
-  std::int64_t address = 0;
+  for (const auto& v : visits) {
+    if (!std::isfinite(v.start_hour)) throw bad_visit("non-finite start hour");
+  }
+  // Deltas accumulate modulo 2^64 so a corrupt varint cannot overflow.
+  std::uint64_t address = 0;
   for (auto& v : visits) {
-    address += zigzag_decode(cursor_->varint());
+    address += static_cast<std::uint64_t>(zigzag_decode(cursor_.varint()));
     v.address = net::Ipv4Address(static_cast<std::uint32_t>(address));
   }
   for (auto& v : visits) {
-    const std::uint8_t length = cursor_->u8();
+    const std::uint8_t length = cursor_.u8();
     if (length > 32) {
-      throw TraceFormatError(shard_.path.string() + ": prefix length " +
-                             std::to_string(length) + " for user " +
-                             std::to_string(user_id));
+      throw bad_visit("prefix length " + std::to_string(length));
     }
     v.prefix = net::Prefix(v.address, length);
   }
-  std::int64_t as = 0;
+  std::uint64_t as = 0;
   for (auto& v : visits) {
-    as += zigzag_decode(cursor_->varint());
+    as += static_cast<std::uint64_t>(zigzag_decode(cursor_.varint()));
     v.as = static_cast<topology::AsId>(as);
   }
   for (std::size_t i = 0; i < visits.size(); i += 8) {
-    const std::uint8_t bits = cursor_->u8();
+    const std::uint8_t bits = cursor_.u8();
     for (std::size_t b = 0; b < 8 && i + b < visits.size(); ++b) {
       visits[i + b].cellular = (bits & (1u << b)) != 0;
     }
   }
 
   mobility::DeviceTrace trace(user_id, shard_.header.day_count);
-  for (mobility::DeviceVisit& v : visits) trace.append(v);
+  trace.reserve(visits.size());
+  try {
+    for (const mobility::DeviceVisit& v : visits) trace.append(v);
+  } catch (const std::invalid_argument& error) {
+    // Finite, positive hours that still break coverage (a gap, a first
+    // visit off hour 0): corrupt explicit starts.
+    throw bad_visit(error.what());
+  }
   ++decoded_;
   obs::metric::trace_visits_read().add(visit_count);
   return trace;
@@ -255,10 +294,11 @@ std::optional<mobility::DeviceTrace> TraceReader::next() {
 
 EventReader::EventReader(const ShardInfo& shard, std::size_t buffer_bytes)
     : shard_(shard),
+      name_(shard.path.string()),
       file_(shard.path, std::ios::binary),
       buffer_(std::max<std::size_t>(buffer_bytes, 256)) {
   if (!file_) {
-    throw TraceFormatError(shard_.path.string() + ": cannot open shard");
+    throw TraceFormatError(name_ + ": cannot open shard");
   }
   file_.seekg(0, std::ios::end);
   const auto file_size = static_cast<std::uint64_t>(file_.tellg());
@@ -276,8 +316,7 @@ void EventReader::refill() {
   if (want == 0) return;
   if (!file_.read(buffer_.data() + buffer_len_,
                   static_cast<std::streamsize>(want))) {
-    throw TraceFormatError(shard_.path.string() +
-                           ": read failed in event section");
+    throw TraceFormatError(name_ + ": read failed in event section");
   }
   buffer_len_ += want;
   section_left_ -= want;
@@ -290,17 +329,20 @@ bool EventReader::next(TraceEvent& out) {
   // record in the window so varints never straddle a buffer boundary.
   if (buffer_len_ - buffer_pos_ < 32 && section_left_ > 0) refill();
   ByteCursor cursor(buffer_.data() + buffer_pos_, buffer_len_ - buffer_pos_,
-                    shard_.path.string());
+                    name_);
   out.hour = cursor.f64();
-  previous_user_ += zigzag_decode(cursor.varint());
+  previous_user_ += static_cast<std::uint64_t>(zigzag_decode(cursor.varint()));
   out.user = static_cast<std::uint32_t>(previous_user_);
+  if (!std::isfinite(out.hour)) {
+    throw TraceFormatError(name_ + ": non-finite event hour for user " +
+                           std::to_string(out.user));
+  }
   out.address =
       net::Ipv4Address(static_cast<std::uint32_t>(cursor.varint()));
   const std::uint8_t length = cursor.u8();
   if (length > 32) {
-    throw TraceFormatError(shard_.path.string() +
-                           ": prefix length " + std::to_string(length) +
-                           " in event section");
+    throw TraceFormatError(name_ + ": prefix length " +
+                           std::to_string(length) + " in event section");
   }
   out.prefix = net::Prefix(out.address, length);
   out.as = static_cast<topology::AsId>(cursor.varint());

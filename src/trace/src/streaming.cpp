@@ -63,8 +63,38 @@ ShardSet StreamingWorkload::write_shards(
 
 DeviceTraceStream::DeviceTraceStream(const ShardSet& set) : set_(&set) {}
 
+DeviceTraceStream::DeviceTraceStream(const ShardSet& set,
+                                     std::size_t first_index)
+    : set_(&set), next_index_(first_index) {
+  std::size_t shard_first = 0;
+  while (shard_ < set.shards().size() &&
+         shard_first + set.shards()[shard_].header.user_count <=
+             first_index) {
+    shard_first += set.shards()[shard_].header.user_count;
+    ++shard_;
+  }
+  if (shard_ < set.shards().size()) skip_ = first_index - shard_first;
+}
+
 bool DeviceTraceStream::done() const {
   return reader_ == nullptr && shard_ == set_->shards().size();
+}
+
+std::optional<mobility::DeviceTrace> DeviceTraceStream::next() {
+  while (true) {
+    if (reader_ == nullptr) {
+      if (shard_ == set_->shards().size()) return std::nullopt;
+      reader_ = std::make_unique<TraceReader>(set_->shards()[shard_]);
+      for (; skip_ > 0; --skip_) (void)reader_->next();
+    }
+    std::optional<mobility::DeviceTrace> trace = reader_->next();
+    if (trace.has_value()) {
+      ++next_index_;
+      return trace;
+    }
+    reader_.reset();
+    ++shard_;
+  }
 }
 
 std::vector<mobility::DeviceTrace> DeviceTraceStream::next_batch(
@@ -72,18 +102,9 @@ std::vector<mobility::DeviceTrace> DeviceTraceStream::next_batch(
   std::vector<mobility::DeviceTrace> batch;
   batch.reserve(max_users);
   while (batch.size() < max_users) {
-    if (reader_ == nullptr) {
-      if (shard_ == set_->shards().size()) break;
-      reader_ = std::make_unique<TraceReader>(set_->shards()[shard_]);
-    }
-    std::optional<mobility::DeviceTrace> trace = reader_->next();
-    if (!trace.has_value()) {
-      reader_.reset();
-      ++shard_;
-      continue;
-    }
+    std::optional<mobility::DeviceTrace> trace = next();
+    if (!trace.has_value()) break;
     batch.push_back(std::move(*trace));
-    ++next_index_;
   }
   return batch;
 }

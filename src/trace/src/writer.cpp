@@ -1,8 +1,10 @@
 #include "lina/trace/writer.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 
+#include "lina/net/crc32.hpp"
 #include "lina/obs/metrics.hpp"
 
 namespace lina::trace {
@@ -109,6 +111,76 @@ void TraceWriter::append(const mobility::DeviceTrace& trace) {
   ++next_user_;
 }
 
+namespace {
+
+/// Event-section bytes encoded between two writes (and CRC updates).
+constexpr std::size_t kEventChunkBytes = 64 * 1024;
+/// Largest encoded event: f64 hour, three 5-byte varints, two u8s.
+constexpr std::size_t kMaxEventBytes = 25;
+
+/// Sort buckets per trace hour. floor(hour * 64) is monotone in the hour
+/// (scaling by a power of two is exact), so bucket order refines to
+/// (hour, user) order, and a 56 s bucket holds ~10 events of a 2048-user
+/// shard: small enough that the per-bucket sort is an insertion sort.
+constexpr std::uint64_t kBucketsPerHour = 64;
+
+/// The bucket of an event hour, clamped into [0, buckets): hours before 0
+/// go to the first bucket, hours past the last day to the last one.
+std::size_t hour_bucket(double hour, std::size_t buckets) {
+  if (!(hour >= 0.0)) return 0;
+  const double scaled = std::floor(hour * kBucketsPerHour);
+  if (scaled >= static_cast<double>(buckets - 1)) return buckets - 1;
+  return static_cast<std::size_t>(scaled);
+}
+
+/// Sorts events by event_precedes in time linear in their count for
+/// trace-shaped input: a counting pass scatters them into hour buckets,
+/// then each bucket is sorted on its own.
+void sort_events(std::vector<TraceEvent>& events, std::uint32_t day_count) {
+  const std::size_t buckets =
+      std::max<std::uint64_t>(1, std::uint64_t{day_count} * 24 *
+                                     kBucketsPerHour);
+  // end[b] counts bucket b's events, becomes its start after the prefix
+  // sum, and its end after the scatter.
+  std::vector<std::size_t> end(buckets, 0);
+  for (const TraceEvent& e : events) ++end[hour_bucket(e.hour, buckets)];
+  std::size_t start = 0;
+  for (std::size_t& slot : end) {
+    const std::size_t count = slot;
+    slot = start;
+    start += count;
+  }
+  std::vector<TraceEvent> sorted(events.size());
+  for (const TraceEvent& e : events) {
+    sorted[end[hour_bucket(e.hour, buckets)]++] = e;
+  }
+  events.swap(sorted);
+  std::size_t begin = 0;
+  for (const std::size_t bucket_end : end) {
+    std::sort(events.begin() + static_cast<std::ptrdiff_t>(begin),
+              events.begin() + static_cast<std::ptrdiff_t>(bucket_end),
+              event_precedes);
+    begin = bucket_end;
+  }
+}
+
+/// Encodes one event record at `out` (kMaxEventBytes of room) and
+/// returns its end.
+char* encode_event(char* out, const TraceEvent& e,
+                   std::int64_t& previous_user) {
+  out = encode_u64(out, std::bit_cast<std::uint64_t>(e.hour));
+  out = encode_varint(out, zigzag_encode(static_cast<std::int64_t>(e.user) -
+                                         previous_user));
+  previous_user = static_cast<std::int64_t>(e.user);
+  out = encode_varint(out, e.address.value());
+  *out++ = static_cast<char>(e.prefix.length());
+  out = encode_varint(out, e.as);
+  *out++ = static_cast<char>((e.cellular ? 0x01 : 0) | (e.initial ? 0x02 : 0));
+  return out;
+}
+
+}  // namespace
+
 TraceWriter::Totals TraceWriter::finish() {
   if (finished_) {
     throw std::logic_error("TraceWriter::finish called twice");
@@ -122,22 +194,7 @@ TraceWriter::Totals TraceWriter::finish() {
 
   // The merged stream's total order; ties are impossible (strictly
   // increasing start hours per user, one user id per trace).
-  std::sort(events_.begin(), events_.end(), event_precedes);
-
-  std::vector<char> event_bytes;
-  event_bytes.reserve(events_.size() * 18);
-  std::int64_t previous_user = 0;
-  for (const TraceEvent& e : events_) {
-    put_f64(event_bytes, e.hour);
-    put_varint(event_bytes, zigzag_encode(static_cast<std::int64_t>(e.user) -
-                                          previous_user));
-    previous_user = static_cast<std::int64_t>(e.user);
-    put_varint(event_bytes, e.address.value());
-    put_u8(event_bytes, static_cast<std::uint8_t>(e.prefix.length()));
-    put_varint(event_bytes, e.as);
-    put_u8(event_bytes, static_cast<std::uint8_t>((e.cellular ? 0x01 : 0) |
-                                                  (e.initial ? 0x02 : 0)));
-  }
+  sort_events(events_, meta_.day_count);
 
   ShardHeader header;
   header.seed = meta_.seed;
@@ -150,33 +207,55 @@ TraceWriter::Totals TraceWriter::finish() {
   header.event_count = events_.size();
   header.events_offset = kHeaderBytes + blocks_.size();
 
-  std::vector<char> image;
-  image.reserve(kHeaderBytes + blocks_.size() + event_bytes.size() +
-                kFooterBytes);
-  encode_header(image, header);
-  image.insert(image.end(), blocks_.begin(), blocks_.end());
-  image.insert(image.end(), event_bytes.begin(), event_bytes.end());
-  const std::uint32_t crc = crc32(0, image.data(), image.size());
-  image.insert(image.end(), kFooterMagic.begin(), kFooterMagic.end());
-  put_u32(image, crc);
-  put_u64(image, image.size() + 8);  // total file size, footer included
+  // The sections stream straight to the file while the footer CRC folds
+  // over them in order, so the writer never holds an encoded copy of the
+  // whole shard.
+  std::ofstream out(file_, std::ios::binary | std::ios::trunc);
+  std::uint32_t crc = 0;
+  std::uint64_t bytes = 0;
+  const auto fail = [&] {
+    out.close();
+    std::error_code ec;
+    std::filesystem::remove(file_, ec);
+    throw TraceFormatError(file_.string() + ": shard write failed");
+  };
+  const auto write = [&](const char* data, std::size_t size) {
+    if (!out.write(data, static_cast<std::streamsize>(size))) fail();
+    bytes += size;
+  };
+  const auto write_checksummed = [&](const char* data, std::size_t size) {
+    crc = net::crc32(crc, data, size);
+    write(data, size);
+  };
 
-  {
-    std::ofstream out(file_, std::ios::binary | std::ios::trunc);
-    if (!out || !out.write(image.data(),
-                           static_cast<std::streamsize>(image.size()))) {
-      std::error_code ec;
-      std::filesystem::remove(file_, ec);
-      throw TraceFormatError(file_.string() + ": shard write failed");
+  std::vector<char> head;
+  encode_header(head, header);
+  write_checksummed(head.data(), head.size());
+  write_checksummed(blocks_.data(), blocks_.size());
+  std::vector<char> chunk(kEventChunkBytes + kMaxEventBytes);
+  char* end = chunk.data();
+  std::int64_t previous_user = 0;
+  for (const TraceEvent& e : events_) {
+    end = encode_event(end, e, previous_user);
+    if (end >= chunk.data() + kEventChunkBytes) {
+      write_checksummed(chunk.data(),
+                        static_cast<std::size_t>(end - chunk.data()));
+      end = chunk.data();
     }
   }
+  write_checksummed(chunk.data(), static_cast<std::size_t>(end - chunk.data()));
+  std::vector<char> footer(kFooterMagic.begin(), kFooterMagic.end());
+  put_u32(footer, crc);
+  put_u64(footer, bytes + kFooterBytes);  // total file size, footer included
+  write(footer.data(), footer.size());
+  if (!out.flush()) fail();
   finished_ = true;
 
   obs::metric::trace_shards_written().add(1);
-  obs::metric::trace_bytes_written().add(image.size());
+  obs::metric::trace_bytes_written().add(bytes);
   obs::metric::trace_visits_written().add(visit_count_);
   obs::metric::trace_events_written().add(events_.size());
-  return Totals{image.size(), visit_count_, events_.size()};
+  return Totals{bytes, visit_count_, events_.size()};
 }
 
 }  // namespace lina::trace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 namespace lina::mobility {
 namespace {
 
@@ -43,6 +46,49 @@ TEST(DeviceTraceTest, AppendRejectsBadFirstVisit) {
                std::invalid_argument);
   EXPECT_THROW(trace.append(visit(0.0, 0.0, "1.0.0.1", "1.0.0.0/16", 1)),
                std::invalid_argument);
+}
+
+/// The message of the std::invalid_argument `append` throws, or "" when
+/// it throws nothing.
+std::string append_error(DeviceTrace& trace, const DeviceVisit& v) {
+  try {
+    trace.append(v);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(DeviceTraceTest, AppendRejectsNonFiniteStart) {
+  // NaN fails no ordered comparison, so without the finiteness check it
+  // would pass the gap test and reach the shard writer's sort.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  DeviceTrace trace(1, 1);
+  for (const double start : {nan, inf}) {
+    EXPECT_NE(append_error(trace, visit(start, 1.0, "1.0.0.1", "1.0.0.0/16",
+                                        1))
+                  .find("start_hour"),
+              std::string::npos);
+  }
+  trace.append(visit(0.0, 5.0, "1.0.0.1", "1.0.0.0/16", 1));
+  EXPECT_NE(append_error(trace, visit(nan, 1.0, "1.0.0.2", "1.0.0.0/16", 1))
+                .find("start_hour"),
+            std::string::npos);
+  EXPECT_EQ(trace.visits().size(), 1u);
+}
+
+TEST(DeviceTraceTest, AppendRejectsNonFiniteDuration) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  DeviceTrace trace(1, 1);
+  for (const double duration : {nan, inf}) {
+    EXPECT_NE(append_error(trace, visit(0.0, duration, "1.0.0.1",
+                                        "1.0.0.0/16", 1))
+                  .find("duration_hours"),
+              std::string::npos);
+  }
+  EXPECT_TRUE(trace.visits().empty());
 }
 
 TEST(DeviceTraceTest, DayStatsCountsDistinctLocations) {

@@ -2,7 +2,9 @@
 // truncated at *every* byte offset and bombarded with random byte flips,
 // and the reader stack (validate_shard, TraceReader, TraceCursor) must
 // always either decode correctly or throw a named TraceFormatError —
-// never crash, never return garbage silently. Runs under the sanitize
+// never crash, never return garbage silently. Without the CRC scan
+// (Validate::kHeader) a flip may decode cleanly, but it still must never
+// surface as another exception type or undefined behaviour. Runs under the sanitize
 // preset via `ctest -L trace`, where any out-of-bounds decode would trip
 // ASan/UBSan rather than luck its way through.
 
@@ -11,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "../support/fixtures.hpp"
@@ -114,6 +117,67 @@ TEST(TraceCorruptionFuzzTest, SeededByteFlipsNeverCrashTheReaders) {
   // Every byte of a shard is covered by the whole-file CRC, so
   // effectively all flips must have been caught by name.
   EXPECT_EQ(detected, static_cast<std::size_t>(kTrials));
+  write_file(path, pristine);
+}
+
+/// Decodes every user and every event of a header-validated set — the
+/// trust level TraceCursor and the packet replay run at, where no CRC
+/// scan stands between a flipped byte and the decoders. Returns the
+/// number of decoded users+events; a detected corruption throws
+/// TraceFormatError.
+std::size_t drain_header_validated(const std::filesystem::path& dir) {
+  const ShardSet set = ShardSet::discover(dir, Validate::kHeader);
+  std::size_t decoded = 0;
+  DeviceTraceStream stream(set);
+  while (stream.next().has_value()) ++decoded;
+  TraceCursor cursor(set, 4 * 1024);
+  TraceEvent event;
+  while (cursor.next(event)) ++decoded;
+  return decoded;
+}
+
+TEST(TraceCorruptionFuzzTest, HeaderValidatedFlipsDecodeOrThrowByName) {
+  TempTraceDir dir("fuzz-header-set");
+  const auto path = write_small_shard(dir);
+  const std::vector<char> pristine = read_file(path);
+  const std::uint64_t events_offset =
+      validate_shard(path, Validate::kHeader).events_offset;
+  ASSERT_GT(drain_header_validated(dir.path()), 0u);
+
+  // Flips land only in the user blocks and the event section: the header
+  // and footer are what kHeader does check.
+  std::mt19937_64 rng(0x5eedf11bULL);
+  std::uniform_int_distribution<std::size_t> pick_offset(
+      kHeaderBytes, pristine.size() - kFooterBytes - 1);
+  std::uniform_int_distribution<int> pick_xor(1, 255);
+
+  std::size_t in_blocks = 0;
+  std::size_t in_events = 0;
+  std::size_t rejected = 0;
+  constexpr int kTrials = 1500;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    std::vector<char> bytes = pristine;
+    const std::size_t offset = pick_offset(rng);
+    bytes[offset] = static_cast<char>(
+        static_cast<unsigned char>(bytes[offset]) ^ pick_xor(rng));
+    if (offset < events_offset) {
+      ++in_blocks;
+    } else {
+      ++in_events;
+    }
+    write_file(path, bytes);
+    try {
+      (void)drain_header_validated(dir.path());
+    } catch (const TraceFormatError&) {
+      ++rejected;
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "flip at offset " << offset
+                    << " escaped as a non-format error: " << error.what();
+    }
+  }
+  EXPECT_GT(in_blocks, 0u);
+  EXPECT_GT(in_events, 0u);
+  EXPECT_GT(rejected, 0u);
   write_file(path, pristine);
 }
 

@@ -6,6 +6,8 @@
 #include <limits>
 #include <vector>
 
+#include "lina/net/crc32.hpp"
+
 namespace lina::trace {
 namespace {
 
@@ -67,9 +69,10 @@ TEST(TraceFormatTest, PrimitivesRoundTripBitExact) {
 
 TEST(TraceFormatTest, Crc32MatchesKnownVector) {
   // The canonical IEEE 802.3 check value.
-  EXPECT_EQ(crc32(0, "123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(net::crc32(0, "123456789", 9), 0xCBF43926u);
   // Incremental == one-shot.
-  const std::uint32_t partial = crc32(crc32(0, "1234", 4), "56789", 5);
+  const std::uint32_t partial =
+      net::crc32(net::crc32(0, "1234", 4), "56789", 5);
   EXPECT_EQ(partial, 0xCBF43926u);
 }
 

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "../support/fixtures.hpp"
 #include "lina/trace/reader.hpp"
@@ -185,6 +189,168 @@ TEST(TraceRoundTripTest, ShardSetDiscoversStreamedWorkload) {
   EXPECT_THROW((void)StreamingWorkload(generator, stream_config)
                    .write_shards(dir.path()),
                TraceFormatError);
+}
+
+/// A hand-built two-day, two-user shard whose first user block has a
+/// known layout: varint user 0, varint 3 visits, flags, then the f64
+/// first start at kFirstStart and three f64 durations from kFirstDuration.
+constexpr std::size_t kFirstStart = kHeaderBytes + 3;
+constexpr std::size_t kFirstDuration = kFirstStart + 8;
+
+std::filesystem::path write_tiny_shard(const TempTraceDir& dir) {
+  const net::Prefix prefix = net::Prefix::parse("10.0.0.0/8");
+  const auto visit = [&](double start, double duration, std::uint8_t host) {
+    return mobility::DeviceVisit{start, duration,
+                                 net::Ipv4Address(10, 0, 0, host), prefix, 1,
+                                 false};
+  };
+  mobility::DeviceTrace first(0, 2);
+  first.append(visit(0.0, 8.0, 1));
+  first.append(visit(8.0, 16.0, 2));
+  first.append(visit(24.0, 24.0, 1));
+  mobility::DeviceTrace second(1, 2);
+  second.append(visit(0.0, 48.0, 3));
+
+  ShardMeta meta;
+  meta.user_count = 2;
+  meta.day_count = 2;
+  const auto path = dir.path() / shard_file_name(0);
+  TraceWriter writer(path, meta);
+  writer.append(first);
+  writer.append(second);
+  (void)writer.finish();
+  return path;
+}
+
+void patch_f64(const std::filesystem::path& path, std::size_t offset,
+               double value) {
+  std::vector<char> bytes = lina::testing::read_file(path);
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  for (int i = 0; i < 8; ++i) {
+    bytes.at(offset + i) = static_cast<char>(bits >> (8 * i));
+  }
+  lina::testing::write_file(path, bytes);
+}
+
+/// The TraceFormatError message of decoding every user of a
+/// header-validated shard ("" when it decodes cleanly).
+std::string user_decode_error(const std::filesystem::path& path) {
+  try {
+    TraceReader reader(
+        ShardInfo{path, validate_shard(path, Validate::kHeader)});
+    while (reader.next().has_value()) {
+    }
+  } catch (const TraceFormatError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+void expect_names_shard_and_user(const std::string& message,
+                                 const std::filesystem::path& path,
+                                 const std::string& what) {
+  EXPECT_NE(message.find(path.string()), std::string::npos) << message;
+  EXPECT_NE(message.find("user 0"), std::string::npos) << message;
+  EXPECT_NE(message.find(what), std::string::npos) << message;
+}
+
+TEST(TraceRoundTripTest, ReaderRejectsNonFiniteDuration) {
+  TempTraceDir dir("nonfinite-duration");
+  const auto path = write_tiny_shard(dir);
+  ASSERT_EQ(user_decode_error(path), "");
+  const std::vector<char> pristine = lina::testing::read_file(path);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    lina::testing::write_file(path, pristine);
+    patch_f64(path, kFirstDuration + 8, bad);
+    expect_names_shard_and_user(user_decode_error(path), path, "duration");
+  }
+}
+
+TEST(TraceRoundTripTest, ReaderRejectsNonPositiveDuration) {
+  TempTraceDir dir("nonpositive-duration");
+  const auto path = write_tiny_shard(dir);
+  const std::vector<char> pristine = lina::testing::read_file(path);
+  for (const double bad : {0.0, -8.0}) {
+    lina::testing::write_file(path, pristine);
+    patch_f64(path, kFirstDuration, bad);
+    expect_names_shard_and_user(user_decode_error(path), path, "duration");
+  }
+}
+
+TEST(TraceRoundTripTest, ReaderRejectsNonFiniteStartHour) {
+  TempTraceDir dir("nonfinite-start");
+  const auto path = write_tiny_shard(dir);
+  const std::vector<char> pristine = lina::testing::read_file(path);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    lina::testing::write_file(path, pristine);
+    patch_f64(path, kFirstStart, bad);
+    expect_names_shard_and_user(user_decode_error(path), path, "start hour");
+  }
+}
+
+TEST(TraceRoundTripTest, EventReaderRejectsNonFiniteHour) {
+  TempTraceDir dir("nonfinite-event");
+  const auto path = write_tiny_shard(dir);
+  const ShardHeader header = validate_shard(path, Validate::kHeader);
+  // The first event is user 0's initial attachment; its hour leads it.
+  patch_f64(path, header.events_offset,
+            std::numeric_limits<double>::quiet_NaN());
+  EventReader reader(ShardInfo{path, validate_shard(path, Validate::kHeader)});
+  TraceEvent event;
+  try {
+    (void)reader.next(event);
+    FAIL() << "expected TraceFormatError";
+  } catch (const TraceFormatError& error) {
+    expect_names_shard_and_user(error.what(), path, "hour");
+  }
+}
+
+TEST(TraceRoundTripTest, WriterOrdersTiedAndEdgeHoursLikeAFullSort) {
+  // 40 users over 2 days whose visits tie exactly within one hour (5.5),
+  // crowd one bucket at distinct hours (5.6-5.9), and sit on bucket edges:
+  // 0.0, 24.0, the last hour 47.0, the day end 48.0 and beyond it (hours
+  // past the last day share the last bucket).
+  constexpr std::uint32_t kUsers = 40;
+  const net::Prefix prefix = net::Prefix::parse("10.0.0.0/8");
+  std::vector<mobility::DeviceTrace> traces;
+  std::vector<TraceEvent> expected;
+  for (std::uint32_t u = 0; u < kUsers; ++u) {
+    const std::vector<double> starts = {
+        0.0,  5.5,  5.6 + 0.05 * (u % 7), 24.0, 47.0, 47.5 + 0.01 * u,
+        48.0, 50.0 + u};
+    mobility::DeviceTrace trace(u, 2);
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      const double duration =
+          i + 1 < starts.size() ? starts[i + 1] - starts[i] : 1.0;
+      const mobility::DeviceVisit v{
+          starts[i], duration,
+          net::Ipv4Address(10, 0, static_cast<std::uint8_t>(u),
+                           static_cast<std::uint8_t>(i)),
+          prefix, static_cast<topology::AsId>(u % 5), i % 2 == 1};
+      trace.append(v);
+      expected.push_back(TraceEvent{v.start_hour, u, v.address, v.prefix,
+                                    v.as, v.cellular, i == 0});
+    }
+    traces.push_back(std::move(trace));
+  }
+  std::sort(expected.begin(), expected.end(), event_precedes);
+
+  TempTraceDir dir("writer-order");
+  ShardMeta meta;
+  meta.user_count = kUsers;
+  meta.day_count = 2;
+  const auto path = dir.path() / shard_file_name(0);
+  TraceWriter writer(path, meta);
+  for (const auto& trace : traces) writer.append(trace);
+  (void)writer.finish();
+
+  EventReader reader(ShardInfo{path, validate_shard(path)});
+  std::vector<TraceEvent> written;
+  TraceEvent event;
+  while (reader.next(event)) written.push_back(event);
+  EXPECT_EQ(written, expected);
 }
 
 }  // namespace

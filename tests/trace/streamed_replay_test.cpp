@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "../support/fixtures.hpp"
@@ -50,6 +52,25 @@ void expect_same_samples(const stats::EmpiricalCdf& a,
     EXPECT_EQ(std::bit_cast<std::uint64_t>(sa[i]),
               std::bit_cast<std::uint64_t>(sb[i]))
         << what << " sample " << i;
+  }
+}
+
+TEST(StreamedReplayTest, StreamStartsAtAnyUserIndex) {
+  // Shard starts, mid-shard indexes, the last user and past the end.
+  const ShardSet& set = shared_shards();
+  for (const std::size_t first : {0u, 7u, 16u, 31u, 48u, 79u, 80u, 200u}) {
+    DeviceTraceStream stream(set, first);
+    std::size_t user = first;
+    while (const std::optional<mobility::DeviceTrace> trace = stream.next()) {
+      ASSERT_LT(user, shared_device_traces().size()) << "first " << first;
+      EXPECT_EQ(trace->user_id(), shared_device_traces()[user].user_id());
+      EXPECT_EQ(trace->visits().size(),
+                shared_device_traces()[user].visits().size());
+      ++user;
+    }
+    EXPECT_EQ(user, std::max<std::size_t>(first, 80)) << "first " << first;
+    EXPECT_EQ(stream.next_index(), user);
+    EXPECT_TRUE(stream.done());
   }
 }
 
