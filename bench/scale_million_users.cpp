@@ -261,6 +261,12 @@ int main(int argc, char** argv) {
   // order-sensitive and architecture-independent, so it pins the lookup
   // results bit-for-bit across runs and thread counts.
   harness.phase("replay_fib");
+  // LPM work per lookup over replay_fib + warm_start (the registry
+  // records it when --json or --csv is given): gated exactly, so a trie
+  // layout change that walks more nodes shows up as drift.
+  const std::uint64_t lpm_visits_before =
+      obs::metric::ip_trie_lpm_node_visits().value();
+  std::uint64_t fib_lookups = 0;
   // Streams every visit address through the given frozen FIB with batched
   // (prefetched) LPM lookups; returns {digest, lookups}. The digest is
   // order-sensitive, so equal digests mean bit-identical lookup results.
@@ -293,6 +299,7 @@ int main(int argc, char** argv) {
     const routing::FrozenFib fib = internet.vantages().front().fib().freeze();
     const auto [digest, lookups] = fib_replay(fib);
     fib_digest = digest;
+    fib_lookups += lookups;
     const double elapsed = seconds_since(start);
     harness.result("fib_lookups_per_sec",
                    static_cast<double>(lookups) / elapsed);
@@ -342,7 +349,13 @@ int main(int argc, char** argv) {
                 << " != live digest " << (fib_digest >> 32) << "\n";
       return 1;
     }
+    fib_lookups += lookups;
     harness.result("warm_start_digest", static_cast<double>(digest >> 32));
+    harness.result("lpm_visits_per_lookup",
+                   static_cast<double>(
+                       obs::metric::ip_trie_lpm_node_visits().value() -
+                       lpm_visits_before) /
+                       static_cast<double>(fib_lookups));
     harness.result("snapshot_bytes_per_entry",
                    static_cast<double>(snapshot_bytes) /
                        static_cast<double>(loaded.size()));
@@ -375,10 +388,17 @@ int main(int argc, char** argv) {
     packet_config.batch_users = shard_users;
     packet_config.engine.shard_count = des_shards;
     packet_config.engine.window_ms = des_window_ms;
+    const std::uint64_t queries_before =
+        obs::metric::fabric_next_hop_queries().value();
     const auto start = std::chrono::steady_clock::now();
     const des::PacketReplayStats packets =
         des::replay_packets_streamed(packet_fabric, set, packet_config);
     const double elapsed = seconds_since(start);
+    // Fabric work of the packet phase, gated exactly like the digests.
+    harness.result("fabric_next_hop_queries",
+                   static_cast<double>(
+                       obs::metric::fabric_next_hop_queries().value() -
+                       queries_before));
     harness.result("packet_sessions", static_cast<double>(packets.sessions));
     harness.result("packet_sent", static_cast<double>(packets.digest.sent));
     harness.result("packet_delivered",

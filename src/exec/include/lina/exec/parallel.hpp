@@ -52,6 +52,9 @@ inline ChunkPlan plan_chunks(std::size_t items, std::size_t threads) {
 /// Calls fn(i) exactly once for each i in [0, n), across up to `threads`
 /// threads (0 = default_threads()). Runs inline serially when threads
 /// resolves to 1, when n < 2, or when already inside a parallel region.
+/// If fn throws, the caller receives the exception of the lowest failing
+/// index — the serial loop's error — at any thread count (items past it
+/// may still have run).
 template <typename Fn>
 void parallel_for(std::size_t n, Fn&& fn, std::size_t threads = 0) {
   if (n == 0) return;

@@ -49,8 +49,9 @@ class ThreadPool {
 
   /// Executes chunk_fn(0) ... chunk_fn(chunk_count - 1), each exactly
   /// once, across up to `threads` threads (including the caller). Blocks
-  /// until every chunk has finished. The first exception thrown by any
-  /// chunk is rethrown in the caller once the job has drained.
+  /// until every chunk has finished. If chunks throw, the exception of
+  /// the lowest failing chunk index is rethrown in the caller once the
+  /// job has drained, so the error does not depend on timing.
   void run(std::size_t chunk_count, std::size_t threads,
            const std::function<void(std::size_t)>& chunk_fn);
 
@@ -68,6 +69,9 @@ class ThreadPool {
 
   void ensure_workers(std::size_t count);
   void worker_loop();
+  /// Claims and runs the job's chunks until none are left, recording the
+  /// lowest-index failure.
+  void drain(Job& job);
 
   mutable std::mutex mutex_;            // guards job_, workers_, stop_
   std::condition_variable work_cv_;     // workers wait for a job

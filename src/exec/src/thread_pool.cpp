@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <algorithm>
+#include <limits>
 
 #include "lina/prof/prof.hpp"
 
@@ -54,8 +55,29 @@ struct ThreadPool::Job {
   std::uint64_t parent_span = 0;     // submitter's open prof span (0 = none)
   std::atomic<std::size_t> next{0};  // next unclaimed chunk index
   std::size_t active = 0;            // threads inside (guarded by pool mutex)
-  std::exception_ptr error;          // first failure (guarded by pool mutex)
+  // The failure of the lowest failing chunk index (guarded by pool mutex):
+  // a chunk stops at its first failing item, so this is the error the
+  // serial loop would have raised, whatever the timing.
+  std::exception_ptr error;
+  std::size_t error_chunk = std::numeric_limits<std::size_t>::max();
 };
+
+void ThreadPool::drain(Job& job) {
+  for (;;) {
+    const std::size_t chunk = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (chunk >= job.count) return;
+    try {
+      PROF_SPAN("lina.exec.chunk");
+      (*job.fn)(chunk);
+    } catch (...) {
+      const std::lock_guard<std::mutex> error_lock(mutex_);
+      if (chunk < job.error_chunk) {
+        job.error = std::current_exception();
+        job.error_chunk = chunk;
+      }
+    }
+  }
+}
 
 ThreadPool& ThreadPool::shared() {
   static ThreadPool* instance = new ThreadPool();  // leaked: process-lifetime
@@ -106,18 +128,7 @@ void ThreadPool::worker_loop() {
       // Spans opened in this job's chunks attribute to the region that
       // submitted the job, even though it lives on another thread.
       prof::AdoptedParentScope causal_parent(job->parent_span);
-      for (;;) {
-        const std::size_t chunk =
-            job->next.fetch_add(1, std::memory_order_relaxed);
-        if (chunk >= job->count) break;
-        try {
-          PROF_SPAN("lina.exec.chunk");
-          (*job->fn)(chunk);
-        } catch (...) {
-          const std::lock_guard<std::mutex> error_lock(mutex_);
-          if (!job->error) job->error = std::current_exception();
-        }
-      }
+      drain(*job);
     }
 
     lock.lock();
@@ -148,18 +159,7 @@ void ThreadPool::run(std::size_t chunk_count, std::size_t threads,
   // The caller participates instead of idling.
   {
     RegionScope region;
-    for (;;) {
-      const std::size_t chunk =
-          job.next.fetch_add(1, std::memory_order_relaxed);
-      if (chunk >= chunk_count) break;
-      try {
-        PROF_SPAN("lina.exec.chunk");
-        chunk_fn(chunk);
-      } catch (...) {
-        const std::lock_guard<std::mutex> error_lock(mutex_);
-        if (!job.error) job.error = std::current_exception();
-      }
-    }
+    drain(job);
   }
 
   std::unique_lock<std::mutex> lock(mutex_);

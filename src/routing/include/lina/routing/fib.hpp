@@ -38,8 +38,8 @@ class Fib;
 /// An immutable snapshot of a Fib for read-mostly phases: same
 /// longest-prefix-match results as the source table at freeze time, plus a
 /// software-prefetched batch `entries_for_many` that keeps several
-/// independent descents in flight per cache-miss window. Built by
-/// Fib::freeze().
+/// independent descents in flight per cache-miss window and spreads large
+/// batches across threads. Built by Fib::freeze().
 class FrozenFib {
  public:
   FrozenFib() = default;
@@ -64,11 +64,14 @@ class FrozenFib {
     return e->port;
   }
 
-  /// Batch LPM: out[i] = entry_for(addrs[i]); sizes must match.
+  /// Batch LPM: out[i] = entry_for(addrs[i]); sizes must match. Inputs
+  /// longer than 16,384 addresses are split into fixed 16,384-address
+  /// blocks that run the prefetched batch walk in parallel on the
+  /// lina::exec pool; one block, or a call inside a parallel region,
+  /// stays inline. Results and the LPM counters are the same at any
+  /// thread count.
   void entries_for_many(std::span<const net::Ipv4Address> addrs,
-                        std::span<const FibEntry*> out) const {
-    trie_.lookup_many(addrs, out);
-  }
+                        std::span<const FibEntry*> out) const;
 
   [[nodiscard]] std::size_t size() const { return trie_.size(); }
   [[nodiscard]] std::size_t arena_bytes() const { return trie_.arena_bytes(); }

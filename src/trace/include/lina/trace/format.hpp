@@ -202,6 +202,21 @@ class ByteCursor {
   }
   void bytes(void* into, std::size_t n);
 
+  /// Moves to `offset` bytes from the start of the range (<= its size).
+  void seek(std::size_t offset) {
+    if (offset > size_) overrun("seek target");
+    offset_ = offset;
+  }
+  /// Steps over `n` bytes.
+  void skip(std::size_t n) {
+    if (remaining() < n) overrun("skipped bytes");
+    offset_ += n;
+  }
+  /// Steps over `count` varints without decoding them: a varint ends at
+  /// its first byte with the high bit clear, and those terminators are
+  /// counted a word at a time. Overlong varints are not detected here.
+  void skip_varints(std::size_t count);
+
  private:
   [[noreturn]] void overrun(const char* what) const;
   std::uint64_t varint_multibyte();

@@ -79,7 +79,19 @@ class TraceReader {
   /// naming the shard and the user.
   [[nodiscard]] std::optional<mobility::DeviceTrace> next();
 
+  /// Appends the next min(max_users, users left) traces to `out` and
+  /// returns how many; 0 once the shard is exhausted, with the same
+  /// leftover-bytes check as next(). A serial scan records every user
+  /// block's boundary, then blocks decode in parallel on the lina::exec
+  /// pool (inline inside a parallel region). The traces, the counters and
+  /// any thrown error (user and message) equal a loop of next(); on a
+  /// throw, `out` and the reader are left as they were.
+  std::size_t next_batch(std::size_t max_users,
+                         std::vector<mobility::DeviceTrace>& out);
+
  private:
+  void expect_consumed() const;
+
   ShardInfo shard_;
   std::string name_;  // shard path, the context of every error
   std::vector<char> image_;

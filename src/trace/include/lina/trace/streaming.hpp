@@ -50,10 +50,10 @@ class StreamingWorkload {
 };
 
 /// Batched, bounded-memory replay of a trace set in ascending user-id
-/// order: at most one shard's user blocks (the stream's TraceReader) plus
-/// what the caller keeps of the decoded users are resident. Feeding
-/// batches to the core accumulators in this order reproduces the
-/// in-memory evaluators bit-for-bit.
+/// order: at most one shard's user blocks (the stream's TraceReader), one
+/// batch's block offsets, plus what the caller keeps of the decoded users
+/// are resident. Feeding batches to the core accumulators in this order
+/// reproduces the in-memory evaluators bit-for-bit.
 class DeviceTraceStream {
  public:
   explicit DeviceTraceStream(const ShardSet& set);
@@ -68,6 +68,10 @@ class DeviceTraceStream {
   [[nodiscard]] std::optional<mobility::DeviceTrace> next();
 
   /// Up to `max_users` traces, in user order; empty when exhausted.
+  /// Each shard's part of the batch goes through TraceReader::next_batch:
+  /// a serial boundary scan, then user blocks decoded in parallel on the
+  /// lina::exec pool. The result, and any error, equals `max_users` calls
+  /// of next(). Throws std::invalid_argument when `max_users` is 0.
   [[nodiscard]] std::vector<mobility::DeviceTrace> next_batch(
       std::size_t max_users);
 
@@ -78,6 +82,10 @@ class DeviceTraceStream {
   [[nodiscard]] std::size_t next_index() const { return next_index_; }
 
  private:
+  /// Opens the current shard's reader if none is open; false past the
+  /// last shard.
+  bool open_reader();
+
   const ShardSet* set_;
   std::size_t shard_ = 0;
   std::unique_ptr<TraceReader> reader_;

@@ -1,5 +1,8 @@
 #include "lina/trace/format.hpp"
 
+#include <bit>
+#include <cstring>
+
 namespace lina::trace {
 
 void ByteCursor::overrun(const char* what) const {
@@ -38,12 +41,42 @@ std::uint64_t ByteCursor::varint_multibyte() {
   for (unsigned shift = 0; shift < 64; shift += 7) {
     if (checked && offset_ == size_) overrun("varint");
     const auto byte = static_cast<std::uint8_t>(data_[offset_++]);
+    // The 10th byte carries bit 63 only; payload above it would be
+    // shifted out silently.
+    if (shift == 63 && byte > 1) break;
     v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) return v;
   }
   throw TraceFormatError(std::string(context_) +
                          ": varint longer than 64 bits at offset " +
                          std::to_string(offset_));
+}
+
+void ByteCursor::skip_varints(std::size_t count) {
+  constexpr std::uint64_t kHighBits = 0x8080808080808080ULL;
+  while (count > 0 && remaining() >= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, data_ + offset_, 8);
+    if constexpr (std::endian::native == std::endian::big) {
+      word = __builtin_bswap64(word);  // byte i in bits 8i..8i+7
+    }
+    std::uint64_t ends = ~word & kHighBits;
+    const auto found = static_cast<std::size_t>(std::popcount(ends));
+    if (found < count) {
+      count -= found;
+      offset_ += 8;
+      continue;
+    }
+    // The last terminator wanted lies in this word: drop the ones before.
+    for (; count > 1; --count) ends &= ends - 1;
+    offset_ += static_cast<std::size_t>(std::countr_zero(ends)) / 8 + 1;
+    return;
+  }
+  for (; count > 0; --count) {
+    do {
+      if (offset_ == size_) overrun("varint");
+    } while ((data_[offset_++] & 0x80) != 0);
+  }
 }
 
 void ByteCursor::bytes(void* into, std::size_t n) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <exception>
 
+#include "lina/exec/parallel.hpp"
 #include "lina/net/crc32.hpp"
 #include "lina/obs/metrics.hpp"
 
@@ -203,45 +205,45 @@ TraceReader::TraceReader(const ShardInfo& shard)
   obs::metric::trace_bytes_read().add(image_.size());
 }
 
-std::optional<mobility::DeviceTrace> TraceReader::next() {
-  if (decoded_ == shard_.header.user_count) {
-    if (!cursor_.done()) {
-      throw TraceFormatError(name_ + ": " +
-                             std::to_string(cursor_.remaining()) +
-                             " stray bytes after the last user block");
-    }
-    return std::nullopt;
-  }
-  const auto user_id = static_cast<std::uint32_t>(cursor_.varint());
-  const std::uint32_t expected = shard_.header.first_user + decoded_;
+namespace {
+
+/// Decodes the user block at the cursor: the whole per-user format, shared
+/// by TraceReader::next and TraceReader::next_batch. `expected` is the
+/// user id the block must hold; columns decode into `scratch`.
+mobility::DeviceTrace decode_user(ByteCursor& cursor,
+                                  const ShardHeader& header,
+                                  std::uint32_t expected,
+                                  const std::string& name,
+                                  std::vector<mobility::DeviceVisit>& scratch) {
+  const auto user_id = static_cast<std::uint32_t>(cursor.varint());
   if (user_id != expected) {
-    throw TraceFormatError(name_ + ": user block holds id " +
+    throw TraceFormatError(name + ": user block holds id " +
                            std::to_string(user_id) + ", expected " +
                            std::to_string(expected));
   }
   const auto bad_visit = [&](const std::string& what) {
-    return TraceFormatError(name_ + ": " + what + " for user " +
+    return TraceFormatError(name + ": " + what + " for user " +
                             std::to_string(user_id));
   };
-  const std::uint64_t visit_count = cursor_.varint();
-  if (visit_count == 0 || visit_count > shard_.header.visit_count) {
+  const std::uint64_t visit_count = cursor.varint();
+  if (visit_count == 0 || visit_count > header.visit_count) {
     throw bad_visit("implausible visit count " + std::to_string(visit_count));
   }
-  const std::uint8_t flags = cursor_.u8();
+  const std::uint8_t flags = cursor.u8();
 
   // Columns decode into the reused scratch row, which is then appended to
   // a trace reserved to size: one allocation per decoded user.
-  std::vector<mobility::DeviceVisit>& visits = scratch_;
+  std::vector<mobility::DeviceVisit>& visits = scratch;
   visits.resize(visit_count);
-  double start = cursor_.f64();
+  double start = cursor.f64();
   for (auto& v : visits) {
-    v.duration_hours = cursor_.f64();
+    v.duration_hours = cursor.f64();
     if (!std::isfinite(v.duration_hours) || v.duration_hours <= 0.0) {
       throw bad_visit("non-finite or non-positive duration");
     }
   }
   if ((flags & kBlockExplicitStarts) != 0) {
-    for (auto& v : visits) v.start_hour = cursor_.f64();
+    for (auto& v : visits) v.start_hour = cursor.f64();
   } else {
     // The generator's own accumulation, replayed op-for-op: bit-identical
     // start hours without storing them.
@@ -256,11 +258,11 @@ std::optional<mobility::DeviceTrace> TraceReader::next() {
   // Deltas accumulate modulo 2^64 so a corrupt varint cannot overflow.
   std::uint64_t address = 0;
   for (auto& v : visits) {
-    address += static_cast<std::uint64_t>(zigzag_decode(cursor_.varint()));
+    address += static_cast<std::uint64_t>(zigzag_decode(cursor.varint()));
     v.address = net::Ipv4Address(static_cast<std::uint32_t>(address));
   }
   for (auto& v : visits) {
-    const std::uint8_t length = cursor_.u8();
+    const std::uint8_t length = cursor.u8();
     if (length > 32) {
       throw bad_visit("prefix length " + std::to_string(length));
     }
@@ -268,17 +270,17 @@ std::optional<mobility::DeviceTrace> TraceReader::next() {
   }
   std::uint64_t as = 0;
   for (auto& v : visits) {
-    as += static_cast<std::uint64_t>(zigzag_decode(cursor_.varint()));
+    as += static_cast<std::uint64_t>(zigzag_decode(cursor.varint()));
     v.as = static_cast<topology::AsId>(as);
   }
   for (std::size_t i = 0; i < visits.size(); i += 8) {
-    const std::uint8_t bits = cursor_.u8();
+    const std::uint8_t bits = cursor.u8();
     for (std::size_t b = 0; b < 8 && i + b < visits.size(); ++b) {
       visits[i + b].cellular = (bits & (1u << b)) != 0;
     }
   }
 
-  mobility::DeviceTrace trace(user_id, shard_.header.day_count);
+  mobility::DeviceTrace trace(user_id, header.day_count);
   trace.reserve(visits.size());
   try {
     for (const mobility::DeviceVisit& v : visits) trace.append(v);
@@ -287,9 +289,138 @@ std::optional<mobility::DeviceTrace> TraceReader::next() {
     // visit off hour 0): corrupt explicit starts.
     throw bad_visit(error.what());
   }
-  ++decoded_;
-  obs::metric::trace_visits_read().add(visit_count);
   return trace;
+}
+
+/// Steps the cursor over one user block without decoding its values: the
+/// boundary scan of TraceReader::next_batch. Throws TraceFormatError when
+/// the block cannot be bounded.
+void skip_user_block(ByteCursor& cursor, const std::string& name) {
+  (void)cursor.varint();  // user id
+  const std::uint64_t count = cursor.varint();
+  const std::uint8_t flags = cursor.u8();
+  // Every visit takes at least 8 bytes, so a count above the bytes left
+  // cannot be bounded; checking first keeps 16 * count from overflowing.
+  if (count > cursor.remaining()) {
+    throw TraceFormatError(name + ": visit count " + std::to_string(count) +
+                           " exceeds the " +
+                           std::to_string(cursor.remaining()) +
+                           " bytes left in the user blocks");
+  }
+  const auto n = static_cast<std::size_t>(count);
+  const std::size_t f64_columns =
+      (flags & kBlockExplicitStarts) != 0 ? 2 : 1;
+  cursor.skip(8 + 8 * n * f64_columns);  // first start, durations[, starts]
+  cursor.skip_varints(n);                // address deltas
+  cursor.skip(n);                        // prefix lengths
+  cursor.skip_varints(n);                // AS deltas
+  cursor.skip((n + 7) / 8);              // cellular bitmap
+}
+
+/// Users per decode task of TraceReader::next_batch: each task owns one
+/// cursor and one scratch row.
+constexpr std::size_t kDecodeChunkUsers = 64;
+
+}  // namespace
+
+void TraceReader::expect_consumed() const {
+  if (!cursor_.done()) {
+    throw TraceFormatError(name_ + ": " +
+                           std::to_string(cursor_.remaining()) +
+                           " stray bytes after the last user block");
+  }
+}
+
+std::optional<mobility::DeviceTrace> TraceReader::next() {
+  if (decoded_ == shard_.header.user_count) {
+    expect_consumed();
+    return std::nullopt;
+  }
+  mobility::DeviceTrace trace =
+      decode_user(cursor_, shard_.header, shard_.header.first_user + decoded_,
+                  name_, scratch_);
+  ++decoded_;
+  obs::metric::trace_visits_read().add(trace.visits().size());
+  return trace;
+}
+
+std::size_t TraceReader::next_batch(std::size_t max_users,
+                                    std::vector<mobility::DeviceTrace>& out) {
+  if (decoded_ == shard_.header.user_count) {
+    expect_consumed();
+    return 0;
+  }
+  const std::size_t users =
+      std::min<std::size_t>(max_users, shard_.header.user_count - decoded_);
+  if (users == 0) return 0;
+
+  // 1. Serial boundary scan: offsets[u] is where user u's block starts.
+  // A block the scan cannot bound ends the scan; its user is still
+  // decoded below, so the decoder raises that user's own first error.
+  std::vector<std::size_t> offsets;
+  offsets.reserve(users + 1);
+  offsets.push_back(cursor_.offset());
+  std::exception_ptr scan_error;
+  {
+    ByteCursor scan = cursor_;
+    for (std::size_t u = 0; u < users; ++u) {
+      try {
+        skip_user_block(scan, name_);
+      } catch (const TraceFormatError&) {
+        scan_error = std::current_exception();
+        break;
+      }
+      offsets.push_back(scan.offset());
+    }
+  }
+  const std::size_t decode = scan_error ? offsets.size() : users;
+
+  // 2. Parallel decode, each task into its own output slots. The pool
+  // rethrows the lowest failing task's error and a task stops at its
+  // first failing user, so a corrupt batch reports the serial reader's
+  // error.
+  const std::size_t base = out.size();
+  const std::uint32_t first_id = shard_.header.first_user + decoded_;
+  for (std::size_t u = 0; u < decode; ++u) {
+    out.emplace_back(first_id + static_cast<std::uint32_t>(u),
+                     shard_.header.day_count);
+  }
+  const std::size_t chunks =
+      (decode + kDecodeChunkUsers - 1) / kDecodeChunkUsers;
+  try {
+    exec::parallel_for(chunks, [&](std::size_t c) {
+      const std::size_t begin = c * kDecodeChunkUsers;
+      const std::size_t end = std::min(begin + kDecodeChunkUsers, decode);
+      ByteCursor cursor = cursor_;
+      cursor.seek(offsets[begin]);
+      std::vector<mobility::DeviceVisit> scratch;
+      for (std::size_t u = begin; u < end; ++u) {
+        const auto id = first_id + static_cast<std::uint32_t>(u);
+        out[base + u] =
+            decode_user(cursor, shard_.header, id, name_, scratch);
+        if (u + 1 < offsets.size() && cursor.offset() != offsets[u + 1]) {
+          throw TraceFormatError(
+              name_ + ": user block of user " + std::to_string(id) +
+              " ends at offset " + std::to_string(cursor.offset()) +
+              ", the boundary scan put the next block at " +
+              std::to_string(offsets[u + 1]));
+        }
+      }
+    });
+    if (scan_error) std::rethrow_exception(scan_error);
+  } catch (...) {
+    out.erase(out.begin() + static_cast<std::ptrdiff_t>(base), out.end());
+    throw;
+  }
+
+  cursor_.seek(offsets.back());
+  decoded_ += static_cast<std::uint32_t>(users);
+  std::uint64_t visits = 0;
+  for (std::size_t u = base; u < out.size(); ++u) {
+    visits += out[u].visits().size();
+  }
+  obs::metric::trace_visits_read().add(visits);
+  return users;
 }
 
 EventReader::EventReader(const ShardInfo& shard, std::size_t buffer_bytes)

@@ -1,6 +1,7 @@
 #include "lina/trace/streaming.hpp"
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "lina/exec/parallel.hpp"
 #include "lina/prof/prof.hpp"
@@ -80,13 +81,16 @@ bool DeviceTraceStream::done() const {
   return reader_ == nullptr && shard_ == set_->shards().size();
 }
 
+bool DeviceTraceStream::open_reader() {
+  if (reader_ != nullptr) return true;
+  if (shard_ == set_->shards().size()) return false;
+  reader_ = std::make_unique<TraceReader>(set_->shards()[shard_]);
+  for (; skip_ > 0; --skip_) (void)reader_->next();
+  return true;
+}
+
 std::optional<mobility::DeviceTrace> DeviceTraceStream::next() {
-  while (true) {
-    if (reader_ == nullptr) {
-      if (shard_ == set_->shards().size()) return std::nullopt;
-      reader_ = std::make_unique<TraceReader>(set_->shards()[shard_]);
-      for (; skip_ > 0; --skip_) (void)reader_->next();
-    }
+  while (open_reader()) {
     std::optional<mobility::DeviceTrace> trace = reader_->next();
     if (trace.has_value()) {
       ++next_index_;
@@ -95,16 +99,26 @@ std::optional<mobility::DeviceTrace> DeviceTraceStream::next() {
     reader_.reset();
     ++shard_;
   }
+  return std::nullopt;
 }
 
 std::vector<mobility::DeviceTrace> DeviceTraceStream::next_batch(
     std::size_t max_users) {
+  if (max_users == 0) {
+    // An empty batch would never reach done(): callers would spin.
+    throw std::invalid_argument(
+        "DeviceTraceStream::next_batch: max_users must be positive");
+  }
   std::vector<mobility::DeviceTrace> batch;
   batch.reserve(max_users);
-  while (batch.size() < max_users) {
-    std::optional<mobility::DeviceTrace> trace = next();
-    if (!trace.has_value()) break;
-    batch.push_back(std::move(*trace));
+  while (batch.size() < max_users && open_reader()) {
+    const std::size_t got =
+        reader_->next_batch(max_users - batch.size(), batch);
+    next_index_ += got;
+    if (got == 0) {
+      reader_.reset();
+      ++shard_;
+    }
   }
   return batch;
 }

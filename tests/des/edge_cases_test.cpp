@@ -167,9 +167,7 @@ TEST(DesEdgeCaseTest, OversizedWindowRedrainsAndMatchesSerial) {
 TEST(DesEdgeCaseTest, RunStatsIgnorePoolWidth) {
   // The engine never touches the lina::exec pool, so every RunStats field
   // — not just the digest — is the same whatever the default pool width.
-  struct ThreadCountGuard {
-    ~ThreadCountGuard() { exec::set_default_threads(0); }
-  } guard;
+  const lina::testing::ThreadCountGuard guard;
   PacketModel model = cross_metro_model();
   const ShardMap map = ShardMap::from_topology(shared_internet(), 4);
   for (const double window : {0.0, 50.0}) {

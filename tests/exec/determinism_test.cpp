@@ -36,15 +36,8 @@ namespace {
 using lina::testing::shared_content_catalog;
 using lina::testing::shared_device_traces;
 using lina::testing::shared_internet;
+using lina::testing::ThreadCountGuard;
 using topology::AsId;
-
-/// Restores the ambient worker-count override on scope exit so these
-/// tests cannot leak a 1-thread default into the rest of the binary.
-class ThreadCountGuard {
- public:
-  ThreadCountGuard() = default;
-  ~ThreadCountGuard() { exec::set_default_threads(0); }
-};
 
 void expect_same_cdf(const stats::EmpiricalCdf& a,
                      const stats::EmpiricalCdf& b, const char* what) {

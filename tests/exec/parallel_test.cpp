@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -90,6 +92,35 @@ TEST(ParallelForTest, ExceptionsPropagateToCaller) {
   std::atomic<int> count{0};
   parallel_for(10, [&](std::size_t) { count.fetch_add(1); }, 4);
   EXPECT_EQ(count.load(), 10);
+}
+
+TEST(ParallelForTest, LowestFailingItemWinsAtEveryThreadCount) {
+  // Items 3 and 700 both throw; whichever finishes first in time, the
+  // caller must see item 3's error, as the serial loop would.
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    for (int repeat = 0; repeat < 50; ++repeat) {
+      try {
+        parallel_for(
+            1000,
+            [](std::size_t i) {
+              if (i == 3) {
+                // Let item 700 fail first in time.
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+                throw std::runtime_error("item 3");
+              }
+              if (i == 700) throw std::logic_error("item 700");
+            },
+            threads);
+        ADD_FAILURE() << "no exception at " << threads << " threads";
+      } catch (const std::runtime_error& error) {
+        EXPECT_STREQ(error.what(), "item 3") << threads << " threads";
+      } catch (const std::logic_error& error) {
+        ADD_FAILURE() << "got " << error.what() << " at " << threads
+                      << " threads, repeat " << repeat;
+      }
+    }
+  }
+  EXPECT_TRUE(ThreadPool::shared().idle());
 }
 
 TEST(ParallelForTest, NestedCallsRunInlineWithoutDeadlock) {

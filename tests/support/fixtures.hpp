@@ -2,12 +2,20 @@
 
 // Shared, lazily constructed test fixtures. Building a SyntheticInternet
 // and workloads takes ~100 ms; tests within one binary share one instance.
+// Also the thread-count guard the parallel tests share.
 
+#include "lina/exec/thread_pool.hpp"
 #include "lina/mobility/content_workload.hpp"
 #include "lina/mobility/device_workload.hpp"
 #include "lina/routing/synthetic_internet.hpp"
 
 namespace lina::testing {
+
+/// Restores the default worker count on scope exit, also on failure, so a
+/// test's thread override cannot leak into the rest of the binary.
+struct ThreadCountGuard {
+  ~ThreadCountGuard() { exec::set_default_threads(0); }
+};
 
 inline const routing::SyntheticInternet& shared_internet() {
   static const routing::SyntheticInternet instance = [] {

@@ -14,6 +14,8 @@
 #include <filesystem>
 #include <random>
 #include <stdexcept>
+#include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "../support/fixtures.hpp"
@@ -28,7 +30,9 @@ namespace {
 
 using lina::testing::read_file;
 using lina::testing::shared_device_traces;
+using lina::testing::shared_internet;
 using lina::testing::TempTraceDir;
+using lina::testing::ThreadCountGuard;
 using lina::testing::write_file;
 
 /// A deliberately small shard (3 users) so exhaustive per-offset
@@ -120,29 +124,41 @@ TEST(TraceCorruptionFuzzTest, SeededByteFlipsNeverCrashTheReaders) {
   write_file(path, pristine);
 }
 
-/// Decodes every user and every event of a header-validated set — the
-/// trust level TraceCursor and the packet replay run at, where no CRC
-/// scan stands between a flipped byte and the decoders. Returns the
-/// number of decoded users+events; a detected corruption throws
-/// TraceFormatError.
-std::size_t drain_header_validated(const std::filesystem::path& dir) {
-  const ShardSet set = ShardSet::discover(dir, Validate::kHeader);
-  std::size_t decoded = 0;
-  DeviceTraceStream stream(set);
-  while (stream.next().has_value()) ++decoded;
-  TraceCursor cursor(set, 4 * 1024);
-  TraceEvent event;
-  while (cursor.next(event)) ++decoded;
-  return decoded;
+/// How decoding every user of a header-validated set ends — the trust
+/// level TraceCursor and the packet replay run at, where no CRC scan
+/// stands between a flipped byte and the decoders: the number of users
+/// decoded, or the type and message of the error that stopped it.
+/// `batch` 0 decodes one user at a time with next(); any other value
+/// decodes through next_batch(batch).
+std::string user_outcome(const ShardSet& set, std::size_t batch) {
+  try {
+    DeviceTraceStream stream(set);
+    std::size_t users = 0;
+    if (batch == 0) {
+      while (stream.next().has_value()) ++users;
+    } else {
+      while (const std::size_t got = stream.next_batch(batch).size()) {
+        users += got;
+      }
+    }
+    return "decoded " + std::to_string(users) + " users";
+  } catch (const TraceFormatError& error) {
+    return std::string("TraceFormatError: ") + error.what();
+  } catch (const std::exception& error) {
+    return std::string(typeid(error).name()) + ": " + error.what();
+  }
 }
 
 TEST(TraceCorruptionFuzzTest, HeaderValidatedFlipsDecodeOrThrowByName) {
+  const ThreadCountGuard guard;
+  exec::set_default_threads(4);
   TempTraceDir dir("fuzz-header-set");
   const auto path = write_small_shard(dir);
   const std::vector<char> pristine = read_file(path);
   const std::uint64_t events_offset =
       validate_shard(path, Validate::kHeader).events_offset;
-  ASSERT_GT(drain_header_validated(dir.path()), 0u);
+  ASSERT_EQ(user_outcome(ShardSet::discover(dir.path(), Validate::kHeader), 0),
+            "decoded 3 users");
 
   // Flips land only in the user blocks and the event section: the header
   // and footer are what kHeader does check.
@@ -166,19 +182,78 @@ TEST(TraceCorruptionFuzzTest, HeaderValidatedFlipsDecodeOrThrowByName) {
       ++in_events;
     }
     write_file(path, bytes);
+    const ShardSet set = ShardSet::discover(dir.path(), Validate::kHeader);
+    // Users: the one-user and the batch path must end the same way.
+    const std::string one_by_one = user_outcome(set, 0);
+    for (const std::size_t batch : {1u, 2u, 3u}) {
+      EXPECT_EQ(user_outcome(set, batch), one_by_one)
+          << "flip at offset " << offset << ", batch " << batch;
+    }
+    bool flip_rejected = one_by_one.rfind("TraceFormatError: ", 0) == 0;
+    if (!flip_rejected && one_by_one.rfind("decoded ", 0) != 0) {
+      ADD_FAILURE() << "flip at offset " << offset
+                    << " escaped as a non-format error: " << one_by_one;
+    }
+    // Events: decode or throw by name.
     try {
-      (void)drain_header_validated(dir.path());
+      TraceCursor cursor(set, 4 * 1024);
+      TraceEvent event;
+      while (cursor.next(event)) {
+      }
     } catch (const TraceFormatError&) {
-      ++rejected;
+      flip_rejected = true;
     } catch (const std::exception& error) {
       ADD_FAILURE() << "flip at offset " << offset
                     << " escaped as a non-format error: " << error.what();
     }
+    if (flip_rejected) ++rejected;
   }
   EXPECT_GT(in_blocks, 0u);
   EXPECT_GT(in_events, 0u);
   EXPECT_GT(rejected, 0u);
   write_file(path, pristine);
+}
+
+TEST(TraceCorruptionFuzzTest, BatchDecodeReportsTheSerialErrorAcrossTasks) {
+  // 300 users span several decode tasks, so a corrupt block meets
+  // failures in later tasks that run concurrently: the batch must still
+  // report the first failing user's own error, as next() does.
+  const ThreadCountGuard guard;
+  exec::set_default_threads(4);
+  TempTraceDir dir("fuzz-batch-tasks");
+  mobility::DeviceWorkloadConfig config;
+  config.user_count = 300;
+  config.days = 1;
+  const mobility::DeviceWorkloadGenerator generator(shared_internet(), config);
+  StreamingWorkloadConfig stream_config;
+  stream_config.users_per_shard = 300;
+  const ShardSet set =
+      StreamingWorkload(generator, stream_config).write_shards(dir.path());
+  const ShardInfo& shard = set.shards().front();
+  ASSERT_EQ(user_outcome(set, 300), "decoded 300 users");
+
+  const std::vector<char> pristine = read_file(shard.path);
+  std::mt19937_64 rng(0xba7c4ed5ULL);
+  std::uniform_int_distribution<std::size_t> pick_offset(
+      kHeaderBytes, shard.header.events_offset - 1);
+  std::uniform_int_distribution<int> pick_xor(1, 255);
+  std::size_t rejected = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<char> bytes = pristine;
+    const std::size_t offset = pick_offset(rng);
+    bytes[offset] = static_cast<char>(
+        static_cast<unsigned char>(bytes[offset]) ^ pick_xor(rng));
+    write_file(shard.path, bytes);
+    const ShardSet flipped = ShardSet::discover(dir.path(), Validate::kHeader);
+    const std::string one_by_one = user_outcome(flipped, 0);
+    for (const std::size_t batch : {300u, 100u}) {
+      EXPECT_EQ(user_outcome(flipped, batch), one_by_one)
+          << "flip at offset " << offset << ", batch " << batch;
+    }
+    if (one_by_one.rfind("TraceFormatError: ", 0) == 0) ++rejected;
+  }
+  write_file(shard.path, pristine);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "lina/net/crc32.hpp"
@@ -87,6 +88,55 @@ TEST(TraceFormatTest, ByteCursorOverrunThrowsWithContext) {
     EXPECT_NE(std::string(error.what()).find("overrun-test"),
               std::string::npos);
   }
+}
+
+TEST(TraceFormatTest, VarintRejectsPayloadAboveBit63) {
+  // Nine continuation bytes put the 10th byte at bit 63: only its lowest
+  // payload bit fits in 64 bits.
+  std::vector<char> max(9, static_cast<char>(0xFF));
+  max.push_back(0x01);
+  ByteCursor fits(max.data(), max.size(), "varint-test");
+  EXPECT_EQ(fits.varint(), std::numeric_limits<std::uint64_t>::max());
+
+  for (const unsigned char last : {0x02, 0x7F, 0x81}) {
+    std::vector<char> bytes(9, static_cast<char>(0x80));
+    bytes.push_back(static_cast<char>(last));
+    bytes.push_back(0);  // trailing room must not change the verdict
+    ByteCursor cursor(bytes.data(), bytes.size(), "varint-test");
+    try {
+      (void)cursor.varint();
+      FAIL() << "10th byte " << unsigned{last} << " must be rejected";
+    } catch (const TraceFormatError& error) {
+      EXPECT_NE(std::string(error.what()).find("varint longer than 64 bits"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(TraceFormatTest, SkipVarintsLandsWhereDecodingWould) {
+  // Mixed widths (1 to 10 bytes) so terminators fall at every position of
+  // a word, and skips end both inside the word loop and in the byte tail.
+  std::vector<char> buffer;
+  std::vector<std::size_t> ends;  // offset after each varint
+  std::uint64_t v = 1;
+  for (int i = 0; i < 200; ++i) {
+    put_varint(buffer, i % 7 == 6 ? ~std::uint64_t{0} : v);
+    ends.push_back(buffer.size());
+    v = v * 131 + static_cast<std::uint64_t>(i);
+  }
+  for (std::size_t first = 0; first < 20; ++first) {
+    for (std::size_t count = 0; first + count <= ends.size(); count += 3) {
+      ByteCursor cursor(buffer.data(), buffer.size(), "skip-test");
+      cursor.seek(first == 0 ? 0 : ends[first - 1]);
+      cursor.skip_varints(count);
+      const std::size_t want =
+          first + count == 0 ? 0 : ends[first + count - 1];
+      EXPECT_EQ(cursor.offset(), want) << first << " + " << count;
+    }
+  }
+  ByteCursor cursor(buffer.data(), buffer.size(), "skip-test");
+  EXPECT_THROW(cursor.skip_varints(ends.size() + 1), TraceFormatError);
 }
 
 ShardHeader sample_header() {

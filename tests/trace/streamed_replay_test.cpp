@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "../support/fixtures.hpp"
@@ -72,6 +73,32 @@ TEST(StreamedReplayTest, StreamStartsAtAnyUserIndex) {
     EXPECT_EQ(stream.next_index(), user);
     EXPECT_TRUE(stream.done());
   }
+}
+
+TEST(StreamedReplayTest, ZeroUserBatchesAreRejectedNotSpun) {
+  // An empty batch never advances the stream, so every streamed evaluator
+  // would loop forever if next_batch(0) returned one.
+  const ShardSet& set = shared_shards();
+  DeviceTraceStream stream(set);
+  EXPECT_THROW((void)stream.next_batch(0), std::invalid_argument);
+
+  EXPECT_THROW((void)analyze_extent_streamed(set, 0), std::invalid_argument);
+  const core::LatencyModel model(shared_internet());
+  stats::Rng rng(99, "zero-batch");
+  EXPECT_THROW(
+      (void)evaluate_indirection_stretch_streamed(set, model, 0.05, rng, 0),
+      std::invalid_argument);
+  const core::DeviceUpdateCostEvaluator evaluator(
+      shared_internet().vantages());
+  EXPECT_THROW((void)evaluate_device_update_cost_streamed(evaluator, set, 0),
+               std::invalid_argument);
+  const sim::ForwardingFabric fabric(shared_internet());
+  sim::SessionConfig base;
+  base.correspondent = shared_internet().edge_ases()[0];
+  EXPECT_THROW((void)simulate_sessions_streamed(
+                   fabric, sim::SimArchitecture::kIndirection, base, 1.0, set,
+                   0),
+               std::invalid_argument);
 }
 
 TEST(StreamedReplayTest, ExtentBitIdentical) {
