@@ -12,6 +12,10 @@ times are expected to differ — they are reported as a speedup table,
 never compared. Result keys that are themselves timings or
 machine-dependent rates (suffixes `_ms`, `_per_sec`, `_mib` — e.g.
 snapshot_load_ms, peak_rss_mib) are likewise reported but never gated.
+The `metrics.counters` entries that differ between the two records are
+listed too, for information only: a counter that drifts while the
+headline results hold (a stale baseline, a changed code path) shows up
+without failing the gate.
 
 --summary-md mode: emits a markdown perf-trend table over any number of
 run records (committed baselines plus fresh runs) — one overview table
@@ -64,6 +68,18 @@ def compare_results(base, cand):
         elif base[key] != cand[key]:
             drift.append(f"  ~ {key}: {base[key]!r} -> {cand[key]!r}")
     return drift, timing
+
+
+def counter_drift(base, cand):
+    """One line per metrics.counters entry that differs between records."""
+    base_counters = base.get("metrics", {}).get("counters", {})
+    cand_counters = cand.get("metrics", {}).get("counters", {})
+    return [
+        f"  ~ {key}: {base_counters.get(key, '-')!r} -> "
+        f"{cand_counters.get(key, '-')!r}"
+        for key in sorted(set(base_counters) | set(cand_counters))
+        if base_counters.get(key) != cand_counters.get(key)
+    ]
 
 
 def phase_table(base, cand):
@@ -172,6 +188,10 @@ def main(argv):
     if timing:
         print("timing/rate keys (informational, never gated):")
         print("\n".join(timing))
+    counters = counter_drift(base, cand)
+    if counters:
+        print("metric counters that differ (informational, never gated):")
+        print("\n".join(counters))
     if drift:
         print("HEADLINE DRIFT — results blocks differ:")
         print("\n".join(drift))

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Unit tests for compare_runs.py's gate and its one-line diagnostics:
 the schema_version mismatch check alongside the existing missing-file /
-unparseable-JSON / non-record paths. Stdlib only; registered in ctest as
+unparseable-JSON / non-record paths, and the informational listing of
+metric counters that differ. Stdlib only; registered in ctest as
 `compare_runs_py` (label des)."""
 
 import json
@@ -15,14 +16,18 @@ SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "compare_runs.py")
 
 
-def record(name="scale_million_users", schema=1, results=None, threads=1):
-    return {
+def record(name="scale_million_users", schema=1, results=None, threads=1,
+           counters=None):
+    out = {
         "name": name,
         "schema_version": schema,
         "config": {"threads": threads},
         "results": results if results is not None else {"packet_digest": 7},
         "phases": [{"phase": "packet", "wall_ms": 10.0}],
     }
+    if counters is not None:
+        out["metrics"] = {"counters": counters, "gauges": {}, "histograms": {}}
+    return out
 
 
 class CompareRunsTest(unittest.TestCase):
@@ -74,6 +79,47 @@ class CompareRunsTest(unittest.TestCase):
         proc = self.run_compare(a, b)
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
         self.assertIn("informational", proc.stdout)
+
+    def test_counter_drift_is_listed_but_not_gated(self):
+        a = self.path(
+            "a.json",
+            record(counters={"lina.des.rollbacks": 2371,
+                             "lina.sim.fabric.next_hop_queries": 9,
+                             "lina.sim.session.runs": 120}),
+        )
+        b = self.path(
+            "b.json",
+            record(counters={"lina.sim.fabric.next_hop_queries": 7,
+                             "lina.sim.resolver.updates": 965,
+                             "lina.sim.session.runs": 120}),
+        )
+        proc = self.run_compare(a, b)
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn("headline results identical", proc.stdout)
+        self.assertIn("metric counters that differ", proc.stdout)
+        self.assertIn("lina.des.rollbacks: 2371 -> '-'", proc.stdout)
+        self.assertIn("lina.sim.fabric.next_hop_queries: 9 -> 7", proc.stdout)
+        self.assertIn("lina.sim.resolver.updates: '-' -> 965", proc.stdout)
+        self.assertNotIn("lina.sim.session.runs", proc.stdout)
+
+    def test_equal_or_absent_counters_print_no_drift(self):
+        same = {"lina.sim.session.runs": 120}
+        for base, cand in ((record(counters=same), record(counters=same)),
+                           (record(), record())):
+            proc = self.run_compare(self.path("a.json", base),
+                                    self.path("b.json", cand))
+            self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+            self.assertNotIn("metric counters", proc.stdout)
+
+    def test_counter_drift_does_not_hide_headline_drift(self):
+        a = self.path("a.json", record(results={"packet_digest": 7},
+                                       counters={"lina.x": 1}))
+        b = self.path("b.json", record(results={"packet_digest": 8},
+                                       counters={"lina.x": 2}))
+        proc = self.run_compare(a, b)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("lina.x: 1 -> 2", proc.stdout)
+        self.assertIn("HEADLINE DRIFT", proc.stdout)
 
     def test_schema_version_mismatch_is_one_line_diagnostic(self):
         a = self.path("a.json", record(schema=1))

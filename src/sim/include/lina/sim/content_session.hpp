@@ -36,8 +36,8 @@ struct ContentSessionConfig {
 
   std::uint64_t seed = 1;
 
-  /// Fault injection. nullptr or an empty plan leaves every result
-  /// bit-identical to the failure-free simulator; with faults active,
+  /// Fault injection. nullptr runs the session under the shared empty
+  /// plan (no_failures()), the failure-free simulator; with faults active,
   /// interests route around dead ASes / cut links (a copy in an on-path
   /// content store still satisfies them — caching as resilience, §8) and
   /// die at a dark publisher. The plan must outlive the call.

@@ -38,8 +38,8 @@ struct FailureEvent {
 ///
 /// The plan is pure data plus point-in-time queries; the simulators and
 /// the ForwardingFabric consult it at every forwarding and control-plane
-/// decision. An empty plan is the contract for "failure-free": simulators
-/// take bit-identical code paths to the pre-failure-layer implementation.
+/// decision. An empty plan is "failure-free": every query answers healthy,
+/// so a session under it never retries, reroutes or drops a message.
 class FailurePlan {
  public:
   FailurePlan() = default;
@@ -110,5 +110,8 @@ class FailurePlan {
   std::vector<FailureEvent> events_;
   std::vector<double> data_plane_boundaries_;  // sorted starts/ends
 };
+
+/// The shared empty plan a simulator runs under when no plan is attached.
+[[nodiscard]] const FailurePlan& no_failures();
 
 }  // namespace lina::sim

@@ -22,7 +22,7 @@ class ResolverPool {
   /// Throws if `replicas` is empty or contains out-of-range ASes.
   /// Duplicate replica ASes are deduplicated (first occurrence kept):
   /// a pool is a set of resolver sites, and duplicates would silently
-  /// inflate update_message_count() and the propagation fan-out.
+  /// inflate the update relay fan-out.
   ResolverPool(const ForwardingFabric& fabric,
                std::vector<topology::AsId> replicas);
 
@@ -34,11 +34,9 @@ class ResolverPool {
   /// the AS hosts no replica.
   [[nodiscard]] std::size_t replica_index(topology::AsId replica) const;
 
-  /// The nearest replica and its one-way delay, as one cached record.
-  /// Both nearest_replica() and nearest_replica_delay_ms() route through
-  /// this lookup, so the per-replica delay scan runs once per client per
-  /// pool instead of once per call (sessions probe their resolver every
-  /// packet). delay_ms is +inf when no replica is reachable.
+  /// The nearest replica and its one-way delay, as one cached record, so
+  /// the per-replica delay scan runs once per client per pool instead of
+  /// once per call. delay_ms is +inf when no replica is reachable.
   struct NearestReplica {
     topology::AsId replica = 0;
     double delay_ms = 0.0;
@@ -49,30 +47,13 @@ class ResolverPool {
 
   /// The *live* replica (per `failures` at `time_ms`) with the lowest
   /// failure-aware path delay from `client`; nullopt when every replica is
-  /// down or unreachable. This is the failover target a client retries
-  /// against after its preferred replica stops answering.
+  /// down or unreachable. This is the target a device sends its update to
+  /// and the failover target a client retries against after its preferred
+  /// replica stops answering. Under an empty plan every replica is live:
+  /// the answer is nearest_replica() and no failover lookup is counted.
   [[nodiscard]] std::optional<topology::AsId> nearest_live_replica(
       topology::AsId client, const FailurePlan& failures,
       double time_ms) const;
-
-  /// One-way delay from `client` to its nearest replica.
-  [[nodiscard]] double nearest_replica_delay_ms(topology::AsId client) const;
-
-  /// Per-replica record-arrival times for an update issued at
-  /// `update_time_ms` from `device_as`: the update reaches the nearest
-  /// replica first and is relayed from there to every other replica.
-  /// Result is indexed like replicas().
-  [[nodiscard]] std::vector<double> propagation_times_ms(
-      topology::AsId device_as, double update_time_ms) const;
-
-  /// Messages one update costs: one device->primary message plus
-  /// replicas() - 1 primary->secondary relays, i.e. exactly replicas()
-  /// messages. A single-replica pool therefore costs exactly 1 (the
-  /// device->primary message; there is nothing to relay). Replicas are
-  /// deduplicated at construction, so duplicates never inflate this.
-  [[nodiscard]] std::size_t update_message_count() const {
-    return replicas_.size();
-  }
 
   /// Places `count` replicas on the prefix-announcing ASes nearest the
   /// world metro anchors (round-robin), the natural GNS deployment.
@@ -80,7 +61,7 @@ class ResolverPool {
       const routing::SyntheticInternet& internet, std::size_t count);
 
  private:
-  /// The memoized scan behind nearest_replica / nearest_replica_delay_ms.
+  /// The memoized scan behind nearest_replica / nearest_live_replica.
   [[nodiscard]] const NearestReplica& nearest(topology::AsId client) const;
 
   const ForwardingFabric* fabric_;

@@ -67,10 +67,9 @@ struct SessionConfig {
   /// during name-based convergence).
   std::size_t packet_ttl_hops = 64;
 
-  /// Fault injection. nullptr or an empty plan is the failure-free
-  /// simulator: every code path (and therefore every result) is
-  /// bit-identical to a config without the field. The plan must outlive
-  /// the simulate_session call.
+  /// Fault injection. nullptr runs the session under the shared empty
+  /// plan (no_failures()), so nullptr and an empty plan give bit-identical
+  /// results. The plan must outlive the simulate_session call.
   const FailurePlan* failures = nullptr;
 
   /// Control-plane retry behaviour under injected faults.

@@ -23,8 +23,7 @@ class ContentSessionRunner {
                        const ContentSessionConfig& config)
       : fabric_(fabric),
         config_(config),
-        plan_(config.failures),
-        faults_(plan_ != nullptr && !plan_->empty()),
+        plan_(config.failures != nullptr ? *config.failures : no_failures()),
         zipf_(config.catalog_segments, config.zipf_exponent),
         rng_(config.seed, "content-session"),
         fib_(config.mapping_cache),
@@ -171,12 +170,12 @@ class ContentSessionRunner {
   }
 
   /// Reissues a dead interest from the consumer on the retry backoff.
-  /// Only the faulty simulator probes this way; the failure-free
-  /// simulator's staleness losses are the §8 phenomenon itself and stay
-  /// untouched (bit-identical results without a plan).
+  /// Only a session with faults in its plan probes this way: without
+  /// faults, the staleness losses are the §8 phenomenon itself and are
+  /// reported as losses.
   void retransmit(std::uint64_t segment, double send_time_ms,
                   std::size_t attempt) {
-    if (!faults_ || !config_.retry.attempts_left(attempt)) return;
+    if (plan_.empty() || !config_.retry.attempts_left(attempt)) return;
     queue_.schedule_in(
         config_.retry.delay_ms(attempt),
         [this, segment, send_time_ms, attempt] {
@@ -197,7 +196,7 @@ class ContentSessionRunner {
       retransmit(segment, send_time_ms, attempt);
       return;
     }
-    if (faults_ && plan_->as_down(at, queue_.now())) {
+    if (plan_.as_down(at, queue_.now())) {
       retransmit(segment, send_time_ms, attempt);
       return;
     }
@@ -215,9 +214,7 @@ class ContentSessionRunner {
       }
       return;
     }
-    const auto step = faults_
-                          ? fabric_.hop_toward(at, dest, *plan_, queue_.now())
-                          : fabric_.hop_toward(at, dest);
+    const auto step = fabric_.hop_toward(at, dest, plan_, queue_.now());
     if (!step.has_value()) {
       retransmit(segment, send_time_ms, attempt);
       return;
@@ -241,7 +238,7 @@ class ContentSessionRunner {
       return;
     }
     // A dark AS forwards nothing and serves nothing (not even its cache).
-    if (faults_ && plan_->as_down(at, queue_.now())) {
+    if (plan_.as_down(at, queue_.now())) {
       retransmit(segment, send_time_ms, attempt);
       return;
     }
@@ -265,9 +262,7 @@ class ContentSessionRunner {
       }
       return;
     }
-    const auto step = faults_
-                          ? fabric_.hop_toward(at, dest, *plan_, queue_.now())
-                          : fabric_.hop_toward(at, dest);
+    const auto step = fabric_.hop_toward(at, dest, plan_, queue_.now());
     if (!step.has_value()) {
       retransmit(segment, send_time_ms, attempt);
       return;
@@ -283,8 +278,7 @@ class ContentSessionRunner {
 
   const ForwardingFabric& fabric_;
   const ContentSessionConfig& config_;
-  const FailurePlan* plan_;
-  const bool faults_;
+  const FailurePlan& plan_;
   stats::Zipf zipf_;
   stats::Rng rng_;
   EventQueue queue_;

@@ -185,6 +185,11 @@ std::size_t FailurePlan::data_plane_epoch(double time_ms) const {
       data_plane_boundaries_.begin());
 }
 
+const FailurePlan& no_failures() {
+  static const FailurePlan plan;
+  return plan;
+}
+
 std::vector<double> FailurePlan::repair_times() const {
   std::vector<double> times;
   times.reserve(events_.size());

@@ -1,6 +1,7 @@
 #include "lina/sim/resolver_pool.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -21,7 +22,7 @@ ResolverPool::ResolverPool(const ForwardingFabric& fabric,
       throw std::out_of_range("ResolverPool: replica AS out of range");
   }
   // Deduplicate, keeping first occurrences in order: duplicates would
-  // silently inflate update_message_count() and the relay fan-out.
+  // silently inflate the relay fan-out.
   std::vector<AsId> unique;
   unique.reserve(replicas_.size());
   for (const AsId replica : replicas_) {
@@ -64,6 +65,12 @@ AsId ResolverPool::nearest_replica(AsId client) const {
 
 std::optional<AsId> ResolverPool::nearest_live_replica(
     AsId client, const FailurePlan& failures, double time_ms) const {
+  if (failures.empty()) {
+    obs::metric::resolver_lookups().add();
+    const NearestReplica& entry = nearest(client);
+    if (std::isinf(entry.delay_ms)) return std::nullopt;
+    return entry.replica;
+  }
   PROF_SPAN("lina.resolver.failover_lookup");
   obs::metric::resolver_failover_lookups().add();
   prof::instant("lina.sim.resolver.failover_lookup", time_ms,
@@ -80,32 +87,6 @@ std::optional<AsId> ResolverPool::nearest_live_replica(
     }
   }
   return best;
-}
-
-double ResolverPool::nearest_replica_delay_ms(AsId client) const {
-  obs::metric::resolver_lookups().add();
-  return nearest(client).delay_ms;
-}
-
-std::vector<double> ResolverPool::propagation_times_ms(
-    AsId device_as, double update_time_ms) const {
-  PROF_SPAN("lina.resolver.update_propagate");
-  obs::metric::resolver_updates().add();
-  const AsId primary = nearest_replica(device_as);
-  const double at_primary =
-      update_time_ms +
-      fabric_->path_delay_ms(device_as, primary).value_or(0.0);
-  std::vector<double> times;
-  times.reserve(replicas_.size());
-  for (const AsId replica : replicas_) {
-    if (replica == primary) {
-      times.push_back(at_primary);
-    } else {
-      times.push_back(at_primary +
-                      fabric_->path_delay_ms(primary, replica).value_or(0.0));
-    }
-  }
-  return times;
 }
 
 std::vector<AsId> ResolverPool::metro_placement(

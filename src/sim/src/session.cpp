@@ -81,17 +81,17 @@ void validate(const SessionConfig& config, const ForwardingFabric& fabric,
 /// Shared session machinery; architecture subclasses provide the control
 /// plane (on_move) and the data plane (send_packet).
 ///
-/// Fault injection contract: `faults_` is false when no FailurePlan is
-/// attached or the plan is empty, and every subclass guards its
-/// failure-aware logic behind it so the failure-free simulation is
-/// bit-identical to the pre-failure-layer implementation.
+/// Every session runs under a FailurePlan: the attached one, or the shared
+/// empty plan when none is attached. There is one code path per
+/// architecture. With no fault active the plan's queries answer "healthy"
+/// and the fabric's failure-aware queries return the policy route, so a
+/// fault-free session never retries, reroutes or loses a control message.
 class SessionRunner {
  public:
   SessionRunner(const ForwardingFabric& fabric, const SessionConfig& config)
       : fabric_(fabric),
         config_(config),
-        plan_(config.failures),
-        faults_(plan_ != nullptr && !plan_->empty()),
+        plan_(config.failures != nullptr ? *config.failures : no_failures()),
         binding_(config.mapping_cache),
         cached_(binding_.enabled()) {}
   virtual ~SessionRunner() = default;
@@ -115,19 +115,17 @@ class SessionRunner {
     }
     // Repair markers: the first delivery after each repair measures the
     // architecture's time-to-recover.
-    if (faults_) {
-      for (const double repair_ms : plan_->repair_times()) {
-        if (repair_ms <= 0.0 || repair_ms >= config_.duration_ms) continue;
-        queue_.schedule(repair_ms,
-                        [this, repair_ms] { awaiting_recovery_ = repair_ms; });
-      }
+    for (const double repair_ms : plan_.repair_times()) {
+      if (repair_ms <= 0.0 || repair_ms >= config_.duration_ms) continue;
+      queue_.schedule(repair_ms,
+                      [this, repair_ms] { awaiting_recovery_ = repair_ms; });
     }
     // Packet generation.
     for (double t = 0.0; t < config_.duration_ms;
          t += config_.packet_interval_ms) {
       queue_.schedule(t, [this] {
         ++stats_.packets_sent;
-        if (faults_ && plan_->any_active(queue_.now()))
+        if (plan_.any_active(queue_.now()))
           ++stats_.packets_sent_during_failure;
         send_packet(queue_.now());
       });
@@ -166,15 +164,13 @@ class SessionRunner {
       stats_.outage_ms.add(queue_.now() - last_move_ms_);
       move_pending_ = false;
     }
-    if (faults_) {
-      if (plan_->any_active(send_time_ms)) {
-        ++stats_.packets_delivered_during_failure;
-        stats_.stretch_degraded.add(stretch);
-      }
-      if (awaiting_recovery_.has_value()) {
-        stats_.recovery_ms.add(queue_.now() - *awaiting_recovery_);
-        awaiting_recovery_.reset();
-      }
+    if (plan_.any_active(send_time_ms)) {
+      ++stats_.packets_delivered_during_failure;
+      stats_.stretch_degraded.add(stretch);
+    }
+    if (awaiting_recovery_.has_value()) {
+      stats_.recovery_ms.add(queue_.now() - *awaiting_recovery_);
+      awaiting_recovery_.reset();
     }
   }
 
@@ -189,42 +185,73 @@ class SessionRunner {
     if (attempt > 0) ++stats_.control_retries;
   }
 
-  /// Delay before retransmission number `attempt` + 1 (capped exponential,
-  /// so long outages keep being probed at a steady cadence).
-  [[nodiscard]] double backoff_ms(std::size_t attempt) const {
-    return config_.retry.delay_ms(attempt);
-  }
-
-  [[nodiscard]] bool attempts_left(std::size_t attempt) const {
-    return config_.retry.attempts_left(attempt);
-  }
-
   /// Seeded coin: is this session's next control message dropped by an
-  /// active update-loss window? Only called on the faulty path.
+  /// active update-loss window?
   [[nodiscard]] bool control_lost() {
-    return plan_->control_message_lost(message_id_++, queue_.now());
+    return plan_.control_message_lost(message_id_++, queue_.now());
+  }
+
+  /// Policy-route delay from `from` to `to` now, rerouted around (or
+  /// severed by) whatever fault is active.
+  [[nodiscard]] std::optional<double> path_delay(AsId from, AsId to) const {
+    return fabric_.path_delay_ms(from, to, plan_, queue_.now());
+  }
+
+  /// Sends a packet from `from` straight to `target`; it is delivered if
+  /// the device is still attached there when it arrives.
+  void forward(AsId from, AsId target, double send_time_ms) {
+    const auto delay = path_delay(from, target);
+    if (!delay.has_value()) return;  // lost: target unreachable
+    queue_.schedule_in(*delay, [this, send_time_ms, target] {
+      if (device_location(queue_.now()) == target) deliver(send_time_ms);
+    });
+  }
+
+  /// An update landing at the control-plane element in `from` pushes a
+  /// churn notification to the correspondent's mapping cache (invalidate
+  /// or refresh per the cache config): one control message, in flight for
+  /// the from->correspondent delay.
+  void notify_churn(AsId from, AsId new_as) {
+    count_control(1);
+    if (control_lost()) return;
+    const auto back = path_delay(from, config_.correspondent);
+    if (!back.has_value()) return;
+    queue_.schedule_in(*back, [this, new_as] {
+      binding_.churn(kDeviceKey, new_as, queue_.now());
+    });
+  }
+
+  /// Re-sends the device's location update for `new_as` after attempt
+  /// `attempt` failed, by calling `update(new_as, next_attempt)` after the
+  /// backoff. Updates are soft state: once the exponential burst is spent
+  /// the device keeps probing at the backoff cap (Mobile-IP-style lifetime
+  /// renewal) instead of abandoning the binding, so it survives outages
+  /// longer than one burst. The chain ends when a probe lands, a newer
+  /// move supersedes it, or the session runs out.
+  template <typename Update>
+  void renew(AsId new_as, std::size_t attempt, Update update) {
+    if (queue_.now() >= config_.duration_ms) return;
+    const std::size_t next =
+        config_.retry.attempts_left(attempt) ? attempt + 1 : 0;
+    queue_.schedule_in(config_.retry.delay_ms(attempt),
+                       [this, new_as, next, update] {
+                         if (device_location(queue_.now()) != new_as)
+                           return;  // superseded
+                         update(new_as, next);
+                       });
   }
 
   /// The single mobile endpoint's key in the correspondent mapping cache.
   static constexpr std::uint64_t kDeviceKey = 0;
 
-  /// Failure-aware when a plan is active, plain otherwise. Only the cached
-  /// data/control paths call this; the uncached paths keep their original
-  /// inline calls so the cache-off simulation stays bit-identical.
-  [[nodiscard]] std::optional<double> leg_delay(AsId from, AsId to) const {
-    return faults_ ? fabric_.path_delay_ms(from, to, *plan_, queue_.now())
-                   : fabric_.path_delay_ms(from, to);
-  }
-
   const ForwardingFabric& fabric_;
   const SessionConfig& config_;
-  const FailurePlan* plan_;
-  const bool faults_;
+  const FailurePlan& plan_;
   EventQueue queue_;
   SessionStats stats_;
   /// Correspondent-side loc/ID mapping cache (SessionConfig doc); disabled
   /// (no storage, every probe a no-op) unless config.mapping_cache enables
-  /// it. `cached_` gates every new code path.
+  /// it. `cached_` gates every cache code path.
   cache::MappingCache<std::uint64_t, AsId> binding_;
   const bool cached_;
 
@@ -247,75 +274,28 @@ class IndirectionRunner final : public SessionRunner {
   void on_move(AsId new_as) override { register_with_home(new_as, 0); }
 
   /// Registration message travels from the new location to the home agent;
-  /// under faults it retries with backoff while the agent is dead or the
-  /// message is lost, abandoning once a newer move supersedes it.
+  /// it retries with backoff while the agent is dead or the message is
+  /// lost, abandoning once a newer move supersedes it.
   void register_with_home(AsId new_as, std::size_t attempt) {
     count_attempt(attempt);
-    if (!faults_) {
-      const auto delay = fabric_.path_delay_ms(new_as, home_);
-      if (!delay.has_value()) return;
-      queue_.schedule_in(*delay, [this, new_as] {
-        registry_ = new_as;
-        if (cached_) notify_churn(new_as);
-      });
-      return;
-    }
-    const auto delay =
-        fabric_.path_delay_ms(new_as, home_, *plan_, queue_.now());
+    const auto delay = path_delay(new_as, home_);
     if (control_lost() || !delay.has_value()) {
       retry_registration(new_as, attempt);
       return;
     }
     queue_.schedule_in(*delay, [this, new_as, attempt] {
-      if (plan_->home_agent_down(home_, queue_.now())) {
+      if (plan_.home_agent_down(home_, queue_.now())) {
         retry_registration(new_as, attempt);
         return;
       }
       registry_ = new_as;
-      if (cached_) notify_churn(new_as);
+      if (cached_) notify_churn(home_, new_as);
     });
   }
 
-  /// A registration landing at the home agent pushes a churn notification
-  /// to the correspondent's binding cache (invalidate or refresh per the
-  /// cache config) — one control message, in flight for the home->
-  /// correspondent delay.
-  void notify_churn(AsId new_as) {
-    count_control(1);
-    if (faults_ && control_lost()) return;
-    const auto back = leg_delay(home_, config_.correspondent);
-    if (!back.has_value()) return;
-    queue_.schedule_in(*back, [this, new_as] {
-      binding_.churn(kDeviceKey, new_as, queue_.now());
-    });
-  }
-
-  /// Binding cache enabled: a hit sends the packet straight to the cached
-  /// care-of AS (Mobile-IPv6 route optimisation — no triangle); a miss
-  /// goes through the home agent, which answers with a binding update so
-  /// later packets go direct.
-  void send_packet_cached(double send_time_ms) {
-    const auto hit = binding_.probe(kDeviceKey, queue_.now());
-    if (hit.has_value()) {
-      const AsId target = *hit;
-      const auto delay = leg_delay(config_.correspondent, target);
-      if (!delay.has_value()) return;
-      queue_.schedule_in(*delay, [this, send_time_ms, target] {
-        if (device_location(queue_.now()) == target) deliver(send_time_ms);
-      });
-      return;
-    }
-    const auto to_home = leg_delay(config_.correspondent, home_);
-    if (!to_home.has_value()) return;
-    queue_.schedule_in(*to_home, [this, send_time_ms] {
-      if (faults_ && plan_->home_agent_down(home_, queue_.now())) return;
-      const AsId target = registry_;
-      push_binding(target);
-      const auto to_target = leg_delay(home_, target);
-      if (!to_target.has_value()) return;
-      queue_.schedule_in(*to_target, [this, send_time_ms, target] {
-        if (device_location(queue_.now()) == target) deliver(send_time_ms);
-      });
+  void retry_registration(AsId new_as, std::size_t attempt) {
+    renew(new_as, attempt, [this](AsId as, std::size_t next) {
+      register_with_home(as, next);
     });
   }
 
@@ -323,67 +303,38 @@ class IndirectionRunner final : public SessionRunner {
   /// packet transiting the home agent.
   void push_binding(AsId care_of) {
     count_control(1);
-    if (faults_ && control_lost()) return;
-    const auto back = leg_delay(home_, config_.correspondent);
+    if (control_lost()) return;
+    const auto back = path_delay(home_, config_.correspondent);
     if (!back.has_value()) return;
     queue_.schedule_in(*back, [this, care_of] {
       binding_.insert(kDeviceKey, care_of, queue_.now());
     });
   }
 
-  void retry_registration(AsId new_as, std::size_t attempt) {
-    // Registrations are soft state: once the exponential burst is spent
-    // the device keeps probing at the backoff cap (Mobile-IP-style
-    // lifetime renewal) instead of abandoning the binding, so it survives
-    // outages longer than one burst. The chain ends when a probe lands,
-    // a newer move supersedes it, or the session runs out.
-    if (queue_.now() >= config_.duration_ms) return;
-    const std::size_t next = attempts_left(attempt) ? attempt + 1 : 0;
-    queue_.schedule_in(backoff_ms(attempt), [this, new_as, next] {
-      if (device_location(queue_.now()) != new_as) return;  // superseded
-      register_with_home(new_as, next);
-    });
-  }
-
+  /// Triangle forwarding through the home agent. With the binding cache
+  /// enabled, a hit sends the packet straight to the cached care-of AS
+  /// (Mobile-IPv6 route optimisation — no triangle), and a miss goes
+  /// through the home agent, which answers with a binding update so later
+  /// packets go direct.
   void send_packet(double send_time_ms) override {
     if (cached_) {
-      send_packet_cached(send_time_ms);
-      return;
+      const auto hit = binding_.probe(kDeviceKey, queue_.now());
+      if (hit.has_value()) {
+        forward(config_.correspondent, *hit, send_time_ms);
+        return;
+      }
     }
-    if (!faults_) {
-      // Leg 1: correspondent -> home agent.
-      const auto to_home =
-          fabric_.path_delay_ms(config_.correspondent, home_);
-      if (!to_home.has_value()) return;  // lost
-      queue_.schedule_in(*to_home, [this, send_time_ms] {
-        // Leg 2: home agent -> registered care-of location.
-        const AsId target = registry_;
-        const auto to_target = fabric_.path_delay_ms(home_, target);
-        if (!to_target.has_value()) return;
-        queue_.schedule_in(*to_target, [this, send_time_ms, target] {
-          if (device_location(queue_.now()) == target) {
-            deliver(send_time_ms);
-          }
-        });
-      });
-      return;
-    }
-    const auto to_home = fabric_.path_delay_ms(config_.correspondent, home_,
-                                               *plan_, queue_.now());
+    // Leg 1: correspondent -> home agent.
+    const auto to_home = path_delay(config_.correspondent, home_);
     if (!to_home.has_value()) return;  // lost: home unreachable
     queue_.schedule_in(*to_home, [this, send_time_ms] {
       // A dead home agent swallows every packet for the whole outage:
       // indirection's single point of failure.
-      if (plan_->home_agent_down(home_, queue_.now())) return;
+      if (plan_.home_agent_down(home_, queue_.now())) return;
       const AsId target = registry_;
-      const auto to_target =
-          fabric_.path_delay_ms(home_, target, *plan_, queue_.now());
-      if (!to_target.has_value()) return;
-      queue_.schedule_in(*to_target, [this, send_time_ms, target] {
-        if (device_location(queue_.now()) == target) {
-          deliver(send_time_ms);
-        }
-      });
+      if (cached_) push_binding(target);
+      // Leg 2: home agent -> registered care-of location.
+      forward(home_, target, send_time_ms);
     });
   }
 
@@ -391,14 +342,27 @@ class IndirectionRunner final : public SessionRunner {
   AsId registry_;
 };
 
+/// Name resolution, single or replicated. The correspondent resolves the
+/// device's location at a ResolverPool and sends straight to the answer.
+/// kNameResolution is a pool of one replica (resolver_as, defaulting to
+/// the correspondent's AS); kReplicatedResolution is the GNS-style pool of
+/// resolver_replicas. Lookup, TTL re-resolution, cached sending, churn
+/// notification and anti-entropy are shared; only the device's update
+/// path differs (update_location).
 class ResolutionRunner final : public SessionRunner {
  public:
   ResolutionRunner(const ForwardingFabric& fabric,
-                   const SessionConfig& config)
+                   const SessionConfig& config, bool replicated)
       : SessionRunner(fabric, config),
-        resolver_(config.resolver_as.value_or(config.correspondent)),
-        registry_(config.schedule.front().as),
-        cache_(config.schedule.front().as) {
+        replicated_(replicated),
+        pool_(fabric, replicated
+                          ? config.resolver_replicas
+                          : std::vector<AsId>{config.resolver_as.value_or(
+                                config.correspondent)}),
+        records_(pool_.replicas().size(), config.schedule.front().as),
+        lookup_replica_(
+            pool_.replica_index(pool_.nearest_replica(config.correspondent))),
+        answer_(config.schedule.front().as) {
     // Periodic re-resolution; the initial resolution happened at setup.
     // With a mapping cache the correspondent resolves on demand (per
     // cache-miss packet) instead of on a TTL clock.
@@ -408,228 +372,46 @@ class ResolutionRunner final : public SessionRunner {
         queue_.schedule(t, [this] { resolve(0); });
       }
     }
-  }
-
- private:
-  void resolve(std::size_t attempt) {
-    count_attempt(attempt);
-    if (!faults_) {
-      const auto to_resolver =
-          fabric_.path_delay_ms(config_.correspondent, resolver_);
-      if (!to_resolver.has_value()) return;
-      queue_.schedule_in(*to_resolver, [this] {
-        const AsId answer = registry_;
-        const auto back =
-            fabric_.path_delay_ms(resolver_, config_.correspondent);
-        if (!back.has_value()) return;
-        queue_.schedule_in(*back, [this, answer] { cache_ = answer; });
-      });
-      return;
-    }
-    const auto to_resolver = fabric_.path_delay_ms(
-        config_.correspondent, resolver_, *plan_, queue_.now());
-    if (control_lost() || !to_resolver.has_value()) {
-      retry_resolve(attempt);
-      return;
-    }
-    queue_.schedule_in(*to_resolver, [this, attempt] {
-      // A single resolver has nowhere to fail over to: a dead resolver
-      // times the lookup out and the client can only retry it.
-      if (plan_->resolver_down(resolver_, queue_.now())) {
-        retry_resolve(attempt);
-        return;
-      }
-      const AsId answer = registry_;
-      const auto back = fabric_.path_delay_ms(
-          resolver_, config_.correspondent, *plan_, queue_.now());
-      if (!back.has_value()) return;
-      queue_.schedule_in(*back, [this, answer] { cache_ = answer; });
-    });
-  }
-
-  void retry_resolve(std::size_t attempt) {
-    if (!attempts_left(attempt)) return;  // the next TTL tick re-resolves
-    queue_.schedule_in(backoff_ms(attempt),
-                       [this, attempt] { resolve(attempt + 1); });
-  }
-
-  void on_move(AsId new_as) override { register_location(new_as, 0); }
-
-  /// The device updates the resolver (one message; retried under faults).
-  void register_location(AsId new_as, std::size_t attempt) {
-    count_attempt(attempt);
-    if (!faults_) {
-      const auto delay = fabric_.path_delay_ms(new_as, resolver_);
-      if (!delay.has_value()) return;
-      queue_.schedule_in(*delay, [this, new_as] {
-        registry_ = new_as;
-        if (cached_) notify_churn(new_as);
-      });
-      return;
-    }
-    const auto delay =
-        fabric_.path_delay_ms(new_as, resolver_, *plan_, queue_.now());
-    if (control_lost() || !delay.has_value()) {
-      retry_registration(new_as, attempt);
-      return;
-    }
-    queue_.schedule_in(*delay, [this, new_as, attempt] {
-      if (plan_->resolver_down(resolver_, queue_.now())) {
-        retry_registration(new_as, attempt);
-        return;
-      }
-      registry_ = new_as;
-      if (cached_) notify_churn(new_as);
-    });
-  }
-
-  /// A location update landing at the resolver pushes a churn notification
-  /// down the update stream to the correspondent's mapping cache.
-  void notify_churn(AsId new_as) {
-    count_control(1);
-    if (faults_ && control_lost()) return;
-    const auto back = leg_delay(resolver_, config_.correspondent);
-    if (!back.has_value()) return;
-    queue_.schedule_in(*back, [this, new_as] {
-      binding_.churn(kDeviceKey, new_as, queue_.now());
-    });
-  }
-
-  void retry_registration(AsId new_as, std::size_t attempt) {
-    // Soft-state renewal, as in IndirectionRunner: keep probing at the
-    // backoff cap past the burst until the registration lands, a newer
-    // move supersedes it, or the session ends.
-    if (queue_.now() >= config_.duration_ms) return;
-    const std::size_t next = attempts_left(attempt) ? attempt + 1 : 0;
-    queue_.schedule_in(backoff_ms(attempt), [this, new_as, next] {
-      if (device_location(queue_.now()) != new_as) return;  // superseded
-      register_location(new_as, next);
-    });
-  }
-
-  /// Mapping cache enabled: a hit sends the packet straight to the cached
-  /// location; a miss makes the packet ride a full resolver round trip
-  /// (demand resolution — one control message), install the answer, then
-  /// forward. No retries under faults: a lost query loses the packet and
-  /// the next miss re-resolves.
-  void send_packet_cached(double send_time_ms) {
-    const auto hit = binding_.probe(kDeviceKey, queue_.now());
-    if (hit.has_value()) {
-      forward_cached(send_time_ms, *hit);
-      return;
-    }
-    count_control(1);
-    if (faults_ && control_lost()) return;
-    const auto to_resolver = leg_delay(config_.correspondent, resolver_);
-    if (!to_resolver.has_value()) return;
-    queue_.schedule_in(*to_resolver, [this, send_time_ms] {
-      if (faults_ && plan_->resolver_down(resolver_, queue_.now())) return;
-      const AsId answer = registry_;
-      const auto back = leg_delay(resolver_, config_.correspondent);
-      if (!back.has_value()) return;
-      queue_.schedule_in(*back, [this, send_time_ms, answer] {
-        binding_.insert(kDeviceKey, answer, queue_.now());
-        forward_cached(send_time_ms, answer);
-      });
-    });
-  }
-
-  void forward_cached(double send_time_ms, AsId target) {
-    const auto delay = leg_delay(config_.correspondent, target);
-    if (!delay.has_value()) return;
-    queue_.schedule_in(*delay, [this, send_time_ms, target] {
-      if (device_location(queue_.now()) == target) deliver(send_time_ms);
-    });
-  }
-
-  void send_packet(double send_time_ms) override {
-    if (cached_) {
-      send_packet_cached(send_time_ms);
-      return;
-    }
-    const AsId target = cache_;
-    if (!faults_) {
-      const auto delay = fabric_.path_delay_ms(config_.correspondent, target);
-      if (!delay.has_value()) return;
-      queue_.schedule_in(*delay, [this, send_time_ms, target] {
-        if (device_location(queue_.now()) == target) {
-          deliver(send_time_ms);
-        }
-      });
-      return;
-    }
-    const auto delay = fabric_.path_delay_ms(config_.correspondent, target,
-                                             *plan_, queue_.now());
-    if (!delay.has_value()) return;
-    queue_.schedule_in(*delay, [this, send_time_ms, target] {
-      if (device_location(queue_.now()) == target) {
-        deliver(send_time_ms);
-      }
-    });
-  }
-
-  AsId resolver_;
-  AsId registry_;  // the resolver's authoritative record
-  AsId cache_;     // the correspondent's cached answer
-};
-
-class ReplicatedResolutionRunner final : public SessionRunner {
- public:
-  ReplicatedResolutionRunner(const ForwardingFabric& fabric,
-                             const SessionConfig& config)
-      : SessionRunner(fabric, config),
-        pool_(fabric, config.resolver_replicas),
-        records_(pool_.replicas().size(), config.schedule.front().as),
-        cache_(config.schedule.front().as) {
-    // The correspondent always queries its nearest replica.
-    lookup_replica_ = 0;
-    for (std::size_t i = 0; i < pool_.replicas().size(); ++i) {
-      if (pool_.replicas()[i] == pool_.nearest_replica(config.correspondent)) {
-        lookup_replica_ = i;
-      }
-    }
-    // Demand resolution replaces the TTL clock when a mapping cache is on,
-    // exactly as in ResolutionRunner.
-    if (!cached_) {
-      for (double t = config.resolver_ttl_ms; t < config.duration_ms;
-           t += config.resolver_ttl_ms) {
-        queue_.schedule(t, [this] { resolve(0); });
-      }
-    }
-    if (faults_) {
-      // Anti-entropy: at each repair instant a replica that was down (its
-      // process crashed or its AS went dark) pulls the current record from
-      // its nearest live peer, so it stops answering with the location it
-      // last heard before the crash.
-      for (const FailureEvent& event : plan_->events()) {
-        if (event.kind != FailureKind::kResolverCrash &&
-            event.kind != FailureKind::kAsOutage)
-          continue;
-        if (event.end_ms >= config.duration_ms) continue;
-        const auto& ases = pool_.replicas();
-        if (std::find(ases.begin(), ases.end(), event.element) == ases.end())
-          continue;
-        queue_.schedule(event.end_ms,
-                        [this, as = event.element] { resync_replica(as); });
-      }
+    // Anti-entropy: at each repair instant a replica that was down (its
+    // process crashed or its AS went dark) pulls the current record from
+    // its nearest live peer, so it stops answering with the location it
+    // last heard before the crash. A pool of one has no peer to pull from.
+    if (pool_.replicas().size() < 2) return;
+    for (const FailureEvent& event : plan_.events()) {
+      if (event.kind != FailureKind::kResolverCrash &&
+          event.kind != FailureKind::kAsOutage)
+        continue;
+      if (event.end_ms >= config.duration_ms) continue;
+      const auto& ases = pool_.replicas();
+      if (std::find(ases.begin(), ases.end(), event.element) == ases.end())
+        continue;
+      queue_.schedule(event.end_ms,
+                      [this, as = event.element] { resync_replica(as); });
     }
   }
 
  private:
+  /// Writes the device's location into replica `index`'s record. A write
+  /// at the correspondent's lookup replica pushes a churn notification
+  /// down the update stream to its mapping cache.
+  void write_record(std::size_t index, AsId location) {
+    records_[index] = location;
+    if (cached_ && index == lookup_replica_)
+      notify_churn(pool_.replicas()[index], location);
+  }
+
   /// Recovered-replica anti-entropy pull: request to the nearest live
   /// peer, answer from the peer's record at answer time. Either leg can
   /// be lost or unroutable; the replica then keeps its stale record until
   /// the next device update reaches it.
   void resync_replica(AsId recovered) {
-    if (plan_->resolver_down(recovered, queue_.now())) return;  // overlap
+    if (plan_.resolver_down(recovered, queue_.now())) return;  // overlap
     std::optional<AsId> peer;
     double best = 0.0;
     for (const AsId replica : pool_.replicas()) {
-      if (replica == recovered ||
-          plan_->resolver_down(replica, queue_.now()))
+      if (replica == recovered || plan_.resolver_down(replica, queue_.now()))
         continue;
-      const auto delay =
-          fabric_.path_delay_ms(recovered, replica, *plan_, queue_.now());
+      const auto delay = path_delay(recovered, replica);
       if (!delay.has_value()) continue;
       if (!peer.has_value() || *delay < best) {
         peer = replica;
@@ -644,222 +426,173 @@ class ReplicatedResolutionRunner final : public SessionRunner {
     // it — the in-flight pull loses to the newer write.
     const AsId before = records_[pool_.replica_index(recovered)];
     queue_.schedule_in(best, [this, recovered, before, peer = *peer] {
-      if (plan_->resolver_down(peer, queue_.now())) return;
+      if (plan_.resolver_down(peer, queue_.now())) return;
       const AsId answer = records_[pool_.replica_index(peer)];
       count_control(1);
       if (control_lost()) return;
-      const auto back =
-          fabric_.path_delay_ms(peer, recovered, *plan_, queue_.now());
+      const auto back = path_delay(peer, recovered);
       if (!back.has_value()) return;
       queue_.schedule_in(*back, [this, recovered, before, answer] {
         const std::size_t index = pool_.replica_index(recovered);
-        auto& record = records_[index];
-        if (record == before &&
-            !plan_->resolver_down(recovered, queue_.now())) {
-          record = answer;
-          if (cached_ && index == lookup_replica_) notify_churn(answer);
-        }
+        if (records_[index] == before &&
+            !plan_.resolver_down(recovered, queue_.now()))
+          write_record(index, answer);
       });
     });
   }
 
   void resolve(std::size_t attempt) {
     count_attempt(attempt);
-    if (!faults_) {
-      const AsId replica = pool_.replicas()[lookup_replica_];
-      const auto to_replica =
-          fabric_.path_delay_ms(config_.correspondent, replica);
-      if (!to_replica.has_value()) return;
-      queue_.schedule_in(*to_replica, [this, replica] {
-        const AsId answer = records_[lookup_replica_];
-        const auto back =
-            fabric_.path_delay_ms(replica, config_.correspondent);
-        if (!back.has_value()) return;
-        queue_.schedule_in(*back, [this, answer] { cache_ = answer; });
-      });
-      return;
-    }
     // Failover: the first attempt goes to the statically nearest replica
     // (the client cannot know it died); once an attempt times out, the
     // retry targets the nearest replica *believed live* at retry time, so
     // service resumes within one backoff of the preferred replica dying.
+    // A single resolver has nowhere to fail over to: the client can only
+    // retry it.
     AsId replica = pool_.replicas()[lookup_replica_];
-    if (attempt > 0) {
+    if (attempt > 0 && pool_.replicas().size() > 1) {
       const auto live = pool_.nearest_live_replica(config_.correspondent,
-                                                   *plan_, queue_.now());
+                                                   plan_, queue_.now());
       if (live.has_value()) replica = *live;
     }
-    const auto to_replica = fabric_.path_delay_ms(
-        config_.correspondent, replica, *plan_, queue_.now());
+    const auto to_replica = path_delay(config_.correspondent, replica);
     if (control_lost() || !to_replica.has_value()) {
       retry_resolve(attempt);
       return;
     }
     queue_.schedule_in(*to_replica, [this, replica, attempt] {
-      if (plan_->resolver_down(replica, queue_.now())) {
+      if (plan_.resolver_down(replica, queue_.now())) {
         retry_resolve(attempt);
         return;
       }
       // The replica answers from its own (possibly stale) record: a
       // recovered replica serves whatever it last heard.
       const AsId answer = records_[pool_.replica_index(replica)];
-      const auto back = fabric_.path_delay_ms(
-          replica, config_.correspondent, *plan_, queue_.now());
+      const auto back = path_delay(replica, config_.correspondent);
       if (!back.has_value()) return;
-      queue_.schedule_in(*back, [this, answer] { cache_ = answer; });
+      queue_.schedule_in(*back, [this, answer] { answer_ = answer; });
     });
   }
 
   void retry_resolve(std::size_t attempt) {
-    if (!attempts_left(attempt)) return;  // the next TTL tick re-resolves
-    queue_.schedule_in(backoff_ms(attempt),
+    if (!config_.retry.attempts_left(attempt))
+      return;  // the next TTL tick re-resolves
+    queue_.schedule_in(config_.retry.delay_ms(attempt),
                        [this, attempt] { resolve(attempt + 1); });
   }
 
-  void on_move(AsId new_as) override { update_replicas(new_as, 0); }
+  void on_move(AsId new_as) override {
+    if (replicated_) obs::metric::resolver_updates().add();
+    update_location(new_as, 0);
+  }
 
-  /// Device -> primary replica, then primary -> every other replica.
-  void update_replicas(AsId new_as, std::size_t attempt) {
-    if (!faults_) {
-      count_control(pool_.update_message_count());
-      const auto arrivals = pool_.propagation_times_ms(new_as, queue_.now());
-      for (std::size_t i = 0; i < arrivals.size(); ++i) {
-        queue_.schedule(arrivals[i], [this, i, new_as] {
-          records_[i] = new_as;
-          if (cached_ && i == lookup_replica_) notify_churn(new_as);
-        });
-      }
+  void update_location(AsId new_as, std::size_t attempt) {
+    if (replicated_) {
+      update_replicas(new_as, attempt);
+    } else {
+      register_location(new_as, attempt);
+    }
+  }
+
+  void retry_update(AsId new_as, std::size_t attempt) {
+    renew(new_as, attempt, [this](AsId as, std::size_t next) {
+      update_location(as, next);
+    });
+  }
+
+  /// Single resolution: the device sends its update to the one resolver
+  /// without knowing whether it is up; a crashed resolver times the update
+  /// out at arrival and the device retries.
+  void register_location(AsId new_as, std::size_t attempt) {
+    count_attempt(attempt);
+    const AsId resolver = pool_.replicas().front();
+    const auto delay = path_delay(new_as, resolver);
+    if (control_lost() || !delay.has_value()) {
+      retry_update(new_as, attempt);
       return;
     }
-    // The device registers with the nearest *live* replica and that
-    // primary relays to the surviving rest; replicas that are dead (or
-    // whose relay is lost) simply miss this update and serve their stale
-    // record until the next one.
+    queue_.schedule_in(*delay, [this, new_as, resolver, attempt] {
+      if (plan_.resolver_down(resolver, queue_.now())) {
+        retry_update(new_as, attempt);
+        return;
+      }
+      write_record(0, new_as);
+    });
+  }
+
+  /// Replicated resolution: the device registers with the nearest *live*
+  /// replica and that primary relays to every other replica. Replicas that
+  /// are dead (or whose relay is lost) simply miss this update and serve
+  /// their stale record until the next one.
+  void update_replicas(AsId new_as, std::size_t attempt) {
     count_attempt(attempt);
     const auto primary =
-        pool_.nearest_live_replica(new_as, *plan_, queue_.now());
-    const auto to_primary =
-        primary.has_value()
-            ? fabric_.path_delay_ms(new_as, *primary, *plan_, queue_.now())
-            : std::nullopt;
+        pool_.nearest_live_replica(new_as, plan_, queue_.now());
+    const auto to_primary = primary.has_value()
+                                ? path_delay(new_as, *primary)
+                                : std::nullopt;
     if (!primary.has_value() || control_lost() || !to_primary.has_value()) {
       retry_update(new_as, attempt);
       return;
     }
     queue_.schedule_in(*to_primary, [this, new_as, primary = *primary,
                                      attempt] {
-      if (plan_->resolver_down(primary, queue_.now())) {
+      if (plan_.resolver_down(primary, queue_.now())) {
         retry_update(new_as, attempt);
         return;
       }
-      const std::size_t primary_index = pool_.replica_index(primary);
-      records_[primary_index] = new_as;
-      if (cached_ && primary_index == lookup_replica_) notify_churn(new_as);
+      write_record(pool_.replica_index(primary), new_as);
       for (std::size_t i = 0; i < pool_.replicas().size(); ++i) {
         const AsId replica = pool_.replicas()[i];
         if (replica == primary) continue;
         count_control(1);
-        const auto relay = fabric_.path_delay_ms(primary, replica, *plan_,
-                                                 queue_.now());
+        const auto relay = path_delay(primary, replica);
         if (control_lost() || !relay.has_value()) continue;
         queue_.schedule_in(*relay, [this, i, new_as] {
-          if (!plan_->resolver_down(pool_.replicas()[i], queue_.now())) {
-            records_[i] = new_as;
-            if (cached_ && i == lookup_replica_) notify_churn(new_as);
-          }
+          if (!plan_.resolver_down(pool_.replicas()[i], queue_.now()))
+            write_record(i, new_as);
         });
       }
     });
   }
 
-  void retry_update(AsId new_as, std::size_t attempt) {
-    // Soft-state renewal, as in IndirectionRunner: keep probing at the
-    // backoff cap past the burst until an update lands, a newer move
-    // supersedes it, or the session ends.
-    if (queue_.now() >= config_.duration_ms) return;
-    const std::size_t next = attempts_left(attempt) ? attempt + 1 : 0;
-    queue_.schedule_in(backoff_ms(attempt), [this, new_as, next] {
-      if (device_location(queue_.now()) != new_as) return;  // superseded
-      update_replicas(new_as, next);
-    });
-  }
-
-  /// A record write landing at the correspondent's lookup replica pushes a
-  /// churn notification down the update stream to its mapping cache.
-  void notify_churn(AsId new_as) {
-    count_control(1);
-    if (faults_ && control_lost()) return;
-    const AsId replica = pool_.replicas()[lookup_replica_];
-    const auto back = leg_delay(replica, config_.correspondent);
-    if (!back.has_value()) return;
-    queue_.schedule_in(*back, [this, new_as] {
-      binding_.churn(kDeviceKey, new_as, queue_.now());
-    });
-  }
-
-  /// Demand resolution against the lookup replica, exactly as in
-  /// ResolutionRunner::send_packet_cached.
-  void send_packet_cached(double send_time_ms) {
+  /// Sends to the last resolved answer. With a mapping cache enabled, a
+  /// hit sends immediately to the cached location; a miss makes the packet
+  /// ride a round trip to the lookup replica (demand resolution — one
+  /// control message), install the answer, then forward. A miss does not
+  /// retry: a lost query loses the packet and the next miss re-resolves.
+  void send_packet(double send_time_ms) override {
+    if (!cached_) {
+      forward(config_.correspondent, answer_, send_time_ms);
+      return;
+    }
     const auto hit = binding_.probe(kDeviceKey, queue_.now());
     if (hit.has_value()) {
-      forward_cached(send_time_ms, *hit);
+      forward(config_.correspondent, *hit, send_time_ms);
       return;
     }
     count_control(1);
-    if (faults_ && control_lost()) return;
+    if (control_lost()) return;
     const AsId replica = pool_.replicas()[lookup_replica_];
-    const auto to_replica = leg_delay(config_.correspondent, replica);
+    const auto to_replica = path_delay(config_.correspondent, replica);
     if (!to_replica.has_value()) return;
     queue_.schedule_in(*to_replica, [this, send_time_ms, replica] {
-      if (faults_ && plan_->resolver_down(replica, queue_.now())) return;
+      if (plan_.resolver_down(replica, queue_.now())) return;
       const AsId answer = records_[lookup_replica_];
-      const auto back = leg_delay(replica, config_.correspondent);
+      const auto back = path_delay(replica, config_.correspondent);
       if (!back.has_value()) return;
       queue_.schedule_in(*back, [this, send_time_ms, answer] {
         binding_.insert(kDeviceKey, answer, queue_.now());
-        forward_cached(send_time_ms, answer);
+        forward(config_.correspondent, answer, send_time_ms);
       });
     });
   }
 
-  void forward_cached(double send_time_ms, AsId target) {
-    const auto delay = leg_delay(config_.correspondent, target);
-    if (!delay.has_value()) return;
-    queue_.schedule_in(*delay, [this, send_time_ms, target] {
-      if (device_location(queue_.now()) == target) deliver(send_time_ms);
-    });
-  }
-
-  void send_packet(double send_time_ms) override {
-    if (cached_) {
-      send_packet_cached(send_time_ms);
-      return;
-    }
-    const AsId target = cache_;
-    if (!faults_) {
-      const auto delay = fabric_.path_delay_ms(config_.correspondent, target);
-      if (!delay.has_value()) return;
-      queue_.schedule_in(*delay, [this, send_time_ms, target] {
-        if (device_location(queue_.now()) == target) {
-          deliver(send_time_ms);
-        }
-      });
-      return;
-    }
-    const auto delay = fabric_.path_delay_ms(config_.correspondent, target,
-                                             *plan_, queue_.now());
-    if (!delay.has_value()) return;
-    queue_.schedule_in(*delay, [this, send_time_ms, target] {
-      if (device_location(queue_.now()) == target) {
-        deliver(send_time_ms);
-      }
-    });
-  }
-
+  bool replicated_;
   ResolverPool pool_;
   std::vector<AsId> records_;  // per-replica registered location
-  std::size_t lookup_replica_;
-  AsId cache_;
+  std::size_t lookup_replica_;  // the replica nearest the correspondent
+  AsId answer_;  // the correspondent's last resolved location
 };
 
 class NameBasedRunner final : public SessionRunner {
@@ -917,15 +650,13 @@ class NameBasedRunner final : public SessionRunner {
 
   void hop(AsId at, double send_time_ms, std::size_t hops) {
     if (hops > config_.packet_ttl_hops) return;  // dropped in a loop
-    if (faults_ && plan_->as_down(at, queue_.now())) return;  // router dark
+    if (plan_.as_down(at, queue_.now())) return;  // router dark
     const AsId dest = belief(at, queue_.now());
     if (at == dest) {
       if (device_location(queue_.now()) == at) deliver(send_time_ms);
       return;  // belief said "here" but the device has left: lost
     }
-    const auto step = faults_
-                          ? fabric_.hop_toward(at, dest, *plan_, queue_.now())
-                          : fabric_.hop_toward(at, dest);
+    const auto step = fabric_.hop_toward(at, dest, plan_, queue_.now());
     if (!step.has_value()) return;
     queue_.schedule_in(step->link_ms,
                        [this, next = step->next, send_time_ms, hops] {
@@ -976,12 +707,12 @@ SessionStats simulate_session(const ForwardingFabric& fabric,
     }
     case SimArchitecture::kNameResolution: {
       PROF_SPAN("lina.session.name_resolution");
-      stats = ResolutionRunner(fabric, config).run();
+      stats = ResolutionRunner(fabric, config, false).run();
       break;
     }
     case SimArchitecture::kReplicatedResolution: {
       PROF_SPAN("lina.session.replicated_resolution");
-      stats = ReplicatedResolutionRunner(fabric, config).run();
+      stats = ResolutionRunner(fabric, config, true).run();
       break;
     }
     default:

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <stdexcept>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "lina/sim/session.hpp"
 
 #include "../support/fixtures.hpp"
+#include "../support/session_totals.hpp"
 
 namespace lina::sim {
 namespace {
@@ -126,9 +128,25 @@ TEST(CacheSessionIdentityTest, DisabledCacheIsBitIdenticalUnderFaults) {
   FailurePlan plan;
   plan.as_outage(baseline.schedule[1].as, 2500.0, 3500.0);
   baseline.failures = &plan;
-  for (const auto arch : kAll) {
+  // Each architecture's totals under the outage, recorded from the
+  // simulator when sessions without faults still ran a separate code path:
+  // folding that path into this one must not move a faulted session.
+  const lina::testing::SessionTotals pinned[] = {
+      {400, 348, 3, 0, 0x1.044b1354c0932p+16, 0x1.5e32240fd2d4dp+11,
+       0x1.3f6c47b2803cp+6},
+      {400, 299, 56, 0, 0x1.70dec78c1f731p+15, 0x1.2afffffffffd6p+8,
+       0x1.01c1583b7a622p+10},
+      {400, 347, 864, 0, 0x1.aee92a6f1b5d6p+15, 0x1.818ea2712564fp+9,
+       0x1.f4de6302061fp+7},
+      {400, 286, 71, 0, 0x1.6add8cd81bdb2p+15, 0x1.1dfffffffffdfp+8,
+       0x1.42c1583b7a622p+10},
+  };
+  static_assert(std::size(pinned) == std::size(kAll));
+  for (std::size_t i = 0; i < std::size(kAll); ++i) {
+    const SimArchitecture arch = kAll[i];
     SCOPED_TRACE(sim_architecture_name(arch));
     const SessionStats reference = simulate_session(fabric(), arch, baseline);
+    lina::testing::expect_totals(reference, pinned[i]);
     SessionConfig off = baseline;
     off.mapping_cache.policy = cache::Policy::kOff;
     off.mapping_cache.capacity = 64;

@@ -122,5 +122,36 @@ TEST(ObsOffSwitchTest, FaultedSessionIsAlsoBitIdenticalOnVsOff) {
   }
 }
 
+TEST(ObsOffSwitchTest, ResolverCountsUpdatesAndFailsOverOnlyUnderFaults) {
+  // Without faults every replica is live: each move is one resolver update
+  // and no failover lookup is made (nor its instant recorded). With faults
+  // in the plan, the device picks a live primary through the failover
+  // lookup on every update.
+  const SessionConfig config = mobile_config();
+  const std::uint64_t moves = config.schedule.size() - 1;
+  obs::Registry::instance().reset();
+  {
+    obs::EnabledScope scope;
+    (void)simulate_session(fabric(), SimArchitecture::kReplicatedResolution,
+                           config);
+  }
+  EXPECT_EQ(obs::metric::resolver_updates().value(), moves);
+  EXPECT_EQ(obs::metric::resolver_failover_lookups().value(), 0u);
+
+  SessionConfig faulted = config;
+  FailurePlan plan;
+  plan.resolver_crash(config.resolver_replicas.front(), 0.0, 1000.0);
+  faulted.failures = &plan;
+  obs::Registry::instance().reset();
+  {
+    obs::EnabledScope scope;
+    (void)simulate_session(fabric(), SimArchitecture::kReplicatedResolution,
+                           faulted);
+  }
+  EXPECT_EQ(obs::metric::resolver_updates().value(), moves);
+  EXPECT_GE(obs::metric::resolver_failover_lookups().value(), moves);
+  obs::Registry::instance().reset();
+}
+
 }  // namespace
 }  // namespace lina::sim

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "../support/fixtures.hpp"
+#include "../support/session_totals.hpp"
 #include "lina/sim/content_session.hpp"
 #include "lina/sim/failure_plan.hpp"
 #include "lina/sim/resolver_pool.hpp"
@@ -80,15 +82,32 @@ TEST(ResilienceRegressionTest, EmptyPlanIsBitIdenticalToNoPlan) {
   config.resolver_ttl_ms = 150.0;
   config.resolver_replicas = ResolverPool::metro_placement(shared_internet(), 6);
 
+  // A missing plan is the shared empty plan, so the comparison below runs
+  // one code path twice. What pins that path to the failure-free
+  // simulator is each architecture's totals, recorded from the simulator
+  // when it still kept a separate code path for sessions without faults.
+  const std::pair<SimArchitecture, lina::testing::SessionTotals> pinned[] = {
+      {SimArchitecture::kIndirection,
+       {400, 398, 3, 0, 0x1.29fde74e1ea1ep+16, 0x1.4dfdfbe2e7c2p+12,
+        0x1.3f6c47b2803cp+6}},
+      {SimArchitecture::kNameResolution,
+       {400, 349, 56, 0, 0x1.725a6377627b5p+15, 0x1.5cfffffffffa4p+8,
+        0x1.01c1583b7a622p+10}},
+      {SimArchitecture::kNameBased,
+       {400, 397, 864, 0, 0x1.b064c65a5e659p+15, 0x1.9a8ea27125635p+9,
+        0x1.f4de6302061fp+7}},
+      {SimArchitecture::kReplicatedResolution,
+       {400, 336, 71, 0, 0x1.6c5928c35ee36p+15, 0x1.4ffffffffffacp+8,
+        0x1.42c1583b7a622p+10}},
+  };
   const FailurePlan empty_plan;
-  for (const auto arch :
-       {SimArchitecture::kIndirection, SimArchitecture::kNameResolution,
-        SimArchitecture::kNameBased, SimArchitecture::kReplicatedResolution}) {
+  for (const auto& [arch, totals] : pinned) {
     SCOPED_TRACE(sim_architecture_name(arch));
     SessionConfig with_plan = config;
     with_plan.failures = &empty_plan;
-    expect_identical(simulate_session(fabric(), arch, config),
-                     simulate_session(fabric(), arch, with_plan));
+    const SessionStats without = simulate_session(fabric(), arch, config);
+    expect_identical(without, simulate_session(fabric(), arch, with_plan));
+    lina::testing::expect_totals(without, totals);
   }
 }
 
