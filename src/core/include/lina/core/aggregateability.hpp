@@ -7,8 +7,8 @@
 
 #include "lina/mobility/content_trace.hpp"
 #include "lina/names/name_trie.hpp"
+#include "lina/routing/fib.hpp"
 #include "lina/routing/vantage_router.hpp"
-#include "lina/strategy/port_oracle.hpp"
 
 namespace lina::core {
 
@@ -39,8 +39,8 @@ struct AggregateabilityResult {
 
 /// Batched form for streamed catalogs: feed the traces in catalog order in
 /// batches of any size; resident state is each router's name table (one
-/// entry per routable name) plus its port-oracle cache — never the
-/// snapshot history. Insertion order matches the one-shot function, so
+/// entry per routable name) plus its frozen FIB — never the snapshot
+/// history. Insertion order matches the one-shot function, so
 /// finish() is bit-identical to evaluate_aggregateability.
 class AggregateabilityAccumulator {
  public:
@@ -54,7 +54,7 @@ class AggregateabilityAccumulator {
  private:
   struct RouterState {
     const routing::VantageRouter* router;
-    strategy::FrozenFibOracle oracle;
+    routing::FrozenFib fib;
     names::NameTrie<routing::Port> table;
   };
 

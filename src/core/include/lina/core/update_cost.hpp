@@ -73,10 +73,11 @@ class DeviceUpdateCostEvaluator {
 /// the router's strategy instance (reset per name); an event counts as an
 /// update at a router iff the strategy's forwarding state changed.
 ///
-/// Each evaluate call interns the traces' addresses into one read-only
-/// index (DESIGN.md §4k), resolves every distinct address once per router
-/// with a batched longest-prefix match, then folds the snapshots through
-/// the strategy; routers fan out across the lina::exec pool.
+/// Each evaluate call cuts the traces into fixed blocks of whole traces
+/// and interns each block's addresses on its own, in parallel (DESIGN.md
+/// §4k). Routers then fan out across the lina::exec pool; each resolves
+/// a block's distinct addresses with one batched longest-prefix match and
+/// folds that block's snapshots through the strategy.
 class ContentUpdateCostEvaluator {
  public:
   explicit ContentUpdateCostEvaluator(

@@ -1,31 +1,37 @@
 #include "lina/core/aggregateability.hpp"
 
 #include "lina/exec/parallel.hpp"
+#include "lina/prof/prof.hpp"
 #include "lina/strategy/forwarding_strategy.hpp"
 
 namespace lina::core {
 
 AggregateabilityAccumulator::AggregateabilityAccumulator(
-    std::span<const routing::VantageRouter> routers) {
-  states_.reserve(routers.size());
-  for (const routing::VantageRouter& router : routers) {
-    states_.push_back(std::make_unique<RouterState>(
-        RouterState{&router, strategy::FrozenFibOracle(router.fib()), {}}));
-  }
-}
+    std::span<const routing::VantageRouter> routers)
+    : states_(exec::parallel_map(routers.size(), [&](std::size_t r) {
+        return std::make_unique<RouterState>(
+            RouterState{&routers[r], routers[r].fib().freeze(), {}});
+      })) {}
 
 void AggregateabilityAccumulator::accumulate(
     std::span<const mobility::ContentTrace> batch) {
+  PROF_SPAN("lina.core.aggregateability");
   // Routers own disjoint state, so the per-vantage loop fans out across
   // the pool; within a router, names insert in catalog order exactly as
-  // the one-shot evaluation would.
+  // the one-shot evaluation would. Final address sets are small and
+  // rarely shared, so a frozen-trie walk per address costs less than
+  // filling and freeing a per-router memo.
   exec::parallel_for(states_.size(), [&](std::size_t r) {
     RouterState& state = *states_[r];
+    std::vector<const routing::FibEntry*> entries;
     for (const mobility::ContentTrace& trace : batch) {
       const auto addrs = trace.final_addresses();
-      if (addrs.empty()) continue;
-      const auto best = strategy::best_entry(state.oracle, addrs);
-      if (!best.has_value()) continue;
+      entries.resize(addrs.size());
+      for (std::size_t i = 0; i < addrs.size(); ++i) {
+        entries[i] = state.fib.entry_for(addrs[i]);
+      }
+      const routing::FibEntry* best = strategy::best_entry(entries);
+      if (best == nullptr) continue;
       state.table.insert(trace.name(), best->port);
     }
   });

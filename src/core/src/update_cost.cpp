@@ -90,21 +90,27 @@ ContentUpdateCostEvaluator::ContentUpdateCostEvaluator(
 
 namespace {
 
-/// Read-only view of a trace set for one evaluate call. Every distinct
-/// address gets a dense id in first-seen order (trace order, then snapshot
-/// order, then address order), so the layout depends only on the input.
+/// A block of the content index closes after the first trace that brings
+/// it to at least this many address occurrences. Fixed, so the blocks
+/// depend only on the input, never on the thread count.
+constexpr std::size_t kBlockOccurrences = std::size_t{1} << 16;
+
+/// Read-only view of a run of whole traces, interned on its own. Every
+/// distinct address of the block gets a block-local id in first-seen
+/// order (trace order, then snapshot order, then address order).
 /// Snapshots are CSR spans of ids: snapshot s is
-/// ids[snapshot_begin[s], snapshot_begin[s + 1]), and trace t owns
-/// snapshots [trace_begin[t], trace_begin[t + 1]).
-struct SnapshotIndex {
-  std::vector<net::Ipv4Address> addresses;  // id -> address
+/// ids[snapshot_end[s - 1], snapshot_end[s]) (from 0 for s = 0), and
+/// trace t owns snapshots [trace_end[t - 1], trace_end[t]).
+struct IndexBlock {
+  std::vector<net::Ipv4Address> addresses;  // block-local id -> address
   std::vector<std::uint32_t> ids;
-  std::vector<std::size_t> snapshot_begin{0};
-  std::vector<std::size_t> trace_begin{0};
+  std::vector<std::size_t> snapshot_end;
+  std::vector<std::size_t> trace_end;
 };
 
 /// Open-addressed address -> id table (linear probing, power-of-two
-/// capacity kept at most half full). Slots hold ids into `addresses`.
+/// capacity kept at most half full). A slot holds the key beside its id,
+/// so a probe reads one cache line and never the address list.
 class AddressInterner {
  public:
   explicit AddressInterner(std::vector<net::Ipv4Address>& addresses)
@@ -113,11 +119,11 @@ class AddressInterner {
   }
 
   std::uint32_t intern(net::Ipv4Address addr) {
-    std::uint32_t& slot = find(addr);
-    if (slot != kEmpty) return slot;
+    Slot& slot = find(addr.value());
+    if (slot.id != kEmpty) return slot.id;
     const auto id = static_cast<std::uint32_t>(addresses_.size());
     addresses_.push_back(addr);
-    slot = id;
+    slot = Slot{addr.value(), id};
     if (2 * addresses_.size() > slots_.size()) rehash(2 * slots_.size());
     return id;
   }
@@ -126,60 +132,99 @@ class AddressInterner {
   static constexpr std::uint32_t kEmpty =
       std::numeric_limits<std::uint32_t>::max();
 
-  /// The slot holding `addr`'s id, or the empty slot where it belongs.
-  std::uint32_t& find(net::Ipv4Address addr) {
+  struct Slot {
+    std::uint32_t key = 0;
+    std::uint32_t id = kEmpty;
+  };
+
+  /// The slot holding `key`, or the empty slot where it belongs.
+  Slot& find(std::uint32_t key) {
     const std::size_t mask = slots_.size() - 1;
     // Fibonacci hashing: the top bits of a multiplicative hash.
     std::size_t i = static_cast<std::size_t>(
-        (std::uint64_t{addr.value()} * 0x9E3779B97F4A7C15ull) >> shift_);
-    while (slots_[i] != kEmpty && addresses_[slots_[i]] != addr) {
+        (std::uint64_t{key} * 0x9E3779B97F4A7C15ull) >> shift_);
+    while (slots_[i].id != kEmpty && slots_[i].key != key) {
       i = (i + 1) & mask;
     }
     return slots_[i];
   }
 
   void rehash(std::size_t capacity) {
-    slots_.assign(capacity, kEmpty);
+    slots_.assign(capacity, Slot{});
     shift_ = 64 - std::countr_zero(capacity);
     for (std::uint32_t id = 0; id < addresses_.size(); ++id) {
-      find(addresses_[id]) = id;
+      find(addresses_[id].value()) = Slot{addresses_[id].value(), id};
     }
   }
 
   std::vector<net::Ipv4Address>& addresses_;
-  std::vector<std::uint32_t> slots_;
+  std::vector<Slot> slots_;
   int shift_ = 0;
 };
 
-/// Interns every snapshot of every trace. Works for any trace type exposing
-/// snapshots() whose elements carry `.addresses`.
+/// Interns traces [first, last), which hold `occurrences` addresses.
+/// Works for any trace span whose elements expose snapshots() with
+/// `.addresses`.
 template <typename Traces>
-SnapshotIndex build_index(const Traces& traces) {
-  PROF_SPAN("lina.core.content_index");
-  SnapshotIndex index;
-  // Exact sizes up front, so the index holds 4 B per address occurrence
+IndexBlock intern_block(const Traces& traces, std::size_t first,
+                        std::size_t last, std::size_t occurrences) {
+  IndexBlock block;
+  // Exact sizes up front, so the block holds 4 B per address occurrence
   // with no growth slack.
-  std::size_t snapshots = 0, occurrences = 0;
-  for (const auto& trace : traces) {
-    for (const auto& snapshot : trace.snapshots()) {
-      ++snapshots;
-      occurrences += snapshot.addresses.size();
-    }
+  std::size_t snapshots = 0;
+  for (std::size_t t = first; t < last; ++t) {
+    snapshots += traces[t].snapshots().size();
   }
-  index.ids.reserve(occurrences);
-  index.snapshot_begin.reserve(snapshots + 1);
-  index.trace_begin.reserve(std::size(traces) + 1);
-  AddressInterner interner(index.addresses);
-  for (const auto& trace : traces) {
-    for (const auto& snapshot : trace.snapshots()) {
+  block.ids.reserve(occurrences);
+  block.snapshot_end.reserve(snapshots);
+  block.trace_end.reserve(last - first);
+  AddressInterner interner(block.addresses);
+  for (std::size_t t = first; t < last; ++t) {
+    for (const auto& snapshot : traces[t].snapshots()) {
       for (const net::Ipv4Address addr : snapshot.addresses) {
-        index.ids.push_back(interner.intern(addr));
+        block.ids.push_back(interner.intern(addr));
       }
-      index.snapshot_begin.push_back(index.ids.size());
+      block.snapshot_end.push_back(block.ids.size());
     }
-    index.trace_begin.push_back(index.snapshot_begin.size() - 1);
+    block.trace_end.push_back(block.snapshot_end.size());
   }
-  return index;
+  return block;
+}
+
+/// Cuts the traces into blocks of at least kBlockOccurrences address
+/// occurrences (the last may hold fewer) and interns each block in
+/// parallel. No global id space: an address seen in two blocks is
+/// resolved twice, which costs less than a serial merge.
+template <typename Traces>
+std::vector<IndexBlock> build_index(const Traces& traces) {
+  PROF_SPAN("lina.core.content_index");
+  const std::size_t trace_count = std::size(traces);
+  const std::vector<std::size_t> occurrences =
+      exec::parallel_map(trace_count, [&](std::size_t t) {
+        std::size_t n = 0;
+        for (const auto& snapshot : traces[t].snapshots()) {
+          n += snapshot.addresses.size();
+        }
+        return n;
+      });
+  struct Range {
+    std::size_t first, last, occurrences;
+  };
+  std::vector<Range> ranges;
+  Range open{0, 0, 0};
+  for (std::size_t t = 0; t < trace_count; ++t) {
+    open.occurrences += occurrences[t];
+    open.last = t + 1;
+    if (open.occurrences >= kBlockOccurrences) {
+      ranges.push_back(open);
+      open = Range{t + 1, t + 1, 0};
+    }
+  }
+  if (open.last > open.first) ranges.push_back(open);
+  return exec::parallel_map(ranges.size(), [&](std::size_t b) {
+    return intern_block(traces, ranges[b].first, ranges[b].last,
+                        ranges[b].occurrences);
+  });
 }
 
 /// Shared §3.3.1 replay: each principal's snapshot sequence goes through
@@ -190,34 +235,35 @@ std::vector<RouterUpdateStats> evaluate_snapshot_series(
     std::span<const routing::VantageRouter> routers, const Traces& traces,
     strategy::StrategyKind kind) {
   PROF_SPAN("lina.core.snapshot_update_cost");
-  const SnapshotIndex index = build_index(traces);
-  const std::size_t trace_count = index.trace_begin.size() - 1;
+  const std::vector<IndexBlock> index = build_index(traces);
   // Routers only read the index, so they parallelize cleanly; results
   // come back in router order.
   return exec::parallel_map(routers.size(), [&](std::size_t r) {
     const routing::VantageRouter& router = routers[r];
     RouterUpdateStats tally{std::string(router.name()), 0, 0};
-    // One batched longest-prefix match per distinct address: the FIB is
-    // fixed for the whole evaluation, so entry_of[id] serves every
-    // occurrence of that address.
     const routing::FrozenFib fib = router.fib().freeze();
-    std::vector<const routing::FibEntry*> entry_of(index.addresses.size());
-    fib.entries_for_many(index.addresses, entry_of);
     const auto strat = strategy::make_strategy(kind);
+    std::vector<const routing::FibEntry*> entry_of;
     std::vector<const routing::FibEntry*> entries;
-    for (std::size_t t = 0; t < trace_count; ++t) {
-      strat->reset();
-      const std::size_t first = index.trace_begin[t];
-      for (std::size_t s = first; s < index.trace_begin[t + 1]; ++s) {
-        entries.clear();
-        for (std::size_t i = index.snapshot_begin[s];
-             i < index.snapshot_begin[s + 1]; ++i) {
-          entries.push_back(entry_of[index.ids[i]]);
-        }
-        const bool updated = strat->observe(entries);
-        if (s != first) {
-          ++tally.events;
-          if (updated) ++tally.updates;
+    for (const IndexBlock& block : index) {
+      // One batched longest-prefix match per distinct address of the
+      // block: the FIB is fixed for the whole evaluation, so
+      // entry_of[id] serves every occurrence of that address.
+      entry_of.resize(block.addresses.size());
+      fib.entries_for_many(block.addresses, entry_of);
+      std::size_t s = 0, i = 0;
+      for (const std::size_t trace_end : block.trace_end) {
+        strat->reset();
+        for (const std::size_t first = s; s < trace_end; ++s) {
+          entries.clear();
+          for (; i < block.snapshot_end[s]; ++i) {
+            entries.push_back(entry_of[block.ids[i]]);
+          }
+          const bool updated = strat->observe(entries);
+          if (s != first) {
+            ++tally.events;
+            if (updated) ++tally.updates;
+          }
         }
       }
     }

@@ -41,7 +41,7 @@ struct SessionParams {
   double interval_ms = 20.0;
   /// Indirection relay; defaults to the initial attachment.
   std::optional<topology::AsId> home_as;
-  /// Name resolution: the resolver (required for kNameResolution).
+  /// Name resolution: the resolver; defaults to the correspondent's AS.
   std::optional<topology::AsId> resolver_as;
   /// Replicated resolution: the replica pool (required for
   /// kReplicatedResolution; the correspondent resolves at the nearest

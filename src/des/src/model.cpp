@@ -80,10 +80,9 @@ std::uint32_t PacketModel::add_session(const SessionParams& params) {
             "PacketModel: replicated resolution needs replicas");
       pool = params.resolver_replicas;
     } else {
-      if (!params.resolver_as.has_value())
-        throw std::invalid_argument(
-            "PacketModel: name resolution needs a resolver");
-      pool = {*params.resolver_as};
+      // As in sim::simulate_session, the resolver defaults to the
+      // correspondent's AS.
+      pool = {params.resolver_as.value_or(spec.correspondent)};
     }
     for (const topology::AsId replica : pool) check_as(replica, "replica");
     // Nearest-first (ties by AS id): the correspondent resolves at the

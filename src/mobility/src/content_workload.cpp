@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "lina/prof/prof.hpp"
 #include "lina/stats/distributions.hpp"
 
 namespace lina::mobility {
@@ -57,6 +58,7 @@ struct NameState {
 }  // namespace
 
 ContentCatalog ContentWorkloadGenerator::generate() const {
+  PROF_SPAN("lina.mobility.content_generate");
   stats::Rng rng(config_.seed, "content-workload");
   const VantagePointMerger merger(
       VantagePointMerger::worldwide_vantages(config_.vantage_count, rng),

@@ -74,31 +74,4 @@ class CachingFibOracle final : public PortOracle {
       cache_;
 };
 
-/// Memoizing oracle over a frozen FIB snapshot: one flat-arena trie walk
-/// per distinct address, O(1) after. For read-mostly phases that can
-/// afford a freeze() up front (aggregateability scans).
-class FrozenFibOracle final : public PortOracle {
- public:
-  explicit FrozenFibOracle(const routing::Fib& fib) : fib_(fib.freeze()) {}
-  explicit FrozenFibOracle(routing::FrozenFib fib) : fib_(std::move(fib)) {}
-
-  [[nodiscard]] std::optional<routing::FibEntry> entry_for(
-      net::Ipv4Address addr) const override {
-    const auto [it, inserted] = cache_.try_emplace(addr.value());
-    if (inserted) {
-      const routing::FibEntry* e = fib_.entry_for(addr);
-      if (e != nullptr) it->second = *e;
-    }
-    return it->second;
-  }
-
-  [[nodiscard]] const routing::FrozenFib& fib() const { return fib_; }
-  [[nodiscard]] std::size_t cached_addresses() const { return cache_.size(); }
-
- private:
-  routing::FrozenFib fib_;
-  mutable std::unordered_map<std::uint32_t, std::optional<routing::FibEntry>>
-      cache_;
-};
-
 }  // namespace lina::strategy

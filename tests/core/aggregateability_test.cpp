@@ -2,13 +2,51 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "../support/fixtures.hpp"
+#include "lina/exec/thread_pool.hpp"
+#include "lina/strategy/forwarding_strategy.hpp"
 
 namespace lina::core {
 namespace {
 
 using lina::testing::shared_content_catalog;
 using lina::testing::shared_internet;
+
+/// Independent reference: per router, a plain loop over an uncached
+/// FibOracle, best_entry's oracle form and a NameTrie filled in catalog
+/// order.
+std::vector<AggregateabilityResult> reference_aggregateability(
+    std::span<const routing::VantageRouter> routers,
+    std::span<const mobility::ContentTrace> traces) {
+  std::vector<AggregateabilityResult> out;
+  for (const routing::VantageRouter& router : routers) {
+    const strategy::FibOracle oracle(router.fib());
+    names::NameTrie<routing::Port> table;
+    for (const mobility::ContentTrace& trace : traces) {
+      const auto best = strategy::best_entry(oracle, trace.final_addresses());
+      if (best.has_value()) table.insert(trace.name(), best->port);
+    }
+    out.push_back(AggregateabilityResult{std::string(router.name()),
+                                         table.size(),
+                                         table.lpm_compressed_size(),
+                                         table.table_bytes()});
+  }
+  return out;
+}
+
+void expect_same_results(const std::vector<AggregateabilityResult>& got,
+                         const std::vector<AggregateabilityResult>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(got[r].router, want[r].router);
+    EXPECT_EQ(got[r].complete_entries, want[r].complete_entries)
+        << want[r].router;
+    EXPECT_EQ(got[r].lpm_entries, want[r].lpm_entries) << want[r].router;
+    EXPECT_EQ(got[r].table_bytes, want[r].table_bytes) << want[r].router;
+  }
+}
 
 TEST(AggregateabilityResultTest, RatioArithmetic) {
   const AggregateabilityResult r{"x", 100, 20};
@@ -74,6 +112,37 @@ TEST(AggregateabilityTest, EmptyCatalog) {
   for (const auto& r : results) {
     EXPECT_EQ(r.complete_entries, 0u);
     EXPECT_EQ(r.lpm_entries, 0u);
+  }
+}
+
+TEST(AggregateabilityTest, MatchesReferenceAtAnyThreadCount) {
+  lina::testing::ThreadCountGuard guard;
+  const auto routers = shared_internet().vantages();
+  for (const auto* part : {&shared_content_catalog().popular,
+                           &shared_content_catalog().unpopular}) {
+    const auto want = reference_aggregateability(routers, *part);
+    for (const std::size_t threads : {1, 4}) {
+      exec::set_default_threads(threads);
+      SCOPED_TRACE(threads);
+      expect_same_results(evaluate_aggregateability(routers, *part), want);
+    }
+  }
+}
+
+TEST(AggregateabilityTest, BatchedAccumulatorMatchesOneShot) {
+  const auto routers = shared_internet().vantages();
+  const std::span<const mobility::ContentTrace> traces =
+      shared_content_catalog().popular;
+  const auto want = evaluate_aggregateability(routers, traces);
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{7},
+                                  traces.size()}) {
+    SCOPED_TRACE(batch);
+    AggregateabilityAccumulator accumulator(routers);
+    for (std::size_t i = 0; i < traces.size(); i += batch) {
+      accumulator.accumulate(
+          traces.subspan(i, std::min(batch, traces.size() - i)));
+    }
+    expect_same_results(accumulator.finish(), want);
   }
 }
 

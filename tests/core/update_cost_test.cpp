@@ -6,9 +6,11 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "../support/fixtures.hpp"
+#include "lina/exec/thread_pool.hpp"
 #include "lina/stats/summary.hpp"
 #include "lina/strategy/port_oracle.hpp"
 
@@ -89,10 +91,13 @@ void expect_same_tallies(const std::vector<RouterUpdateStats>& got,
   }
 }
 
+/// Address-set series: series[i][t] is trace i's snapshot t.
+using Series = std::vector<std::vector<std::vector<net::Ipv4Address>>>;
+
 /// Hand-made address sets covering the replay's edge cases, as snapshot
 /// sequences (each becomes one content and one multihomed trace).
 struct EdgeCaseSets {
-  std::vector<std::vector<std::vector<net::Ipv4Address>>> series;
+  Series series;
   net::Ipv4Address tie_a, tie_b;  // equal class, path and MED at router 0
 };
 
@@ -156,30 +161,125 @@ EdgeCaseSets edge_case_sets() {
   return sets;
 }
 
-std::vector<mobility::ContentTrace> edge_case_content_traces() {
+/// One content trace per series, named `<stem><i>.example`.
+std::vector<mobility::ContentTrace> content_traces(const Series& series,
+                                                  const std::string& stem) {
   std::vector<mobility::ContentTrace> traces;
-  const auto sets = edge_case_sets();
-  for (std::size_t i = 0; i < sets.series.size(); ++i) {
+  for (std::size_t i = 0; i < series.size(); ++i) {
     traces.emplace_back(
-        names::ContentName::from_dns("edge" + std::to_string(i) + ".example"),
+        names::ContentName::from_dns(stem + std::to_string(i) + ".example"),
         true, false, 1);
-    for (std::size_t t = 0; t < sets.series[i].size(); ++t) {
-      traces.back().observe(static_cast<double>(t), sets.series[i][t]);
+    for (std::size_t t = 0; t < series[i].size(); ++t) {
+      traces.back().observe(static_cast<double>(t), series[i][t]);
     }
   }
   return traces;
 }
 
-std::vector<mobility::MultihomedDeviceTrace> edge_case_multihomed_traces() {
+/// One multihomed device trace per series.
+std::vector<mobility::MultihomedDeviceTrace> multihomed_traces(
+    const Series& series) {
   std::vector<mobility::MultihomedDeviceTrace> traces;
-  const auto sets = edge_case_sets();
-  for (std::size_t i = 0; i < sets.series.size(); ++i) {
+  for (std::size_t i = 0; i < series.size(); ++i) {
     traces.emplace_back(static_cast<std::uint32_t>(i));
-    for (std::size_t t = 0; t < sets.series[i].size(); ++t) {
-      traces.back().observe(static_cast<double>(t), sets.series[i][t]);
+    for (std::size_t t = 0; t < series[i].size(); ++t) {
+      traces.back().observe(static_cast<double>(t), series[i][t]);
     }
   }
   return traces;
+}
+
+std::vector<mobility::ContentTrace> edge_case_content_traces() {
+  return content_traces(edge_case_sets().series, "edge");
+}
+
+std::vector<mobility::MultihomedDeviceTrace> edge_case_multihomed_traces() {
+  return multihomed_traces(edge_case_sets().series);
+}
+
+/// Address occurrences per block of the content index (update_cost.cpp).
+constexpr std::size_t kBlockOccurrences = std::size_t{1} << 16;
+
+template <typename Trace>
+std::size_t occurrences(const Trace& trace) {
+  std::size_t n = 0;
+  for (const auto& snapshot : trace.snapshots()) {
+    n += snapshot.addresses.size();
+  }
+  return n;
+}
+
+/// Series that span several index blocks: traces [0, first_group) hold
+/// exactly 2^16 address occurrences, so a block closes exactly on the
+/// boundary (one of them has a single, empty snapshot); the next trace
+/// alone is larger than a block; the edge cases and one more empty
+/// snapshot trail in a partial block. Every snapshot lists distinct
+/// addresses and differs from its predecessor, so each listed address is
+/// one occurrence.
+struct BlockSeries {
+  Series series;
+  std::size_t first_group = 0;
+};
+
+BlockSeries block_spanning_series() {
+  stats::Rng rng(9);
+  const auto& edges = shared_internet().edge_ases();
+  std::vector<net::Ipv4Address> pool;
+  for (std::size_t i = 0; i < 24; ++i) {
+    pool.push_back(shared_internet().random_address_in(
+        edges[(5 * i) % edges.size()], rng));
+  }
+  // 1-12 distinct pool addresses, never the same set twice in a row.
+  const auto next_snapshot = [&](const std::vector<net::Ipv4Address>& prev) {
+    std::vector<net::Ipv4Address> out;
+    do {
+      std::set<net::Ipv4Address> picked;
+      const std::size_t k = 1 + rng.index(12);
+      while (picked.size() < k) picked.insert(pool[rng.index(pool.size())]);
+      out.assign(picked.begin(), picked.end());
+    } while (out == prev);
+    return out;
+  };
+  const auto count = [](const auto& snapshots) {
+    std::size_t n = 0;
+    for (const auto& snapshot : snapshots) n += snapshot.size();
+    return n;
+  };
+
+  BlockSeries out;
+  std::size_t held = 0;
+  const auto add = [&](std::vector<std::vector<net::Ipv4Address>> s) {
+    held += count(s);
+    out.series.push_back(std::move(s));
+  };
+  add({{}});
+  constexpr std::size_t kSnapshots = 300;
+  while (held + kSnapshots * 12 < kBlockOccurrences) {
+    std::vector<std::vector<net::Ipv4Address>> s;
+    for (std::size_t i = 0; i < kSnapshots; ++i) {
+      s.push_back(next_snapshot(s.empty() ? std::vector<net::Ipv4Address>{}
+                                          : s.back()));
+    }
+    add(std::move(s));
+  }
+  // Top the group up to exactly 2^16 with one-address snapshots.
+  std::vector<std::vector<net::Ipv4Address>> filler;
+  for (std::size_t i = held; i < kBlockOccurrences; ++i) {
+    filler.push_back({pool[i % 2]});
+  }
+  add(std::move(filler));
+  out.first_group = out.series.size();
+
+  std::vector<std::vector<net::Ipv4Address>> large;
+  while (count(large) <= kBlockOccurrences + 1000) {
+    large.push_back(
+        next_snapshot(large.empty() ? std::vector<net::Ipv4Address>{}
+                                    : large.back()));
+  }
+  out.series.push_back(std::move(large));
+  for (auto& s : edge_case_sets().series) out.series.push_back(std::move(s));
+  out.series.push_back({{}});
+  return out;
 }
 
 TEST(RouterUpdateStatsTest, RateHandlesZeroEvents) {
@@ -381,6 +481,47 @@ TEST(ContentUpdateCostTest, EmptyInputsYieldZeroTallies) {
     for (const RouterUpdateStats& s : stats) {
       EXPECT_EQ(s.events, 0u);
       EXPECT_EQ(s.updates, 0u);
+    }
+  }
+}
+
+TEST(ContentUpdateCostTest, BlockIndexMatchesReferenceAtAnyThreadCount) {
+  lina::testing::ThreadCountGuard guard;
+  const BlockSeries input = block_spanning_series();
+  const auto content = content_traces(input.series, "block");
+  const auto multihomed = multihomed_traces(input.series);
+  std::size_t group = 0;
+  for (std::size_t i = 0; i < input.first_group; ++i) {
+    group += occurrences(content[i]);
+  }
+  ASSERT_EQ(group, kBlockOccurrences);
+  ASSERT_GT(occurrences(content[input.first_group]), kBlockOccurrences);
+  ASSERT_TRUE(content.front().snapshots().front().addresses.empty());
+
+  // Four routers keep the uncached reference affordable under the
+  // sanitizers; the blocks, not the routers, are under test here.
+  const auto routers = shared_internet().vantages().subspan(0, 4);
+  const ContentUpdateCostEvaluator content_evaluator(routers);
+  const MultihomedDeviceUpdateCostEvaluator multihomed_evaluator(routers);
+  for (const StrategyKind kind : kAllKinds) {
+    const auto want = reference_update_cost(routers, content, kind);
+    for (const std::size_t threads : {1, 2, 4}) {
+      exec::set_default_threads(threads);
+      SCOPED_TRACE(threads);
+      expect_same_tallies(content_evaluator.evaluate(content, kind), want,
+                          kind);
+      expect_same_tallies(multihomed_evaluator.evaluate(multihomed, kind),
+                          want, kind);
+      // Zero traces: one empty tally per router, no throw.
+      for (const auto& stats :
+           {content_evaluator.evaluate({}, kind),
+            multihomed_evaluator.evaluate({}, kind)}) {
+        ASSERT_EQ(stats.size(), routers.size());
+        for (const RouterUpdateStats& s : stats) {
+          EXPECT_EQ(s.events, 0u);
+          EXPECT_EQ(s.updates, 0u);
+        }
+      }
     }
   }
 }

@@ -108,10 +108,10 @@ TEST(DesModelTest, ValidatesSessions) {
   EXPECT_THROW(model.add_session(p), std::invalid_argument);
 
   PacketModel resolution(fabric(), sim::SimArchitecture::kNameResolution);
-  p = good;  // no resolver_as
-  EXPECT_THROW(resolution.add_session(p), std::invalid_argument);
-  p.resolver_as = edge(5);
+  p = good;  // no resolver_as: defaults to the correspondent's AS
   EXPECT_EQ(resolution.add_session(p), 0u);
+  p.resolver_as = edge(5);
+  EXPECT_EQ(resolution.add_session(p), 1u);
 
   PacketModel replicated(fabric(),
                          sim::SimArchitecture::kReplicatedResolution);
@@ -119,6 +119,25 @@ TEST(DesModelTest, ValidatesSessions) {
   EXPECT_THROW(replicated.add_session(p), std::invalid_argument);
   p.resolver_replicas = {edge(5), edge(6)};
   EXPECT_EQ(replicated.add_session(p), 0u);
+}
+
+TEST(DesModelTest, ResolverDefaultsToCorrespondent) {
+  // Same default as sim::simulate_session: a name-resolution session
+  // without resolver_as resolves at its correspondent's AS.
+  SessionParams p;
+  p.correspondent = edge(0);
+  p.schedule = {{0.0, edge(1)}, {3000.0, edge(2)}, {6500.0, edge(3)}};
+  PacketModel defaulted(fabric(), sim::SimArchitecture::kNameResolution);
+  defaulted.add_session(p);
+  p.resolver_as = p.correspondent;
+  PacketModel explicit_resolver(fabric(),
+                                sim::SimArchitecture::kNameResolution);
+  explicit_resolver.add_session(p);
+  const RunStats a = run_serial(defaulted);
+  const RunStats b = run_serial(explicit_resolver);
+  EXPECT_GT(a.digest.delivered, 0u);
+  EXPECT_EQ(a.digest.delivered, b.digest.delivered);
+  EXPECT_EQ(a.digest, b.digest);
 }
 
 TEST(DesModelTest, InitialEventShape) {

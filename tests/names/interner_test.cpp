@@ -34,7 +34,7 @@ TEST(ComponentInternerTest, SpellingRoundTrips) {
 TEST(ComponentInternerTest, BytesGrowWithVocabulary) {
   ComponentInterner interner;
   const auto before = interner.bytes();
-  interner.intern("a-reasonably-long-component");
+  (void)interner.intern("a-reasonably-long-component");
   EXPECT_GT(interner.bytes(), before);
 }
 
