@@ -62,7 +62,7 @@ ContentCatalog ContentWorkloadGenerator::generate() const {
   stats::Rng rng(config_.seed, "content-workload");
   const VantagePointMerger merger(
       VantagePointMerger::worldwide_vantages(config_.vantage_count, rng),
-      config_.resolved_replicas_per_vantage);
+      pop_sites_, config_.resolved_replicas_per_vantage);
 
   const std::size_t hours = config_.days * 24;
   const stats::LogNormal subdomain_dist(config_.subdomain_median,
@@ -110,6 +110,8 @@ ContentCatalog ContentWorkloadGenerator::generate() const {
     return 1.0;
   };
 
+  std::vector<net::Ipv4Address> merged;
+
   // Generates all names of one domain and appends their traces to `out`.
   const auto simulate_domain = [&](const names::ContentName& apex,
                                    std::size_t subdomain_count, bool popular,
@@ -120,15 +122,6 @@ ContentCatalog ContentWorkloadGenerator::generate() const {
     // Domain-level CDN footprint.
     std::vector<std::size_t> pop_slots;  // indices into pop_ases_
     std::vector<bool> visible;           // per slot: seen by any vantage
-    const auto recompute_visibility = [&]() {
-      std::vector<GeoPoint> sites;
-      sites.reserve(pop_slots.size());
-      for (const std::size_t p : pop_slots) sites.push_back(pop_sites_[p]);
-      visible.assign(pop_slots.size(), false);
-      for (const std::size_t s : merger.visible_sites(sites)) {
-        visible[s] = true;
-      }
-    };
     if (cdn) {
       const std::size_t count =
           config_.min_pops_per_domain +
@@ -142,7 +135,7 @@ ContentCatalog ContentWorkloadGenerator::generate() const {
       }
       pop_slots.assign(all.begin(),
                        all.begin() + static_cast<std::ptrdiff_t>(count));
-      recompute_visibility();
+      visible = merger.visible_sites(pop_slots);
     }
 
     // The whole domain's origin-served names live in one hosting subnet.
@@ -157,16 +150,16 @@ ContentCatalog ContentWorkloadGenerator::generate() const {
     std::vector<ContentTrace> traces;
     traces.reserve(domain_names.size());
 
-    const auto merged_addresses = [&](const NameState& state) {
-      std::vector<net::Ipv4Address> addrs;
-      if (state.aliased) {
-        for (std::size_t s = 0; s < state.replicas.size(); ++s) {
-          if (visible[s]) addrs.push_back(state.replicas[s]);
-        }
-      } else {
-        addrs = state.pool;
+    // The merged view of one name; aliased names filter their replicas
+    // through the reused `merged` buffer.
+    const auto merged_addresses =
+        [&](const NameState& state) -> std::span<const net::Ipv4Address> {
+      if (!state.aliased) return state.pool;
+      merged.clear();
+      for (std::size_t s = 0; s < state.replicas.size(); ++s) {
+        if (visible[s]) merged.push_back(state.replicas[s]);
       }
-      return addrs;
+      return merged;
     };
 
     for (std::size_t k = 0; k < domain_names.size(); ++k) {
@@ -205,7 +198,7 @@ ContentCatalog ContentWorkloadGenerator::generate() const {
           replacement = rng.index(pop_ases_.size());
         }
         pop_slots[slot] = replacement;
-        recompute_visibility();
+        visible = merger.visible_sites(pop_slots);
         footprint_changed = true;
         for (NameState& state : states) {
           if (state.aliased) {

@@ -26,7 +26,8 @@ double parse_double(const std::string& text, const char* what) {
   try {
     std::size_t pos = 0;
     const double value = std::stod(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument(what);
+    if (pos != text.size() || !std::isfinite(value))
+      throw std::invalid_argument(what);
     return value;
   } catch (const std::exception&) {
     throw std::invalid_argument(std::string("trace_io: bad ") + what +
@@ -217,8 +218,7 @@ std::vector<ContentTrace> read_content_csv(std::istream& in) {
         addresses.push_back(net::Ipv4Address::parse(token));
       }
     }
-    traces[slot].observe(parse_double(fields[4], "hour"),
-                         std::move(addresses));
+    traces[slot].observe(parse_double(fields[4], "hour"), addresses);
   }
   return traces;
 }

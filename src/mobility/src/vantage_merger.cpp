@@ -1,58 +1,98 @@
 #include "lina/mobility/vantage_merger.hpp"
 
 #include <algorithm>
-#include <numeric>
-#include <set>
 #include <stdexcept>
 
 #include "lina/topology/as_graph.hpp"
 
 namespace lina::mobility {
 
+namespace {
+
+struct Candidate {
+  double km;
+  std::size_t slot;
+};
+
+/// The k nearest slots into `best`, ascending by (distance, slot
+/// position); `km` holds one vantage's distance to every site.
+void nearest_slots(std::span<const double> km,
+                   std::span<const std::size_t> slot_sites, std::size_t k,
+                   std::vector<Candidate>& best) {
+  best.clear();
+  for (std::size_t slot = 0; slot < slot_sites.size(); ++slot) {
+    const double d = km[slot_sites[slot]];
+    // Slots arrive in ascending position, so a slot only displaces kept
+    // ones that are strictly farther: equal distances keep the lower
+    // position, the (distance, slot) order of a full sort.
+    if (best.size() == k && !(d < best.back().km)) continue;
+    std::size_t at = best.size();
+    while (at > 0 && d < best[at - 1].km) --at;
+    if (best.size() < k) best.push_back({});
+    std::copy_backward(best.begin() + static_cast<std::ptrdiff_t>(at),
+                       best.end() - 1, best.end());
+    best[at] = {d, slot};
+  }
+}
+
+void check_sites(std::span<const std::size_t> slot_sites,
+                 std::size_t site_count) {
+  for (const std::size_t site : slot_sites) {
+    if (site >= site_count)
+      throw std::out_of_range("VantagePointMerger: unknown site id");
+  }
+}
+
+}  // namespace
+
 VantagePointMerger::VantagePointMerger(
-    std::vector<topology::GeoPoint> vantages,
+    std::span<const topology::GeoPoint> vantages,
+    std::span<const topology::GeoPoint> sites,
     std::size_t replicas_per_resolution)
-    : vantages_(std::move(vantages)),
+    : vantage_count_(vantages.size()),
+      site_count_(sites.size()),
       replicas_per_resolution_(replicas_per_resolution) {
-  if (vantages_.empty())
+  if (vantages.empty())
     throw std::invalid_argument("VantagePointMerger: no vantages");
   if (replicas_per_resolution_ == 0)
     throw std::invalid_argument(
         "VantagePointMerger: zero replicas per resolution");
+  km_.reserve(vantage_count_ * site_count_);
+  for (const topology::GeoPoint& here : vantages) {
+    for (const topology::GeoPoint& site : sites) {
+      km_.push_back(topology::great_circle_km(here, site));
+    }
+  }
 }
 
 std::vector<std::size_t> VantagePointMerger::sites_seen_by(
-    std::size_t v, std::span<const topology::GeoPoint> replica_sites) const {
-  if (v >= vantages_.size())
+    std::size_t v, std::span<const std::size_t> slot_sites) const {
+  if (v >= vantage_count_)
     throw std::out_of_range("VantagePointMerger::sites_seen_by");
-  std::vector<std::size_t> order(replica_sites.size());
-  std::iota(order.begin(), order.end(), 0);
-  const topology::GeoPoint here = vantages_[v];
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const double da = topology::great_circle_km(here, replica_sites[a]);
-    const double db = topology::great_circle_km(here, replica_sites[b]);
-    if (da != db) return da < db;
-    return a < b;
-  });
-  order.resize(std::min(replicas_per_resolution_, order.size()));
-  std::sort(order.begin(), order.end());
-  return order;
+  check_sites(slot_sites, site_count_);
+  std::vector<Candidate> best;
+  nearest_slots(row(v), slot_sites, replicas_per_resolution_, best);
+  std::vector<std::size_t> seen;
+  seen.reserve(best.size());
+  for (const Candidate& c : best) seen.push_back(c.slot);
+  std::sort(seen.begin(), seen.end());
+  return seen;
 }
 
-std::vector<std::size_t> VantagePointMerger::visible_sites(
-    std::span<const topology::GeoPoint> replica_sites) const {
-  if (replica_sites.size() <= replicas_per_resolution_) {
-    std::vector<std::size_t> all(replica_sites.size());
-    std::iota(all.begin(), all.end(), 0);
-    return all;
+std::vector<bool> VantagePointMerger::visible_sites(
+    std::span<const std::size_t> slot_sites) const {
+  check_sites(slot_sites, site_count_);
+  if (slot_sites.size() <= replicas_per_resolution_) {
+    return std::vector<bool>(slot_sites.size(), true);
   }
-  std::set<std::size_t> merged;
-  for (std::size_t v = 0; v < vantages_.size(); ++v) {
-    for (const std::size_t s : sites_seen_by(v, replica_sites)) {
-      merged.insert(s);
-    }
+  std::vector<bool> visible(slot_sites.size(), false);
+  std::vector<Candidate> best;
+  best.reserve(replicas_per_resolution_);
+  for (std::size_t v = 0; v < vantage_count_; ++v) {
+    nearest_slots(row(v), slot_sites, replicas_per_resolution_, best);
+    for (const Candidate& c : best) visible[c.slot] = true;
   }
-  return {merged.begin(), merged.end()};
+  return visible;
 }
 
 std::vector<topology::GeoPoint> VantagePointMerger::worldwide_vantages(

@@ -344,7 +344,9 @@ void run_differential(Policy policy, std::size_t capacity, double ttl_ms,
   EXPECT_GT(cache.stats().evictions, 0u);
   // Tiny arenas evict entries long before they can idle out, so only the
   // full-size runs are required to have exercised the expiry path.
-  if (capacity >= 16) EXPECT_GT(cache.stats().ttl_expiries, 0u);
+  if (capacity >= 16) {
+    EXPECT_GT(cache.stats().ttl_expiries, 0u);
+  }
   for (std::uint64_t key = 0; key < kKeys; ++key)
     ASSERT_EQ(cache.contains(key), reference.contains(key));
 }

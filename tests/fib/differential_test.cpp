@@ -108,7 +108,9 @@ TEST_P(IpTrieDifferentialTest, MatchesReferenceOverRandomOps) {
       const int* got = trie.exact(p);
       const int* want = ref.exact(p);
       ASSERT_EQ(got != nullptr, want != nullptr);
-      if (got != nullptr) ASSERT_EQ(*got, *want);
+      if (got != nullptr) {
+        ASSERT_EQ(*got, *want);
+      }
     }
     ASSERT_EQ(trie.size(), ref.size());
     if ((op + 1) % kAuditEvery == 0) audit_ip(trie, ref);
@@ -189,7 +191,9 @@ TEST_P(NameTrieDifferentialTest, MatchesReferenceOverRandomOps) {
       const int* got = trie.exact(n);
       const int* want = ref.exact(n);
       ASSERT_EQ(got != nullptr, want != nullptr);
-      if (got != nullptr) ASSERT_EQ(*got, *want);
+      if (got != nullptr) {
+        ASSERT_EQ(*got, *want);
+      }
     }
     ASSERT_EQ(trie.size(), ref.size());
     if ((op + 1) % kAuditEvery == 0) audit_name(trie, ref);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace lina::mobility {
 namespace {
 
@@ -54,6 +56,20 @@ TEST(ContentTraceTest, TimeMustNotGoBackward) {
   trace.observe(0.0, addrs({"1.0.0.1"}));
   trace.observe(5.0, addrs({"2.0.0.1"}));
   EXPECT_THROW(trace.observe(4.0, addrs({"3.0.0.1"})), std::invalid_argument);
+}
+
+TEST(ContentTraceTest, NonFiniteHoursRejected) {
+  ContentTrace trace = make_trace();
+  EXPECT_THROW(trace.observe(std::nan(""), addrs({"1.0.0.1"})),
+               std::invalid_argument);
+  trace.observe(0.0, addrs({"1.0.0.1"}));
+  for (const double hour : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_THROW(trace.observe(hour, addrs({"2.0.0.1"})),
+                 std::invalid_argument)
+        << hour;
+  }
+  EXPECT_EQ(trace.snapshots().size(), 1u);
+  EXPECT_EQ(trace.daily_event_counts(), (std::vector<std::size_t>{0, 0}));
 }
 
 TEST(ContentTraceTest, EmptySetsAllowed) {

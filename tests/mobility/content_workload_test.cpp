@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "lina/stats/cdf.hpp"
@@ -169,6 +171,60 @@ TEST(ContentWorkloadTest, UnpopularDomainsHaveFewSubdomains) {
   for (const auto& [domain, count] : subs_per_domain) {
     EXPECT_LE(count, 2u) << domain;
   }
+}
+
+/// splitmix64 finalizer: the digest below folds every catalog field
+/// through it.
+std::uint64_t mix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+std::uint64_t catalog_digest(const ContentCatalog& catalog) {
+  std::uint64_t h = 0;
+  const auto fold = [&h](std::uint64_t v) { h = mix(h ^ v); };
+  for (const auto* traces : {&catalog.popular, &catalog.unpopular}) {
+    fold(traces->size());
+    for (const ContentTrace& trace : *traces) {
+      for (const char c : trace.name().to_dns()) {
+        fold(static_cast<unsigned char>(c));
+      }
+      fold(trace.popular() ? 1 : 0);
+      fold(trace.cdn_backed() ? 1 : 0);
+      fold(trace.day_count());
+      fold(trace.snapshots().size());
+      for (const auto& snapshot : trace.snapshots()) {
+        fold(std::bit_cast<std::uint64_t>(snapshot.hour));
+        fold(snapshot.addresses.size());
+        for (const net::Ipv4Address addr : snapshot.addresses) {
+          fold(addr.value());
+        }
+      }
+    }
+  }
+  return h;
+}
+
+// Pins the whole generated catalog bit for bit: names, flags, snapshot
+// hours and address sets. Any change to the generator's draw sequence,
+// the vantage merger's nearest-site order or the snapshot storage shows
+// here, not only in the bench baselines. With the default 74 vantages
+// every replica of this small Internet is visible, so a second catalog
+// measured from 6 vantages pins the merger's partial views too.
+TEST(ContentWorkloadTest, CatalogDigestPinned) {
+  ContentWorkloadConfig config;
+  config.popular_domains = 40;
+  config.unpopular_domains = 40;
+  config.days = 3;
+  EXPECT_EQ(catalog_digest(
+                ContentWorkloadGenerator(internet(), config).generate()),
+            0xfbb125224c5497f1ULL);
+  config.vantage_count = 6;
+  EXPECT_EQ(catalog_digest(
+                ContentWorkloadGenerator(internet(), config).generate()),
+            0x04a775624ef6d8cbULL);
 }
 
 }  // namespace

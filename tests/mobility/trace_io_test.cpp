@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "lina/mobility/content_workload.hpp"
 #include "lina/mobility/device_workload.hpp"
@@ -105,6 +107,33 @@ TEST(NomadLogCsvTest, RejectsMalformedRows) {
   expect_throw("1,0,1.2.3.4,wifi,abc,1.0\n");     // bad latitude
 }
 
+/// The message a parse of `text` throws, or "" if it does not throw.
+template <typename Parse>
+std::string parse_error(const std::string& text, Parse parse) {
+  std::istringstream input(text);
+  try {
+    (void)parse(input);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(NomadLogCsvTest, RejectsNonFiniteNumbers) {
+  const auto read = [](std::istream& in) { return read_nomadlog_csv(in); };
+  for (const char* hours : {"nan", "inf", "-inf", "NAN", "infinity"}) {
+    const std::string row = std::string("1,") + hours + ",1.2.3.4,wifi\n";
+    EXPECT_EQ(parse_error(row, read).rfind("trace_io: bad time_hours", 0), 0u)
+        << row;
+  }
+  EXPECT_EQ(parse_error("1,0,1.2.3.4,wifi,nan,1.0\n", read)
+                .rfind("trace_io: bad lat", 0),
+            0u);
+  EXPECT_EQ(parse_error("1,0,1.2.3.4,wifi,1.0,inf\n", read)
+                .rfind("trace_io: bad long", 0),
+            0u);
+}
+
 TEST(NomadLogCsvTest, DropsShortAndUnmappableDevices) {
   // Device 1: fine (2 days). Device 2: under a day -> removed (§4).
   // Device 3: address outside the synthetic plane -> unmappable, removed.
@@ -169,7 +198,8 @@ TEST(ContentCsvTest, CatalogRoundTrip) {
     ASSERT_EQ(a.snapshots().size(), b.snapshots().size());
     for (std::size_t s = 0; s < a.snapshots().size(); ++s) {
       EXPECT_DOUBLE_EQ(a.snapshots()[s].hour, b.snapshots()[s].hour);
-      EXPECT_EQ(a.snapshots()[s].addresses, b.snapshots()[s].addresses);
+      EXPECT_TRUE(std::ranges::equal(a.snapshots()[s].addresses,
+                                     b.snapshots()[s].addresses));
     }
   }
 }
@@ -196,6 +226,16 @@ TEST(ContentCsvTest, RejectsMalformedRows) {
       "a.com,1,0,2,5,1.2.3.4\n"
       "a.com,1,0,2,3,5.6.7.8\n");
   EXPECT_THROW((void)read_content_csv(bad_order), std::invalid_argument);
+}
+
+TEST(ContentCsvTest, RejectsNonFiniteHours) {
+  const auto read = [](std::istream& in) { return read_content_csv(in); };
+  for (const char* hour : {"nan", "inf", "-inf"}) {
+    const std::string rows = std::string("a.com,1,0,2,0,1.2.3.4\n") +
+                             "a.com,1,0,2," + hour + ",5.6.7.8\n";
+    EXPECT_EQ(parse_error(rows, read).rfind("trace_io: bad hour", 0), 0u)
+        << rows;
+  }
 }
 
 }  // namespace

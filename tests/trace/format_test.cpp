@@ -180,21 +180,21 @@ TEST(TraceFormatTest, HeaderRejectsBadMagicVersionEndianness) {
 
   std::vector<char> bad_magic = good;
   bad_magic[0] = 'X';
-  EXPECT_THROW(decode_header(bad_magic.data(), bad_magic.size(), "t"),
+  EXPECT_THROW((void)decode_header(bad_magic.data(), bad_magic.size(), "t"),
                TraceFormatError);
 
   std::vector<char> bad_version = good;
   bad_version[4] = 99;
-  EXPECT_THROW(decode_header(bad_version.data(), bad_version.size(), "t"),
+  EXPECT_THROW((void)decode_header(bad_version.data(), bad_version.size(), "t"),
                TraceFormatError);
 
   // A byte-swapped endianness marker reads as 0xFF00.
   std::vector<char> swapped = good;
   std::swap(swapped[6], swapped[7]);
-  EXPECT_THROW(decode_header(swapped.data(), swapped.size(), "t"),
+  EXPECT_THROW((void)decode_header(swapped.data(), swapped.size(), "t"),
                TraceFormatError);
 
-  EXPECT_THROW(decode_header(good.data(), kHeaderBytes - 1, "t"),
+  EXPECT_THROW((void)decode_header(good.data(), kHeaderBytes - 1, "t"),
                TraceFormatError);
 }
 
