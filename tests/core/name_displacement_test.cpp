@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string_view>
 
 #include "../support/fixtures.hpp"
+#include "../support/reference_best_port.hpp"
+#include "lina/exec/thread_pool.hpp"
+#include "lina/routing/name_fib.hpp"
 
 namespace lina::core {
 namespace {
@@ -19,6 +24,55 @@ const std::vector<RenameEvent>& events() {
                                   rng);
   }();
   return result;
+}
+
+/// Independent reference: per router, a NameFib seeded in catalog order
+/// through the live FIB and the written-out best-entry rule, then the
+/// renames processed in order.
+std::vector<RenameDisplacementResult> reference_rename_displacement(
+    std::span<const routing::VantageRouter> routers,
+    std::span<const mobility::ContentTrace> catalog,
+    std::span<const RenameEvent> renames) {
+  std::vector<RenameDisplacementResult> out;
+  for (const routing::VantageRouter& router : routers) {
+    routing::NameFib fib;
+    for (const mobility::ContentTrace& trace : catalog) {
+      const auto best = lina::testing::reference_best_entry(
+          router.fib(), trace.final_addresses());
+      if (best) fib.announce(trace.name(), best->port);
+    }
+    RenameDisplacementResult result;
+    result.updates.router = std::string(router.name());
+    result.fib_entries_before = fib.size();
+    for (const RenameEvent& event : renames) {
+      if (!fib.port_for(event.from)) continue;
+      ++result.updates.events;
+      if (fib.process_rename(event.from, event.to)) ++result.updates.updates;
+    }
+    result.fib_entries_after = fib.size();
+    out.push_back(std::move(result));
+  }
+  return out;
+}
+
+/// FNV-1a over every router's name and counts, in router order.
+std::uint64_t digest(const std::vector<RenameDisplacementResult>& results) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+    }
+  };
+  for (const RenameDisplacementResult& r : results) {
+    for (const char c : std::string_view(r.updates.router)) {
+      mix(static_cast<unsigned char>(c));
+    }
+    mix(r.updates.events);
+    mix(r.updates.updates);
+    mix(r.fib_entries_before);
+    mix(r.fib_entries_after);
+  }
+  return h;
 }
 
 TEST(RenameGenerationTest, ProducesCrossHierarchyRenames) {
@@ -91,6 +145,31 @@ TEST(RenameDisplacementTest, SomeRoutersDisplacedSomeNot) {
   }
   EXPECT_GT(max_rate, 0.2);
   EXPECT_LT(min_rate, max_rate);
+}
+
+TEST(RenameDisplacementTest, MatchesReferenceAtAnyThreadCount) {
+  lina::testing::ThreadCountGuard guard;
+  const auto routers = shared_internet().vantages();
+  const auto& catalog = shared_content_catalog().popular;
+  const auto want = reference_rename_displacement(routers, catalog, events());
+  for (const std::size_t threads : {1, 4}) {
+    exec::set_default_threads(threads);
+    SCOPED_TRACE(threads);
+    const auto got = evaluate_rename_displacement(routers, catalog, events());
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t r = 0; r < want.size(); ++r) {
+      const std::string& router = want[r].updates.router;
+      EXPECT_EQ(got[r].updates.router, router);
+      EXPECT_EQ(got[r].updates.events, want[r].updates.events) << router;
+      EXPECT_EQ(got[r].updates.updates, want[r].updates.updates) << router;
+      EXPECT_EQ(got[r].fib_entries_before, want[r].fib_entries_before)
+          << router;
+      EXPECT_EQ(got[r].fib_entries_after, want[r].fib_entries_after)
+          << router;
+    }
+    // Recorded from the serial evaluator over a memoized live-FIB resolver.
+    EXPECT_EQ(digest(got), 0xca5e23efdd904a95ull);
+  }
 }
 
 TEST(RenameDisplacementTest, NoEventsNoUpdates) {

@@ -10,9 +10,9 @@
 #include <tuple>
 
 #include "../support/fixtures.hpp"
+#include "../support/reference_best_port.hpp"
 #include "lina/exec/thread_pool.hpp"
 #include "lina/stats/summary.hpp"
-#include "lina/strategy/port_oracle.hpp"
 
 namespace lina::core {
 namespace {
@@ -27,16 +27,16 @@ constexpr StrategyKind kAllKinds[] = {StrategyKind::kBestPort,
                                       StrategyKind::kHistoryUnion};
 
 /// Independent reference for the §3.3.1 snapshot replay: a plain loop per
-/// router and per trace over an uncached FibOracle, with std::set port
-/// sets and the strategy rules written out here (nothing from
-/// lina::strategy beyond the kind enum and the address resolver).
+/// router and per trace over the live FIB, with std::set port sets and the
+/// strategy rules written out here (nothing from lina::strategy beyond the
+/// kind enum).
 template <typename Traces>
 std::vector<RouterUpdateStats> reference_update_cost(
     std::span<const routing::VantageRouter> routers, const Traces& traces,
     StrategyKind kind) {
   std::vector<RouterUpdateStats> out;
   for (const routing::VantageRouter& router : routers) {
-    const strategy::FibOracle oracle(router.fib());
+    const routing::Fib& fib = router.fib();
     RouterUpdateStats tally{std::string(router.name()), 0, 0};
     for (const auto& trace : traces) {
       std::set<routing::Port> ports;
@@ -45,13 +45,8 @@ std::vector<RouterUpdateStats> reference_update_cost(
       for (const auto& snapshot : trace.snapshots()) {
         std::set<routing::Port> next;
         if (kind == StrategyKind::kBestPort) {
-          std::optional<routing::FibEntry> best;
-          for (const net::Ipv4Address addr : snapshot.addresses) {
-            const auto hit = oracle.entry_for(addr);
-            if (hit && (!best || routing::entry_preferred(*hit, *best))) {
-              best = hit;
-            }
-          }
+          const auto best =
+              lina::testing::reference_best_entry(fib, snapshot.addresses);
           if (best) next.insert(best->port);
         } else {
           // Flooding forwards on the current set's ports, history-union on
@@ -61,7 +56,7 @@ std::vector<RouterUpdateStats> reference_update_cost(
             history.insert(addr.value());
           }
           for (const std::uint32_t raw : history) {
-            const auto port = oracle.port_for(net::Ipv4Address(raw));
+            const auto port = fib.port_for(net::Ipv4Address(raw));
             if (port) next.insert(*port);
           }
         }

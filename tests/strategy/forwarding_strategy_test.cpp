@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "../support/reference_best_port.hpp"
+
 namespace lina::strategy {
 namespace {
 
@@ -86,21 +88,18 @@ TEST(BestEntryTest, PicksMostPreferredAcrossAddresses) {
   const FibEntry* best = best_entry(entries({"1.0.0.1", "2.0.0.1", "3.0.0.1"}));
   ASSERT_NE(best, nullptr);
   EXPECT_EQ(best->port, 22u);  // customer route wins
-  // The oracle form makes the same choice.
-  const Fib fib = make_fib();
-  const FibOracle oracle(fib);
-  const auto via_oracle =
-      best_entry(oracle, addrs({"1.0.0.1", "2.0.0.1", "3.0.0.1"}));
-  ASSERT_TRUE(via_oracle.has_value());
-  EXPECT_EQ(*via_oracle, *best);
+  // The reference rule over the live FIB makes the same choice.
+  const auto reference = lina::testing::reference_best_entry(
+      make_fib(), addrs({"1.0.0.1", "2.0.0.1", "3.0.0.1"}));
+  ASSERT_TRUE(reference.has_value());
+  EXPECT_EQ(*reference, *best);
 }
 
 TEST(BestEntryTest, NulloptWhenNothingRouted) {
   EXPECT_EQ(best_entry(entries({"9.9.9.9"})), nullptr);
   EXPECT_EQ(best_entry(entries({})), nullptr);
-  const Fib fib = make_fib();
-  const FibOracle oracle(fib);
-  EXPECT_EQ(best_entry(oracle, addrs({"9.9.9.9"})), std::nullopt);
+  EXPECT_EQ(lina::testing::reference_best_entry(make_fib(), addrs({"9.9.9.9"})),
+            std::nullopt);
 }
 
 TEST(BestEntryTest, TieOnClassPathAndMedBreaksOnPort) {
