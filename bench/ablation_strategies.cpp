@@ -10,7 +10,6 @@
 #include <map>
 
 #include "common.hpp"
-#include "lina/strategy/port_oracle.hpp"
 
 using namespace lina;
 
@@ -62,15 +61,15 @@ void ablation_port_granularity() {
   // coarser proxy (route class only: 3 "ports") and a finer one (next hop
   // + path length), bounding the proxy's under/over-estimation.
   const auto& vantage = bench::paper_internet().vantage("Oregon-1");
-  const strategy::CachingFibOracle oracle(vantage.fib());
+  const routing::FrozenFib fib = vantage.fib().freeze();
   std::size_t events = 0;
   std::map<std::string, std::size_t> updates;
   for (const auto& trace : bench::paper_device_traces()) {
     for (const auto& event : trace.events()) {
-      const auto before = oracle.entry_for(event.from);
-      const auto after = oracle.entry_for(event.to);
+      const routing::FibEntry* before = fib.entry_for(event.from);
+      const routing::FibEntry* after = fib.entry_for(event.to);
       ++events;
-      if (!before.has_value() || !after.has_value()) continue;
+      if (before == nullptr || after == nullptr) continue;
       if (before->route_class != after->route_class) {
         ++updates["route-class only (coarser)"];
       }

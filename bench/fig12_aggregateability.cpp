@@ -74,21 +74,17 @@ int main(int argc, char** argv) {
                "has no hierarchy to compress.\n";
 
   // Durable-snapshot footprint of the popular-name table (lina::snap):
-  // persist the first vantage's name FIB — names resolved to ports over
-  // the catalog's final address sets — and reload it. Snapshot bytes are
-  // deterministic (spelling-sorted component ids), so bytes/entry is a
-  // gated headline; the load time is a reported timing.
+  // persist the first vantage's complete best-port name FIB — the table
+  // Figure 12 measures — and reload it. Snapshot bytes are deterministic
+  // (spelling-sorted component ids), so bytes/entry is a gated headline;
+  // the load time is a reported timing.
   harness.phase("snapshot");
   {
     namespace fs = std::filesystem;
     const auto& vantage = bench::paper_internet().vantages().front();
     routing::NameFib name_fib;
-    for (const auto& trace : catalog.popular) {
-      const auto addrs = trace.final_addresses();
-      if (addrs.empty()) continue;
-      const auto port = vantage.port_for(addrs.front());
-      if (port.has_value()) name_fib.announce(trace.name(), *port);
-    }
+    core::announce_best_ports(vantage.fib().freeze(), catalog.popular,
+                              name_fib);
     const fs::path dir =
         fs::temp_directory_path() /
         ("lina-snap-bench-fig12-" + std::to_string(::getpid()));

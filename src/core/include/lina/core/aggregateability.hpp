@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "lina/mobility/content_trace.hpp"
-#include "lina/names/name_trie.hpp"
 #include "lina/routing/fib.hpp"
+#include "lina/routing/name_fib.hpp"
 #include "lina/routing/vantage_router.hpp"
 
 namespace lina::core {
@@ -28,6 +28,16 @@ struct AggregateabilityResult {
                      static_cast<double>(lpm_entries);
   }
 };
+
+/// Builds one router's complete best-port name table (§3.3.1): announces
+/// each name of `batch`, in order, on the port of the router's
+/// most-preferred entry over the name's final address set, resolved
+/// through the router's frozen FIB. Names with no routed address are
+/// skipped. Feeding a catalog in batches builds the same table as feeding
+/// it whole. Aggregateability and rename displacement both start here.
+void announce_best_ports(const routing::FrozenFib& fib,
+                         std::span<const mobility::ContentTrace> batch,
+                         routing::NameFib& table);
 
 /// Builds, per router, the complete name-based forwarding table over the
 /// catalog's final address sets under best-port forwarding, then counts the
@@ -55,7 +65,7 @@ class AggregateabilityAccumulator {
   struct RouterState {
     const routing::VantageRouter* router;
     routing::FrozenFib fib;
-    names::NameTrie<routing::Port> table;
+    routing::NameFib table;
   };
 
   std::vector<std::unique_ptr<RouterState>> states_;

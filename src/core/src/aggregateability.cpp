@@ -6,6 +6,23 @@
 
 namespace lina::core {
 
+void announce_best_ports(const routing::FrozenFib& fib,
+                         std::span<const mobility::ContentTrace> batch,
+                         routing::NameFib& table) {
+  // Final address sets are small and rarely shared, so a frozen-trie walk
+  // per address costs less than filling and freeing a per-router memo.
+  std::vector<const routing::FibEntry*> entries;
+  for (const mobility::ContentTrace& trace : batch) {
+    const auto addrs = trace.final_addresses();
+    entries.resize(addrs.size());
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+      entries[i] = fib.entry_for(addrs[i]);
+    }
+    const routing::FibEntry* best = strategy::best_entry(entries);
+    if (best != nullptr) table.announce(trace.name(), best->port);
+  }
+}
+
 AggregateabilityAccumulator::AggregateabilityAccumulator(
     std::span<const routing::VantageRouter> routers)
     : states_(exec::parallel_map(routers.size(), [&](std::size_t r) {
@@ -18,22 +35,10 @@ void AggregateabilityAccumulator::accumulate(
   PROF_SPAN("lina.core.aggregateability");
   // Routers own disjoint state, so the per-vantage loop fans out across
   // the pool; within a router, names insert in catalog order exactly as
-  // the one-shot evaluation would. Final address sets are small and
-  // rarely shared, so a frozen-trie walk per address costs less than
-  // filling and freeing a per-router memo.
+  // the one-shot evaluation would.
   exec::parallel_for(states_.size(), [&](std::size_t r) {
     RouterState& state = *states_[r];
-    std::vector<const routing::FibEntry*> entries;
-    for (const mobility::ContentTrace& trace : batch) {
-      const auto addrs = trace.final_addresses();
-      entries.resize(addrs.size());
-      for (std::size_t i = 0; i < addrs.size(); ++i) {
-        entries[i] = state.fib.entry_for(addrs[i]);
-      }
-      const routing::FibEntry* best = strategy::best_entry(entries);
-      if (best == nullptr) continue;
-      state.table.insert(trace.name(), best->port);
-    }
+    announce_best_ports(state.fib, batch, state.table);
   });
 }
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
 
+#include "address_interner.hpp"
 #include "lina/exec/parallel.hpp"
 
 namespace lina::core {
@@ -53,24 +53,18 @@ std::vector<DisplacedEntryTimeline> evaluate_displaced_entries(
   std::vector<net::Ipv4Address> homes;
   homes.reserve(traces.size());
   std::vector<net::Ipv4Address> distinct;
-  std::unordered_map<std::uint32_t, std::uint32_t> addr_index;
-  const auto index_of = [&](net::Ipv4Address addr) {
-    const auto [it, inserted] = addr_index.try_emplace(
-        addr.value(), static_cast<std::uint32_t>(distinct.size()));
-    if (inserted) distinct.push_back(addr);
-    return it->second;
-  };
+  detail::AddressInterner interner(distinct);
   for (const mobility::DeviceTrace& trace : traces) {
     homes.push_back(trace.dominant_address());
-    index_of(trace.dominant_address());
+    interner.intern(trace.dominant_address());
     for (const mobility::DeviceVisit& visit : trace.visits()) {
-      index_of(visit.address);
+      interner.intern(visit.address);
       horizon = std::max(horizon, visit.start_hour + visit.duration_hours);
     }
   }
 
   // Per-vantage timelines are independent; fan out across the pool and
-  // return them in router order. `addr_index` is read-only from here on.
+  // return them in router order. `interner` is read-only from here on.
   return exec::parallel_map(routers.size(), [&](std::size_t r) {
     const routing::VantageRouter& router = routers[r];
     DisplacedEntryTimeline timeline;
@@ -85,7 +79,7 @@ std::vector<DisplacedEntryTimeline> evaluate_displaced_entries(
       if (hits[i] != nullptr) ports[i] = hits[i]->port;
     }
     const auto port_of = [&](net::Ipv4Address addr) {
-      return ports[addr_index.at(addr.value())];
+      return ports[interner.id_of(addr)];
     };
 
     double displaced_sum = 0.0;

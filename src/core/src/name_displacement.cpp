@@ -1,11 +1,10 @@
 #include "lina/core/name_displacement.hpp"
 
-#include <stdexcept>
 #include <unordered_set>
 
+#include "lina/core/aggregateability.hpp"
+#include "lina/exec/parallel.hpp"
 #include "lina/routing/name_fib.hpp"
-#include "lina/strategy/forwarding_strategy.hpp"
-#include "lina/strategy/port_oracle.hpp"
 
 namespace lina::core {
 
@@ -55,20 +54,13 @@ std::vector<RenameDisplacementResult> evaluate_rename_displacement(
     std::span<const routing::VantageRouter> routers,
     std::span<const mobility::ContentTrace> catalog,
     std::span<const RenameEvent> events) {
-  std::vector<RenameDisplacementResult> results;
-  results.reserve(routers.size());
-  for (const routing::VantageRouter& router : routers) {
-    const strategy::CachingFibOracle oracle(router.fib());
-
+  // Routers own disjoint name FIBs, so they fan out across the pool and
+  // land back in router order.
+  return exec::parallel_map(routers.size(), [&](std::size_t r) {
+    const routing::VantageRouter& router = routers[r];
     // Seed the name FIB: every catalog name announced on its best port.
     routing::NameFib fib;
-    for (const mobility::ContentTrace& trace : catalog) {
-      const auto addrs = trace.final_addresses();
-      if (addrs.empty()) continue;
-      const auto best = strategy::best_entry(oracle, addrs);
-      if (!best.has_value()) continue;
-      fib.announce(trace.name(), best->port);
-    }
+    announce_best_ports(router.fib().freeze(), catalog, fib);
 
     RenameDisplacementResult result;
     result.updates.router = std::string(router.name());
@@ -81,9 +73,8 @@ std::vector<RenameDisplacementResult> evaluate_rename_displacement(
       }
     }
     result.fib_entries_after = fib.size();
-    results.push_back(std::move(result));
-  }
-  return results;
+    return result;
+  });
 }
 
 }  // namespace lina::core

@@ -1,10 +1,10 @@
 #include "lina/core/update_cost.hpp"
 
-#include <bit>
 #include <iterator>
 #include <limits>
 #include <stdexcept>
 
+#include "address_interner.hpp"
 #include "lina/exec/parallel.hpp"
 #include "lina/prof/prof.hpp"
 
@@ -108,60 +108,6 @@ struct IndexBlock {
   std::vector<std::size_t> trace_end;
 };
 
-/// Open-addressed address -> id table (linear probing, power-of-two
-/// capacity kept at most half full). A slot holds the key beside its id,
-/// so a probe reads one cache line and never the address list.
-class AddressInterner {
- public:
-  explicit AddressInterner(std::vector<net::Ipv4Address>& addresses)
-      : addresses_(addresses) {
-    rehash(1024);
-  }
-
-  std::uint32_t intern(net::Ipv4Address addr) {
-    Slot& slot = find(addr.value());
-    if (slot.id != kEmpty) return slot.id;
-    const auto id = static_cast<std::uint32_t>(addresses_.size());
-    addresses_.push_back(addr);
-    slot = Slot{addr.value(), id};
-    if (2 * addresses_.size() > slots_.size()) rehash(2 * slots_.size());
-    return id;
-  }
-
- private:
-  static constexpr std::uint32_t kEmpty =
-      std::numeric_limits<std::uint32_t>::max();
-
-  struct Slot {
-    std::uint32_t key = 0;
-    std::uint32_t id = kEmpty;
-  };
-
-  /// The slot holding `key`, or the empty slot where it belongs.
-  Slot& find(std::uint32_t key) {
-    const std::size_t mask = slots_.size() - 1;
-    // Fibonacci hashing: the top bits of a multiplicative hash.
-    std::size_t i = static_cast<std::size_t>(
-        (std::uint64_t{key} * 0x9E3779B97F4A7C15ull) >> shift_);
-    while (slots_[i].id != kEmpty && slots_[i].key != key) {
-      i = (i + 1) & mask;
-    }
-    return slots_[i];
-  }
-
-  void rehash(std::size_t capacity) {
-    slots_.assign(capacity, Slot{});
-    shift_ = 64 - std::countr_zero(capacity);
-    for (std::uint32_t id = 0; id < addresses_.size(); ++id) {
-      find(addresses_[id].value()) = Slot{addresses_[id].value(), id};
-    }
-  }
-
-  std::vector<net::Ipv4Address>& addresses_;
-  std::vector<Slot> slots_;
-  int shift_ = 0;
-};
-
 /// Interns traces [first, last), which hold `occurrences` addresses.
 /// Works for any trace span whose elements expose snapshots() with
 /// `.addresses`.
@@ -178,7 +124,7 @@ IndexBlock intern_block(const Traces& traces, std::size_t first,
   block.ids.reserve(occurrences);
   block.snapshot_end.reserve(snapshots);
   block.trace_end.reserve(last - first);
-  AddressInterner interner(block.addresses);
+  detail::AddressInterner interner(block.addresses);
   for (std::size_t t = first; t < last; ++t) {
     for (const auto& snapshot : traces[t].snapshots()) {
       for (const net::Ipv4Address addr : snapshot.addresses) {

@@ -1,14 +1,11 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
 
-#include "lina/net/ipv4.hpp"
 #include "lina/routing/fib.hpp"
-#include "lina/strategy/port_oracle.hpp"
 
 namespace lina::strategy {
 
@@ -95,10 +92,5 @@ void eligible_ports(std::span<const routing::FibEntry* const> entries,
 /// routed.
 [[nodiscard]] const routing::FibEntry* best_entry(
     std::span<const routing::FibEntry* const> entries);
-
-/// Oracle form of best_entry for callers that resolve addresses lazily:
-/// same choice, nullopt when no address has a route.
-[[nodiscard]] std::optional<routing::FibEntry> best_entry(
-    const PortOracle& oracle, std::span<const net::Ipv4Address> addrs);
 
 }  // namespace lina::strategy

@@ -17,17 +17,6 @@ std::string_view strategy_name(StrategyKind kind) {
   throw std::invalid_argument("strategy_name: unknown kind");
 }
 
-namespace {
-
-/// The best-port choice rule, shared by both best_entry forms: a routed
-/// candidate replaces the running best only if strictly preferred.
-bool displaces(const routing::FibEntry& candidate,
-               const routing::FibEntry* best) {
-  return best == nullptr || routing::entry_preferred(candidate, *best);
-}
-
-}  // namespace
-
 void eligible_ports(std::span<const routing::FibEntry* const> entries,
                     std::vector<routing::Port>& out) {
   out.clear();
@@ -42,18 +31,9 @@ const routing::FibEntry* best_entry(
     std::span<const routing::FibEntry* const> entries) {
   const routing::FibEntry* best = nullptr;
   for (const routing::FibEntry* entry : entries) {
-    if (entry != nullptr && displaces(*entry, best)) best = entry;
-  }
-  return best;
-}
-
-std::optional<routing::FibEntry> best_entry(
-    const PortOracle& oracle, std::span<const net::Ipv4Address> addrs) {
-  std::optional<routing::FibEntry> best;
-  for (const net::Ipv4Address addr : addrs) {
-    const auto hit = oracle.entry_for(addr);
-    if (hit.has_value() && displaces(*hit, best ? &*best : nullptr)) {
-      best = *hit;
+    if (entry == nullptr) continue;
+    if (best == nullptr || routing::entry_preferred(*entry, *best)) {
+      best = entry;
     }
   }
   return best;
