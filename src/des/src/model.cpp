@@ -30,19 +30,7 @@ std::uint32_t PacketModel::add_session(const SessionParams& params) {
     if (as >= as_count)
       throw std::invalid_argument(std::string("PacketModel: bad ") + what);
   };
-  if (params.schedule.empty())
-    throw std::invalid_argument("PacketModel: empty schedule");
-  if (params.schedule.front().time_ms != 0.0)
-    throw std::invalid_argument(
-        "PacketModel: schedule must start at time 0");
-  for (std::size_t i = 0; i < params.schedule.size(); ++i) {
-    const sim::MobilityStep& step = params.schedule[i];
-    if (!finite(step.time_ms) || step.time_ms < 0.0)
-      throw std::invalid_argument("PacketModel: non-finite step time");
-    if (i > 0 && step.time_ms < params.schedule[i - 1].time_ms)
-      throw std::invalid_argument("PacketModel: unsorted schedule");
-    check_as(step.as, "schedule AS");
-  }
+  sim::validate_schedule(params.schedule, as_count, "PacketModel");
   if (!finite(params.start_ms) || params.start_ms < 0.0)
     throw std::invalid_argument("PacketModel: bad start_ms");
   if (!finite(params.duration_ms) || params.duration_ms <= 0.0)

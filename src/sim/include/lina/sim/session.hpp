@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -28,6 +29,14 @@ struct MobilityStep {
   double time_ms = 0.0;  // first step must be at 0 (initial attachment)
   topology::AsId as = 0;
 };
+
+/// The schedule check of every session front-end (simulate_session,
+/// simulate_content_session, des::PacketModel::add_session): a first step
+/// at time 0, then finite, strictly increasing times (else
+/// std::invalid_argument), and every AS below `as_count` (else
+/// std::out_of_range). `who` prefixes the message.
+void validate_schedule(std::span<const MobilityStep> schedule,
+                       std::size_t as_count, std::string_view who);
 
 /// Exponential-backoff retransmission policy for control-plane operations
 /// (registrations, lookups, update relays). Only consulted when a

@@ -28,16 +28,9 @@ class ContentSessionRunner {
         rng_(config.seed, "content-session"),
         fib_(config.mapping_cache),
         fib_cached_(fib_.enabled()) {
-    if (config.publisher_schedule.empty() ||
-        config.publisher_schedule.front().time_ms != 0.0)
-      throw std::invalid_argument(
-          "simulate_content_session: publisher schedule must start at 0");
-    for (std::size_t i = 1; i < config.publisher_schedule.size(); ++i) {
-      if (config.publisher_schedule[i].time_ms <=
-          config.publisher_schedule[i - 1].time_ms)
-        throw std::invalid_argument(
-            "simulate_content_session: schedule times must increase");
-    }
+    const std::size_t as_count = fabric.internet().graph().as_count();
+    validate_schedule(config.publisher_schedule, as_count,
+                      "simulate_content_session");
     // A NaN passes `<= 0.0`, and an infinite duration never ends the
     // request loop.
     const auto require_positive = [](double value, const char* name) {
@@ -58,13 +51,8 @@ class ContentSessionRunner {
     if (!config.mapping_cache.valid())
       throw std::invalid_argument(
           "simulate_content_session: non-positive cache TTL");
-    const std::size_t as_count = fabric.internet().graph().as_count();
     if (config.consumer >= as_count)
       throw std::out_of_range("simulate_content_session: consumer AS");
-    for (const MobilityStep& step : config.publisher_schedule) {
-      if (step.as >= as_count)
-        throw std::out_of_range("simulate_content_session: publisher AS");
-    }
   }
 
   ContentSessionStats run() {

@@ -29,20 +29,34 @@ std::string_view sim_architecture_name(SimArchitecture arch) {
   throw std::invalid_argument("sim_architecture_name: unknown architecture");
 }
 
+void validate_schedule(std::span<const MobilityStep> schedule,
+                       std::size_t as_count, std::string_view who) {
+  const auto message = [&](const char* what) {
+    return std::string(who) + ": " + what;
+  };
+  if (schedule.empty())
+    throw std::invalid_argument(message("empty mobility schedule"));
+  if (schedule.front().time_ms != 0.0)
+    throw std::invalid_argument(message("schedule must start at time 0"));
+  for (std::size_t i = 1; i < schedule.size(); ++i) {
+    // Written so that a NaN, which compares false, fails it.
+    const double t = schedule[i].time_ms;
+    if (!(std::isfinite(t) && t > schedule[i - 1].time_ms))
+      throw std::invalid_argument(
+          message("schedule times must be finite and increasing"));
+  }
+  for (const MobilityStep& step : schedule) {
+    if (step.as >= as_count)
+      throw std::out_of_range(message("schedule AS"));
+  }
+}
+
 namespace {
 
 void validate(const SessionConfig& config, const ForwardingFabric& fabric,
               SimArchitecture architecture) {
-  if (config.schedule.empty())
-    throw std::invalid_argument("simulate_session: empty mobility schedule");
-  if (config.schedule.front().time_ms != 0.0)
-    throw std::invalid_argument(
-        "simulate_session: schedule must start at time 0");
-  for (std::size_t i = 1; i < config.schedule.size(); ++i) {
-    if (config.schedule[i].time_ms <= config.schedule[i - 1].time_ms)
-      throw std::invalid_argument(
-          "simulate_session: schedule times must increase");
-  }
+  const std::size_t as_count = fabric.internet().graph().as_count();
+  validate_schedule(config.schedule, as_count, "simulate_session");
   // A NaN passes `<= 0.0`, and an infinite duration never ends the
   // packet loop.
   const auto require_positive = [](double value, const char* name) {
@@ -62,13 +76,8 @@ void validate(const SessionConfig& config, const ForwardingFabric& fabric,
     throw std::invalid_argument("simulate_session: malformed retry policy");
   if (!config.mapping_cache.valid())
     throw std::invalid_argument("simulate_session: non-positive cache TTL");
-  const std::size_t as_count = fabric.internet().graph().as_count();
   if (config.correspondent >= as_count)
     throw std::out_of_range("simulate_session: correspondent AS");
-  for (const MobilityStep& step : config.schedule) {
-    if (step.as >= as_count)
-      throw std::out_of_range("simulate_session: schedule AS");
-  }
   if (config.failures != nullptr) {
     for (const FailureEvent& event : config.failures->events()) {
       if (event.element >= as_count ||

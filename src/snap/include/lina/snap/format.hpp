@@ -7,9 +7,9 @@
 //
 //     [ FileHeader | section table | toc CRC | section payloads | Footer ]
 //
-// with all multi-byte integers little-endian on disk regardless of host
-// byte order (the header carries an endianness marker, same idiom as the
-// lina::trace shards). Every section carries its own CRC32 in the table
+// in the byte framing the lina::trace shards use too (prologue,
+// little-endian integers, LEB128 varints, CRC32 footer; see
+// lina/net/codec.hpp). Every section carries its own CRC32 in the table
 // and the footer carries a whole-file CRC32 plus the total size, so any
 // truncation, torn write, or flipped bit surfaces as a named
 // SnapFormatError — never undefined behaviour, never a silently wrong
@@ -20,12 +20,13 @@
 // varint-coded deltas, so a snapshot is substantially smaller than the
 // in-memory frozen table it round-trips.
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "lina/net/codec.hpp"
 
 namespace lina::snap {
 
@@ -48,13 +49,10 @@ class SnapIoError : public SnapFormatError {
   using SnapFormatError::SnapFormatError;
 };
 
-inline constexpr std::array<char, 4> kSnapMagic = {'L', 'S', 'N', 'P'};
-inline constexpr std::array<char, 4> kSnapFooterMagic = {'L', 'S', 'N', 'E'};
-inline constexpr std::array<char, 4> kManifestMagic = {'L', 'S', 'N', 'M'};
+inline constexpr net::Magic kSnapMagic = {'L', 'S', 'N', 'P'};
+inline constexpr net::Magic kSnapFooterMagic = {'L', 'S', 'N', 'E'};
+inline constexpr net::Magic kManifestMagic = {'L', 'S', 'N', 'M'};
 inline constexpr std::uint16_t kSnapFormatVersion = 1;
-/// Written as a u16; a byte-swapped read yields 0xFF00 and is rejected
-/// with an endianness-specific message.
-inline constexpr std::uint16_t kSnapEndianMarker = 0x00FF;
 
 /// What a snapshot file stores (header `kind` field).
 enum class SnapKind : std::uint16_t {
@@ -92,44 +90,10 @@ struct SectionRecord {
 
 inline constexpr std::size_t kSnapHeaderBytes = 48;
 inline constexpr std::size_t kSectionRecordBytes = 24;
-inline constexpr std::size_t kSnapFooterBytes = 16;
+inline constexpr std::size_t kSnapFooterBytes = net::kFooterBytes;
 
-// --- byte-level encoding --------------------------------------------------
-
-void put_u8(std::vector<char>& out, std::uint8_t v);
-void put_u16(std::vector<char>& out, std::uint16_t v);
-void put_u32(std::vector<char>& out, std::uint32_t v);
-void put_u64(std::vector<char>& out, std::uint64_t v);
-/// LEB128 (7 bits per byte, most-significant-bit continuation).
-void put_varint(std::vector<char>& out, std::uint64_t v);
-
-/// Bounded sequential decoder over a byte range; every read is
-/// bounds-checked and overruns throw SnapFormatError naming `context`.
-class ByteCursor {
- public:
-  ByteCursor(const char* data, std::size_t size, std::string context)
-      : data_(data), size_(size), context_(std::move(context)) {}
-
-  [[nodiscard]] std::size_t offset() const { return offset_; }
-  [[nodiscard]] std::size_t remaining() const { return size_ - offset_; }
-  [[nodiscard]] bool done() const { return offset_ == size_; }
-  [[nodiscard]] const std::string& context() const { return context_; }
-
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::uint64_t varint();
-  void bytes(void* into, std::size_t n);
-
- private:
-  [[noreturn]] void overrun(const char* what) const;
-
-  const char* data_;
-  std::size_t size_;
-  std::size_t offset_ = 0;
-  std::string context_;
-};
+/// The shared byte decoder (lina/net/codec.hpp), throwing SnapFormatError.
+using ByteCursor = net::ByteCursor<SnapFormatError>;
 
 // --- bit-level encoding ---------------------------------------------------
 
@@ -173,8 +137,9 @@ class BitReader {
 /// Serializes the header into exactly kSnapHeaderBytes.
 void encode_header(std::vector<char>& out, const SnapHeader& header);
 
-/// Parses and validates a header (magic, version, endianness, size
-/// sanity against `file_size`). `context` names the file for errors.
+/// Parses and validates a header (magic, version, endianness, kind, and
+/// a section table that fits in `file_size`). `context` names the file
+/// for errors.
 [[nodiscard]] SnapHeader decode_header(const char* data,
                                        std::uint64_t file_size,
                                        const std::string& context);

@@ -1,12 +1,10 @@
 #pragma once
 
-// Crash-safe file primitives for the snapshot store: atomic whole-file
-// publication (temp file + fsync + rename + directory fsync) and
-// read-only memory mapping. All failures — real or injected via a
-// FaultPlan — surface as SnapIoError naming the file and the operation.
+// Crash-safe publication for the snapshot store: temp file + fsync +
+// rename + directory fsync. Loads map files through net::MappedFile
+// (lina/net/codec.hpp). All failures, real or injected via a FaultPlan,
+// surface as SnapIoError naming the file and the operation.
 
-#include <cstddef>
-#include <cstdint>
 #include <filesystem>
 #include <vector>
 
@@ -25,25 +23,5 @@ namespace lina::snap {
 void atomic_write_file(const std::filesystem::path& path,
                        const std::vector<char>& image,
                        const FaultPlan* faults = nullptr);
-
-/// A read-only memory-mapped file. The mapping lives for the object's
-/// lifetime; an empty file maps to a valid zero-length view.
-class MappedFile {
- public:
-  explicit MappedFile(const std::filesystem::path& path);
-  ~MappedFile();
-
-  MappedFile(MappedFile&& other) noexcept;
-  MappedFile& operator=(MappedFile&& other) noexcept;
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-
-  [[nodiscard]] const char* data() const { return data_; }
-  [[nodiscard]] std::uint64_t size() const { return size_; }
-
- private:
-  const char* data_ = nullptr;
-  std::uint64_t size_ = 0;
-};
 
 }  // namespace lina::snap

@@ -1,7 +1,6 @@
 #include "lina/snap/io.hpp"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -131,41 +130,6 @@ void atomic_write_file(const std::filesystem::path& path,
   fsync_parent_dir(path);
 
   if (faults != nullptr) corrupt_committed_file(path, *faults);
-}
-
-MappedFile::MappedFile(const std::filesystem::path& path) {
-  Fd fd(::open(path.c_str(), O_RDONLY));
-  if (fd.get() < 0) fail_errno(path, "open");
-  struct stat st {};
-  if (::fstat(fd.get(), &st) != 0) fail_errno(path, "fstat");
-  size_ = static_cast<std::uint64_t>(st.st_size);
-  if (size_ == 0) return;  // nothing to map; data_ stays null, size_ 0
-  void* mapped = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd.get(), 0);
-  if (mapped == MAP_FAILED) fail_errno(path, "mmap");
-  data_ = static_cast<const char*>(mapped);
-}
-
-MappedFile::~MappedFile() {
-  if (data_ != nullptr) {
-    ::munmap(const_cast<char*>(data_), size_);
-  }
-}
-
-MappedFile::MappedFile(MappedFile&& other) noexcept
-    : data_(other.data_), size_(other.size_) {
-  other.data_ = nullptr;
-  other.size_ = 0;
-}
-
-MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
-  if (this != &other) {
-    if (data_ != nullptr) ::munmap(const_cast<char*>(data_), size_);
-    data_ = other.data_;
-    size_ = other.size_;
-    other.data_ = nullptr;
-    other.size_ = 0;
-  }
-  return *this;
 }
 
 }  // namespace lina::snap

@@ -1,7 +1,6 @@
 #include "lina/snap/store.hpp"
 
 #include <algorithm>
-#include <array>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -16,6 +15,11 @@ namespace lina::snap {
 
 namespace {
 
+using net::put_u16;
+using net::put_u32;
+using net::put_u64;
+using net::put_u8;
+using net::put_varint;
 using routing::FibEntry;
 using routing::Port;
 
@@ -72,9 +76,8 @@ Image build_image(
     out.insert(out.end(), payload.begin(), payload.end());
   }
   const std::uint32_t file_crc = net::crc32(0, out.data(), out.size());
-  out.insert(out.end(), kSnapFooterMagic.begin(), kSnapFooterMagic.end());
-  put_u32(out, file_crc);
-  put_u64(out, out.size() + 8);  // total size once the u64 itself lands
+  net::put_footer(out, kSnapFooterMagic, file_crc,
+                  out.size() + kSnapFooterBytes);
   return image;
 }
 
@@ -89,33 +92,20 @@ struct Parsed {
 /// magic/size, table-of-contents CRC, section bounds, per-section CRCs,
 /// and finally the whole-file CRC. Per-section checks run before the
 /// whole-file one so a localized flip is reported against its section.
-Parsed parse_snapshot(const MappedFile& file, const std::string& ctx) {
+Parsed parse_snapshot(const net::MappedFile& file, const std::string& ctx) {
   const char* data = file.data();
   const std::uint64_t size = file.size();
+  const std::uint32_t file_crc = net::decode_footer<SnapFormatError>(
+      data, size, kSnapHeaderBytes, kSnapFooterMagic, ctx);
   Parsed parsed;
   parsed.header = decode_header(data, size, ctx);
-
-  ByteCursor footer(data + (size - kSnapFooterBytes), kSnapFooterBytes,
-                    ctx + " footer");
-  std::array<char, 4> magic{};
-  footer.bytes(magic.data(), magic.size());
-  if (magic != kSnapFooterMagic) {
-    throw SnapFormatError(ctx +
-                          ": footer magic missing (truncated or torn file)");
-  }
-  const std::uint32_t file_crc = footer.u32();
-  const std::uint64_t recorded_size = footer.u64();
-  if (recorded_size != size) {
-    throw SnapFormatError(ctx + ": footer records " +
-                          std::to_string(recorded_size) +
-                          " bytes but the file has " + std::to_string(size));
-  }
 
   const std::uint64_t toc_end =
       kSnapHeaderBytes +
       std::uint64_t{parsed.header.section_count} * kSectionRecordBytes;
+  const std::string toc_ctx = ctx + " section table";
   ByteCursor toc(data + kSnapHeaderBytes, toc_end - kSnapHeaderBytes + 4,
-                 ctx + " section table");
+                 toc_ctx);
   for (std::uint16_t i = 0; i < parsed.header.section_count; ++i) {
     SectionRecord rec;
     rec.id = static_cast<SectionId>(toc.u32());
@@ -149,7 +139,7 @@ Parsed parse_snapshot(const MappedFile& file, const std::string& ctx) {
 }
 
 [[nodiscard]] std::pair<const char*, std::uint64_t> section(
-    const MappedFile& file, const Parsed& parsed, SectionId id,
+    const net::MappedFile& file, const Parsed& parsed, SectionId id,
     const std::string& ctx) {
   for (const SectionRecord& rec : parsed.sections) {
     if (rec.id == id) return {file.data() + rec.offset, rec.bytes};
@@ -212,7 +202,7 @@ std::vector<std::pair<SectionId, std::vector<char>>> encode_ip(
   return sections;
 }
 
-IpTrie decode_ip(const MappedFile& file, const Parsed& parsed,
+IpTrie decode_ip(const net::MappedFile& file, const Parsed& parsed,
                  const std::string& ctx) {
   const std::uint64_t node_count = parsed.header.node_count;
   const auto [ndata, nbytes] =
@@ -268,7 +258,8 @@ IpTrie decode_ip(const MappedFile& file, const Parsed& parsed,
   }
   const auto [vdata, vbytes] =
       section(file, parsed, SectionId::kIpValues, ctx);
-  ByteCursor cursor(vdata, vbytes, ctx + " ip-values");
+  const std::string values_ctx = ctx + " ip-values";
+  ByteCursor cursor(vdata, vbytes, values_ctx);
   std::vector<FibEntry> values;
   values.reserve(next_slot);
   for (std::uint32_t i = 0; i < next_slot; ++i) {
@@ -365,13 +356,14 @@ std::vector<std::pair<SectionId, std::vector<char>>> encode_name(
   return sections;
 }
 
-NameTrie decode_name(const MappedFile& file, const Parsed& parsed,
+NameTrie decode_name(const net::MappedFile& file, const Parsed& parsed,
                      const std::string& ctx) {
   const std::uint64_t node_count = parsed.header.node_count;
 
   const auto [cdata, cbytes] =
       section(file, parsed, SectionId::kComponents, ctx);
-  ByteCursor comps(cdata, cbytes, ctx + " components");
+  const std::string comps_ctx = ctx + " components";
+  ByteCursor comps(cdata, cbytes, comps_ctx);
   const std::uint64_t comp_count = comps.varint();
   if (comp_count > cbytes) {
     throw SnapFormatError(ctx + ": component count " +
@@ -397,7 +389,8 @@ NameTrie decode_name(const MappedFile& file, const Parsed& parsed,
 
   const auto [edata, ebytes] =
       section(file, parsed, SectionId::kNameEdges, ctx);
-  ByteCursor packed_edges(edata, ebytes, ctx + " edges");
+  const std::string edges_ctx = ctx + " edges";
+  ByteCursor packed_edges(edata, ebytes, edges_ctx);
   const std::uint64_t edge_count = packed_edges.varint();
   if (edge_count > ebytes) {
     throw SnapFormatError(ctx + ": edge count " + std::to_string(edge_count) +
@@ -457,9 +450,7 @@ NameTrie decode_name(const MappedFile& file, const Parsed& parsed,
 
 std::vector<char> encode_manifest(const Manifest& m) {
   std::vector<char> out;
-  out.insert(out.end(), kManifestMagic.begin(), kManifestMagic.end());
-  put_u16(out, kManifestVersion);
-  put_u16(out, kSnapEndianMarker);
+  net::put_prologue(out, kManifestMagic, kManifestVersion);
   put_u64(out, m.generation);
   put_varint(out, m.tables.size());
   for (const ManifestEntry& e : m.tables) {
@@ -472,31 +463,22 @@ std::vector<char> encode_manifest(const Manifest& m) {
   return out;
 }
 
-Manifest decode_manifest(const MappedFile& file, const std::string& ctx) {
+Manifest decode_manifest(const net::MappedFile& file,
+                         const std::string& ctx) {
   if (file.size() < 4 + 2 + 2 + 8 + 1 + 4) {
     throw SnapFormatError(ctx + ": manifest of " +
                           std::to_string(file.size()) +
                           " bytes is shorter than the fixed fields");
   }
   const std::uint64_t body = file.size() - 4;
-  ByteCursor crc_cursor(file.data() + body, 4, ctx + " crc");
+  const std::string crc_ctx = ctx + " crc";
+  ByteCursor crc_cursor(file.data() + body, 4, crc_ctx);
   if (net::crc32(0, file.data(), body) != crc_cursor.u32()) {
     throw SnapFormatError(ctx + ": manifest CRC mismatch");
   }
   ByteCursor cursor(file.data(), body, ctx);
-  std::array<char, 4> magic{};
-  cursor.bytes(magic.data(), magic.size());
-  if (magic != kManifestMagic) {
-    throw SnapFormatError(ctx + ": bad magic (not a lina::snap manifest)");
-  }
-  const std::uint16_t version = cursor.u16();
-  if (version != kManifestVersion) {
-    throw SnapFormatError(ctx + ": unsupported manifest version " +
-                          std::to_string(version));
-  }
-  if (cursor.u16() != kSnapEndianMarker) {
-    throw SnapFormatError(ctx + ": endianness marker mismatch");
-  }
+  net::check_prologue(cursor, kManifestMagic, kManifestVersion,
+                      "lina::snap manifest");
   Manifest m;
   m.generation = cursor.u64();
   const std::uint64_t count = cursor.varint();
@@ -528,7 +510,7 @@ Manifest decode_manifest(const MappedFile& file, const std::string& ctx) {
 // --- load-side glue -------------------------------------------------------
 
 struct Opened {
-  MappedFile file;
+  net::MappedFile file;
   Parsed parsed;
   std::string ctx;
 };
@@ -549,7 +531,7 @@ Opened open_table(const SnapshotStore& store, const std::string& table,
   }
   const std::filesystem::path path =
       store.table_path(table, entry->generation);
-  MappedFile file(path);
+  auto file = net::MappedFile::open<SnapIoError>(path);
   std::string ctx = path.string();
   Parsed parsed = parse_snapshot(file, ctx);
   if (parsed.header.kind != want) {
@@ -588,7 +570,7 @@ std::filesystem::path SnapshotStore::table_path(
 Manifest SnapshotStore::manifest() const {
   const std::filesystem::path path = manifest_path();
   if (!std::filesystem::exists(path)) return Manifest{};
-  const MappedFile file(path);
+  const auto file = net::MappedFile::open<SnapIoError>(path);
   return decode_manifest(file, path.string());
 }
 

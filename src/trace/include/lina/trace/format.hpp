@@ -30,14 +30,12 @@
 // truncation and corruption surface as a clear TraceFormatError instead
 // of garbage statistics.
 
-#include <array>
-#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "lina/net/codec.hpp"
 #include "lina/net/ipv4.hpp"
 #include "lina/topology/as_graph.hpp"
 
@@ -51,12 +49,9 @@ class TraceFormatError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-inline constexpr std::array<char, 4> kShardMagic = {'L', 'T', 'R', 'C'};
-inline constexpr std::array<char, 4> kFooterMagic = {'L', 'T', 'R', 'E'};
+inline constexpr net::Magic kShardMagic = {'L', 'T', 'R', 'C'};
+inline constexpr net::Magic kFooterMagic = {'L', 'T', 'R', 'E'};
 inline constexpr std::uint16_t kFormatVersion = 1;
-/// Written as a u16; a same-width byte-swapped read yields 0xFF00 and is
-/// rejected with an endianness-specific error message.
-inline constexpr std::uint16_t kEndianMarker = 0x00FF;
 
 /// Fixed-size (64-byte) shard header.
 struct ShardHeader {
@@ -73,7 +68,7 @@ struct ShardHeader {
 };
 
 inline constexpr std::size_t kHeaderBytes = 64;
-inline constexpr std::size_t kFooterBytes = 16;
+inline constexpr std::size_t kFooterBytes = net::kFooterBytes;
 
 /// Per-user block flag: starts stored explicitly because the trace was not
 /// exactly contiguous (start[i] != start[i-1] + duration[i-1] bitwise).
@@ -114,118 +109,17 @@ inline constexpr std::int64_t zigzag_decode(std::uint64_t v) {
          -static_cast<std::int64_t>(v & 1);
 }
 
-/// Raw little-endian encoders: write at `out`, return the end. The
-/// caller guarantees the room (8 bytes for u64, 10 for a varint).
-inline char* encode_u64(char* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) *out++ = static_cast<char>(v >> (8 * i));
-  return out;
-}
-
-/// LEB128 (7 bits per byte, most-significant-bit continuation).
-inline char* encode_varint(char* out, std::uint64_t v) {
-  while (v >= 0x80) {
-    *out++ = static_cast<char>(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  *out++ = static_cast<char>(v);
-  return out;
-}
-
-/// Appending forms of the encoders for the writer's growable buffers;
-/// inline, because the writer calls them several times per visit.
-inline void put_u8(std::vector<char>& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-inline void put_u16(std::vector<char>& out, std::uint16_t v) {
-  const char bytes[2] = {static_cast<char>(v), static_cast<char>(v >> 8)};
-  out.insert(out.end(), bytes, bytes + 2);
-}
-
-inline void put_u32(std::vector<char>& out, std::uint32_t v) {
-  char bytes[8];
-  encode_u64(bytes, v);
-  out.insert(out.end(), bytes, bytes + 4);
-}
-
-inline void put_u64(std::vector<char>& out, std::uint64_t v) {
-  char bytes[8];
-  out.insert(out.end(), bytes, encode_u64(bytes, v));
-}
-
-inline void put_f64(std::vector<char>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-inline void put_varint(std::vector<char>& out, std::uint64_t v) {
-  char bytes[10];
-  out.insert(out.end(), bytes, encode_varint(bytes, v));
-}
-
-/// Bounded sequential decoder over a byte range; every read is
-/// bounds-checked and overruns throw TraceFormatError naming `context`.
-/// The hot reads (u8, u64/f64, a one-byte varint) are inline. `context`
-/// is viewed, not copied, so a cursor costs no allocation: the string it
-/// names must outlive the cursor.
-class ByteCursor {
- public:
-  ByteCursor(const char* data, std::size_t size, std::string_view context)
-      : data_(data), size_(size), context_(context) {}
-
-  [[nodiscard]] std::size_t offset() const { return offset_; }
-  [[nodiscard]] std::size_t remaining() const { return size_ - offset_; }
-  [[nodiscard]] bool done() const { return offset_ == size_; }
-
-  std::uint8_t u8() {
-    if (offset_ == size_) overrun("u8");
-    return static_cast<std::uint8_t>(data_[offset_++]);
-  }
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64() {
-    if (remaining() < 8) overrun("u64");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(data_[offset_ + i]))
-           << (8 * i);
-    }
-    offset_ += 8;
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::uint64_t varint() {
-    if (offset_ < size_ && (data_[offset_] & 0x80) == 0) {
-      return static_cast<std::uint8_t>(data_[offset_++]);
-    }
-    return varint_multibyte();
-  }
-  void bytes(void* into, std::size_t n);
-
-  /// Moves to `offset` bytes from the start of the range (<= its size).
-  void seek(std::size_t offset) {
-    if (offset > size_) overrun("seek target");
-    offset_ = offset;
-  }
-  /// Steps over `n` bytes.
-  void skip(std::size_t n) {
-    if (remaining() < n) overrun("skipped bytes");
-    offset_ += n;
-  }
-  /// Steps over `count` varints without decoding them: a varint ends at
-  /// its first byte with the high bit clear, and those terminators are
-  /// counted a word at a time. Overlong varints are not detected here.
-  void skip_varints(std::size_t count);
-
- private:
-  [[noreturn]] void overrun(const char* what) const;
-  std::uint64_t varint_multibyte();
-
-  const char* data_;
-  std::size_t size_;
-  std::size_t offset_ = 0;
-  std::string_view context_;
-};
+// The shared byte codec (lina/net/codec.hpp), under the names the trace
+// code and its tests use.
+using net::encode_u64;
+using net::encode_varint;
+using net::put_f64;
+using net::put_u16;
+using net::put_u32;
+using net::put_u64;
+using net::put_u8;
+using net::put_varint;
+using ByteCursor = net::ByteCursor<TraceFormatError>;
 
 /// Serializes the header into exactly kHeaderBytes.
 void encode_header(std::vector<char>& out, const ShardHeader& header);

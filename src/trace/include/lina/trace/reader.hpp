@@ -59,14 +59,16 @@ class ShardSet {
   std::vector<ShardInfo> shards_;
 };
 
-/// Sequential per-user decoder of one shard. Loads the shard image in one
-/// buffered read (memory = one shard, the same users_per_shard-sized bound
-/// the writer obeys) and yields DeviceTraces in ascending user-id order.
+/// Sequential per-user decoder of one shard. Maps the shard read-only and
+/// decodes its user blocks in place (resident at most: one shard's user
+/// blocks, the same users_per_shard-sized bound the writer obeys),
+/// yielding DeviceTraces in ascending user-id order. A shard cut short
+/// since it was validated is a TraceFormatError naming the file.
 class TraceReader {
  public:
   explicit TraceReader(const ShardInfo& shard);
 
-  // cursor_ views image_ and name_, so a reader stays where it was built.
+  // cursor_ views file_ and name_, so a reader stays where it was built.
   TraceReader(const TraceReader&) = delete;
   TraceReader& operator=(const TraceReader&) = delete;
 
@@ -94,7 +96,7 @@ class TraceReader {
 
   ShardInfo shard_;
   std::string name_;  // shard path, the context of every error
-  std::vector<char> image_;
+  net::MappedFile file_;
   ByteCursor cursor_;  // over the user-block section
   std::vector<mobility::DeviceVisit> scratch_;  // one user's decoded columns
   std::uint32_t decoded_ = 0;

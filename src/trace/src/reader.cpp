@@ -11,90 +11,18 @@
 
 namespace lina::trace {
 
-namespace {
-
-/// Reads [begin, end) of a file into `into` (resized), throwing with the
-/// file name on failure.
-void read_range(const std::filesystem::path& path, std::ifstream& file,
-                std::uint64_t begin, std::uint64_t end,
-                std::vector<char>& into) {
-  into.resize(end - begin);
-  file.seekg(static_cast<std::streamoff>(begin));
-  if (!file.read(into.data(), static_cast<std::streamsize>(into.size()))) {
-    throw TraceFormatError(path.string() + ": read failed at offset " +
-                           std::to_string(begin));
-  }
-}
-
-struct Footer {
-  std::uint32_t crc = 0;
-  std::uint64_t total_bytes = 0;
-};
-
-Footer decode_footer(const std::filesystem::path& path,
-                     const char* data, std::uint64_t file_size) {
-  const std::string name = path.string();
-  ByteCursor cursor(data, kFooterBytes, name);
-  std::array<char, 4> magic{};
-  cursor.bytes(magic.data(), magic.size());
-  if (magic != kFooterMagic) {
-    throw TraceFormatError(path.string() +
-                           ": footer magic missing (truncated shard?)");
-  }
-  Footer footer;
-  footer.crc = cursor.u32();
-  footer.total_bytes = cursor.u64();
-  if (footer.total_bytes != file_size) {
-    throw TraceFormatError(path.string() + ": footer records " +
-                           std::to_string(footer.total_bytes) +
-                           " bytes but the file holds " +
-                           std::to_string(file_size) +
-                           " (truncated or concatenated shard)");
-  }
-  return footer;
-}
-
-}  // namespace
-
 ShardHeader validate_shard(const std::filesystem::path& path, Validate mode) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    throw TraceFormatError(path.string() + ": cannot open shard");
-  }
-  file.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(file.tellg());
-  if (file_size < kHeaderBytes + kFooterBytes) {
-    throw TraceFormatError(path.string() + ": file of " +
-                           std::to_string(file_size) +
-                           " bytes is shorter than header + footer");
-  }
-
-  std::vector<char> bytes;
-  read_range(path, file, 0, kHeaderBytes, bytes);
-  const ShardHeader header =
-      decode_header(bytes.data(), file_size, path.string());
-
-  read_range(path, file, file_size - kFooterBytes, file_size, bytes);
-  const Footer footer = decode_footer(path, bytes.data(), file_size);
-
+  const std::string name = path.string();
+  const auto file = net::MappedFile::open<TraceFormatError>(path);
+  const std::uint32_t stored = net::decode_footer<TraceFormatError>(
+      file.data(), file.size(), kHeaderBytes, kFooterMagic, name);
+  const ShardHeader header = decode_header(file.data(), file.size(), name);
   if (mode == Validate::kCrc) {
-    file.seekg(0);
-    std::uint32_t crc = 0;
-    std::vector<char> chunk(1 << 20);
-    std::uint64_t left = file_size - kFooterBytes;
-    while (left > 0) {
-      const std::size_t n =
-          static_cast<std::size_t>(std::min<std::uint64_t>(left,
-                                                           chunk.size()));
-      if (!file.read(chunk.data(), static_cast<std::streamsize>(n))) {
-        throw TraceFormatError(path.string() + ": read failed during CRC");
-      }
-      crc = net::crc32(crc, chunk.data(), n);
-      left -= n;
-    }
-    if (crc != footer.crc) {
-      throw TraceFormatError(path.string() + ": CRC32 mismatch (stored " +
-                             std::to_string(footer.crc) + ", computed " +
+    const std::uint32_t crc =
+        net::crc32(0, file.data(), file.size() - kFooterBytes);
+    if (crc != stored) {
+      throw TraceFormatError(name + ": CRC32 mismatch (stored " +
+                             std::to_string(stored) + ", computed " +
                              std::to_string(crc) + ") — corrupt shard");
     }
   }
@@ -102,20 +30,10 @@ ShardHeader validate_shard(const std::filesystem::path& path, Validate mode) {
 }
 
 std::uint32_t shard_footer_crc(const std::filesystem::path& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    throw TraceFormatError(path.string() + ": cannot open shard");
-  }
-  file.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(file.tellg());
-  if (file_size < kFooterBytes) {
-    throw TraceFormatError(path.string() + ": file of " +
-                           std::to_string(file_size) +
-                           " bytes is shorter than a footer");
-  }
-  std::vector<char> bytes;
-  read_range(path, file, file_size - kFooterBytes, file_size, bytes);
-  return decode_footer(path, bytes.data(), file_size).crc;
+  const auto file = net::MappedFile::open<TraceFormatError>(path);
+  return net::decode_footer<TraceFormatError>(file.data(), file.size(),
+                                              kHeaderBytes, kFooterMagic,
+                                              path.string());
 }
 
 ShardSet ShardSet::discover(const std::filesystem::path& dir, Validate mode) {
@@ -193,16 +111,24 @@ std::uint32_t ShardSet::day_count() const {
 }
 
 TraceReader::TraceReader(const ShardInfo& shard)
-    : shard_(shard), name_(shard.path.string()), cursor_(nullptr, 0, name_) {
-  std::ifstream file(shard_.path, std::ios::binary);
-  if (!file) {
-    throw TraceFormatError(name_ + ": cannot open shard");
+    : shard_(shard),
+      name_(shard.path.string()),
+      file_(net::MappedFile::open<TraceFormatError>(shard.path)),
+      cursor_(nullptr, 0, name_) {
+  // The header was validated against the file's size then; a file cut
+  // short since must not send the cursor past the mapping.
+  const std::uint64_t events_offset = shard_.header.events_offset;
+  if (file_.size() < kFooterBytes ||
+      events_offset > file_.size() - kFooterBytes) {
+    throw TraceFormatError(name_ + ": file of " +
+                           std::to_string(file_.size()) +
+                           " bytes ends before its event section at offset " +
+                           std::to_string(events_offset) + " (truncated?)");
   }
-  read_range(shard_.path, file, kHeaderBytes, shard_.header.events_offset,
-             image_);
-  cursor_ = ByteCursor(image_.data(), image_.size(), name_);
+  cursor_ = ByteCursor(file_.data() + kHeaderBytes,
+                       events_offset - kHeaderBytes, name_);
   obs::metric::trace_shards_read().add(1);
-  obs::metric::trace_bytes_read().add(image_.size());
+  obs::metric::trace_bytes_read().add(events_offset - kHeaderBytes);
 }
 
 namespace {

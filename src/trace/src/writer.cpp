@@ -244,9 +244,8 @@ TraceWriter::Totals TraceWriter::finish() {
     }
   }
   write_checksummed(chunk.data(), static_cast<std::size_t>(end - chunk.data()));
-  std::vector<char> footer(kFooterMagic.begin(), kFooterMagic.end());
-  put_u32(footer, crc);
-  put_u64(footer, bytes + kFooterBytes);  // total file size, footer included
+  std::vector<char> footer;
+  net::put_footer(footer, kFooterMagic, crc, bytes + kFooterBytes);
   write(footer.data(), footer.size());
   if (!out.flush()) fail();
   finished_ = true;

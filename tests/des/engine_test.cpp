@@ -96,6 +96,10 @@ TEST(DesModelTest, ValidatesSessions) {
   EXPECT_THROW(model.add_session(p), std::invalid_argument);
 
   p = good;
+  p.schedule = {{0.0, edge(1)}, {100.0, edge(2)}, {100.0, edge(3)}};
+  EXPECT_THROW(model.add_session(p), std::invalid_argument);
+
+  p = good;
   p.interval_ms = 0.0;
   EXPECT_THROW(model.add_session(p), std::invalid_argument);
 

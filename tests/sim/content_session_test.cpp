@@ -46,6 +46,13 @@ TEST(ContentSessionTest, Validation) {
   config.request_interval_ms = 0.0;
   EXPECT_THROW((void)simulate_content_session(fabric(), config),
                std::invalid_argument);
+  // A NaN step compares false with its predecessor, so a `<=` order check
+  // let it through.
+  config = base_config();
+  config.publisher_schedule.push_back(
+      {std::numeric_limits<double>::quiet_NaN(), edge(31)});
+  EXPECT_THROW((void)simulate_content_session(fabric(), config),
+               std::invalid_argument);
 }
 
 // NaN first: it passed the old `<= 0.0` checks, so a run that accepts it

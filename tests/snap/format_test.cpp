@@ -277,6 +277,16 @@ TEST(SnapFormat, VarintRejectsOverlongEncodings) {
   overlong.push_back(0x01);
   ByteCursor cursor(overlong.data(), overlong.size(), "overlong");
   EXPECT_THROW((void)cursor.varint(), SnapFormatError);
+
+  // The trace format's rule: after nine continuation bytes, the 10th may
+  // carry bit 63 only.
+  for (const unsigned char last : {0x02, 0x7F, 0x81}) {
+    std::vector<char> bytes(9, static_cast<char>(0x80));
+    bytes.push_back(static_cast<char>(last));
+    bytes.push_back(0);  // trailing room must not change the verdict
+    ByteCursor tenth(bytes.data(), bytes.size(), "overlong");
+    EXPECT_THROW((void)tenth.varint(), SnapFormatError) << unsigned{last};
+  }
 }
 
 TEST(SnapFormat, BitRoundtripAcrossByteBoundaries) {

@@ -191,6 +191,47 @@ TEST(TraceRoundTripTest, ShardSetDiscoversStreamedWorkload) {
                TraceFormatError);
 }
 
+TEST(TraceRoundTripTest, ShardTruncatedAfterDiscoveryIsNamed) {
+  TempTraceDir dir("truncate-after-discover");
+  mobility::DeviceWorkloadConfig config;
+  config.user_count = 20;
+  config.days = 3;
+  const mobility::DeviceWorkloadGenerator generator(
+      lina::testing::shared_internet(), config);
+  StreamingWorkloadConfig stream_config;
+  stream_config.users_per_shard = 10;  // 20 users -> 2 shards
+  // write_shards validates the headers only (Validate::kHeader).
+  const ShardSet set =
+      StreamingWorkload(generator, stream_config).write_shards(dir.path());
+  ASSERT_EQ(set.shards().size(), 2u);
+  const ShardInfo& cut = set.shards()[1];
+
+  const auto expect_named = [&](const auto& read) {
+    try {
+      read();
+      ADD_FAILURE() << "expected TraceFormatError";
+    } catch (const TraceFormatError& error) {
+      EXPECT_NE(std::string(error.what()).find(cut.path.string()),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  // Shrinking cuts: one byte into the footer's room, inside the user
+  // blocks, at the end of the header, and an empty file.
+  const std::uint64_t offset = cut.header.events_offset;
+  for (const std::uint64_t size :
+       {offset + kFooterBytes - 1, offset / 2, std::uint64_t{kHeaderBytes},
+        std::uint64_t{0}}) {
+    std::filesystem::resize_file(cut.path, size);
+    expect_named([&] { TraceReader reader(cut); });
+    expect_named([&] {
+      DeviceTraceStream stream(set);
+      while (!stream.next_batch(7).empty()) {
+      }
+    });
+  }
+}
+
 /// A hand-built two-day, two-user shard whose first user block has a
 /// known layout: varint user 0, varint 3 visits, flags, then the f64
 /// first start at kFirstStart and three f64 durations from kFirstDuration.
