@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
     std::uint64_t snapshot_bytes = 0;
     {
       snap::SnapshotStore store(dir);
-      snapshot_bytes = store.save_name_fib("popular", name_fib.freeze()).bytes;
+      snapshot_bytes = store.save_name_fib("popular", name_fib).bytes;
     }
     const auto start = std::chrono::steady_clock::now();
     std::size_t loaded_entries = 0;

@@ -128,40 +128,6 @@ void BM_LegacyIpTrieLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_LegacyIpTrieLookup)->Range(1 << 8, 1 << 16);
 
-void BM_IpTrieErase(benchmark::State& state) {
-  stats::Rng rng(8);
-  const auto prefixes =
-      random_prefixes(static_cast<std::size_t>(state.range(0)), rng);
-  for (auto _ : state) {
-    state.PauseTiming();
-    net::IpTrie<int> trie;
-    int value = 0;
-    for (const auto& prefix : prefixes) trie.insert(prefix, value++);
-    state.ResumeTiming();
-    for (const auto& prefix : prefixes) trie.erase(prefix);
-    benchmark::DoNotOptimize(trie.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_IpTrieErase)->Range(1 << 8, 1 << 14);
-
-void BM_LegacyIpTrieErase(benchmark::State& state) {
-  stats::Rng rng(8);
-  const auto prefixes =
-      random_prefixes(static_cast<std::size_t>(state.range(0)), rng);
-  for (auto _ : state) {
-    state.PauseTiming();
-    testref::LegacyIpTrie<int> trie;
-    int value = 0;
-    for (const auto& prefix : prefixes) trie.insert(prefix, value++);
-    state.ResumeTiming();
-    for (const auto& prefix : prefixes) trie.erase(prefix);
-    benchmark::DoNotOptimize(trie.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_LegacyIpTrieErase)->Range(1 << 8, 1 << 14);
-
 void BM_IpTrieFreeze(benchmark::State& state) {
   stats::Rng rng(9);
   const auto prefixes =
@@ -199,36 +165,6 @@ void BM_IpTrieFrozenLookupMany(benchmark::State& state) {
                           static_cast<long>(queries.size()));
 }
 BENCHMARK(BM_IpTrieFrozenLookupMany)->Range(1 << 8, 1 << 16);
-
-void BM_IpTrieCompressedSize(benchmark::State& state) {
-  stats::Rng rng(10);
-  const auto prefixes =
-      random_prefixes(static_cast<std::size_t>(state.range(0)), rng);
-  net::IpTrie<int> trie;
-  for (const auto& prefix : prefixes) {
-    trie.insert(prefix, static_cast<int>(rng.index(4)));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(trie.lpm_compressed_size());  // O(1) read
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_IpTrieCompressedSize)->Range(1 << 8, 1 << 14);
-
-void BM_LegacyIpTrieCompressedSize(benchmark::State& state) {
-  stats::Rng rng(10);
-  const auto prefixes =
-      random_prefixes(static_cast<std::size_t>(state.range(0)), rng);
-  testref::LegacyIpTrie<int> trie;
-  for (const auto& prefix : prefixes) {
-    trie.insert(prefix, static_cast<int>(rng.index(4)));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(trie.lpm_compressed_size());  // full recount
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LegacyIpTrieCompressedSize)->Range(1 << 8, 1 << 14);
 
 std::vector<names::ContentName> bench_names(std::size_t count,
                                             stats::Rng& rng) {
@@ -300,24 +236,6 @@ void BM_LegacyNameTrieLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LegacyNameTrieLookup)->Range(1 << 8, 1 << 14);
-
-void BM_NameTrieFrozenLookupMany(benchmark::State& state) {
-  stats::Rng rng(3);
-  names::NameTrie<int> trie;
-  const auto names_list =
-      bench_names(static_cast<std::size_t>(state.range(0)), rng);
-  int value = 0;
-  for (const auto& name : names_list) trie.insert(name, value++);
-  const auto frozen = trie.freeze();
-  std::vector<const int*> hits(names_list.size());
-  for (auto _ : state) {
-    frozen.lookup_many(names_list, hits);
-    benchmark::DoNotOptimize(hits.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(names_list.size()));
-}
-BENCHMARK(BM_NameTrieFrozenLookupMany)->Range(1 << 8, 1 << 14);
 
 void BM_RouteSelection(benchmark::State& state) {
   stats::Rng rng(4);

@@ -110,12 +110,6 @@ struct DeliveryDigest {
     return h;
   }
 
-  [[nodiscard]] double mean_delay_ms() const {
-    return delivered == 0 ? 0.0
-                          : static_cast<double>(delay_us_total) /
-                                (1000.0 * static_cast<double>(delivered));
-  }
-
   friend bool operator==(const DeliveryDigest&,
                          const DeliveryDigest&) = default;
 };

@@ -28,7 +28,7 @@ std::uint32_t PacketModel::add_session(const SessionParams& params) {
   const std::size_t as_count = fabric_->internet().graph().as_count();
   const auto check_as = [&](topology::AsId as, const char* what) {
     if (as >= as_count)
-      throw std::invalid_argument(std::string("PacketModel: bad ") + what);
+      throw std::out_of_range(std::string("PacketModel: bad ") + what);
   };
   sim::validate_schedule(params.schedule, as_count, "PacketModel");
   if (!finite(params.start_ms) || params.start_ms < 0.0)

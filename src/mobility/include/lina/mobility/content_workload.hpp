@@ -80,13 +80,6 @@ struct ContentWorkloadConfig {
 struct ContentCatalog {
   std::vector<ContentTrace> popular;    // apex domains and their subdomains
   std::vector<ContentTrace> unpopular;
-
-  [[nodiscard]] std::size_t popular_name_count() const {
-    return popular.size();
-  }
-  [[nodiscard]] std::size_t unpopular_name_count() const {
-    return unpopular.size();
-  }
 };
 
 /// Generates content-mobility traces over a synthetic Internet.

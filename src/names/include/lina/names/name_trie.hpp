@@ -1,12 +1,12 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -15,7 +15,6 @@
 #include "lina/names/content_name.hpp"
 #include "lina/names/interner.hpp"
 #include "lina/obs/metrics.hpp"
-#include "lina/prof/prof.hpp"
 
 namespace lina::names {
 
@@ -41,9 +40,6 @@ struct EdgeHash {
 
 }  // namespace detail
 
-template <typename T>
-class FrozenNameTrie;
-
 /// A component-wise trie over hierarchical content names with
 /// longest-matching-prefix lookup — the name-based-routing analogue of the
 /// IP FIB (Figure 2 right, Figure 3).
@@ -52,23 +48,36 @@ class FrozenNameTrie;
 /// selection is a single integer probe on (node, component-id) pairs in
 /// one flat hash table, using the ids hash-consed into every ContentName
 /// at construction (ComponentInterner::global()) — no string hashing or
-/// lexicographic compares on the lookup path. Erase prunes value-less
-/// leaf chains into a free-list so tables stay bounded under churn.
+/// lexicographic compares on the lookup path. The trie is build-once:
+/// entries are inserted or overwritten, never erased, so every arena slot
+/// is a live node.
 ///
 /// `lpm_compressed_size()` counts the entries that a router actually needs
 /// to store once longest-prefix matching subsumes entries equal to their
 /// nearest stored ancestor; `size() / lpm_compressed_size()` is exactly the
-/// paper's aggregateability metric (§3.3.2). The count is maintained
-/// incrementally on every mutation, so reading it is O(1).
+/// paper's aggregateability metric (§3.3.2). It is a recount over the
+/// finished table, read once per table.
 template <typename T>
 class NameTrie {
  public:
+  /// One parent -> child link: the serialized form of the trie
+  /// (lina::snap). `label` is a ComponentInterner::global() id.
+  struct Edge {
+    std::uint32_t parent;
+    std::uint32_t label;
+    std::uint32_t child;
+  };
+
   NameTrie() { arena_.emplace_back(); }
 
-  NameTrie(const NameTrie&) = delete;
-  NameTrie& operator=(const NameTrie&) = delete;
-  NameTrie(NameTrie&&) noexcept = default;
-  NameTrie& operator=(NameTrie&&) noexcept = default;
+  /// Rebuilds a trie from its serialized form: slot i holds `values[i]`
+  /// (slot 0 is the root) and `edges` links the slots. Throws
+  /// std::invalid_argument unless the edges form one tree rooted at slot
+  /// 0: every edge in range, none into slot 0, no slot claimed by two
+  /// edges, no duplicate (parent, component) key, and every slot reached
+  /// by a walk from slot 0.
+  [[nodiscard]] static NameTrie from_edges(std::vector<std::optional<T>> values,
+                                           std::span<const Edge> edges);
 
   /// Inserts or overwrites the value at `name`. Returns true if a new entry
   /// was created.
@@ -79,11 +88,10 @@ class NameTrie {
       idx = (it != edges_.end()) ? it->second : link_child(idx, id);
     }
     const bool created = !arena_[idx].value.has_value();
-    assign_value(idx, std::move(value));
+    arena_[idx].value = std::move(value);
     if (created) ++size_;
     obs::metric::name_trie_inserts().add();
     if (!created) obs::metric::name_trie_displacements().add();
-    check_compressed_invariant();
     return created;
   }
 
@@ -117,19 +125,6 @@ class NameTrie {
     return &*arena_[idx].value;
   }
 
-  /// Removes the entry at `name` if present; returns whether it existed.
-  /// Value-less leaf chains left behind are pruned into the free-list.
-  bool erase(const ContentName& name) {
-    const std::uint32_t idx = descend(name);
-    if (idx == kNil || !arena_[idx].value.has_value()) return false;
-    clear_value(idx);
-    --size_;
-    obs::metric::name_trie_erases().add();
-    prune(idx);
-    check_compressed_invariant();
-    return true;
-  }
-
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
@@ -143,41 +138,39 @@ class NameTrie {
   }
 
   /// Entries surviving longest-prefix-match subsumption (see class
-  /// comment). O(1): maintained incrementally by insert/assign/erase.
+  /// comment): those whose value differs from their nearest stored
+  /// ancestor's. O(n): one walk over the table, with an explicit stack so
+  /// a deep table loaded from a snapshot cannot exhaust the call stack.
   [[nodiscard]] std::size_t lpm_compressed_size() const {
-    return compressed_;
-  }
-
-  /// The O(n) recursive recount — the reference the incremental counter is
-  /// cross-checked against (debug builds on every mutation, the `fib`
-  /// differential suite explicitly).
-  [[nodiscard]] std::size_t lpm_compressed_size_recursive() const {
-    return compressed_count(0, nullptr);
+    std::size_t count = 0;
+    // (slot, value of its nearest stored ancestor or nullptr) to visit.
+    std::vector<std::pair<std::uint32_t, const T*>> stack = {{0, nullptr}};
+    while (!stack.empty()) {
+      const auto [idx, inherited] = stack.back();
+      stack.pop_back();
+      const Node& n = arena_[idx];
+      const T* effective = inherited;
+      if (n.value.has_value()) {
+        if (inherited == nullptr || !(*inherited == *n.value)) ++count;
+        effective = &*n.value;
+      }
+      for (std::uint32_t c = n.first_child; c != kNil;
+           c = arena_[c].next_sibling) {
+        stack.emplace_back(c, effective);
+      }
+    }
+    return count;
   }
 
   void clear() {
     arena_.clear();
     arena_.emplace_back();
     edges_.clear();
-    free_.clear();
     size_ = 0;
-    compressed_ = 0;
   }
 
-  /// Arena occupancy (excluding free-listed slots).
-  [[nodiscard]] std::size_t live_nodes() const {
-    return arena_.size() - free_.size();
-  }
-
-  [[nodiscard]] std::size_t free_nodes() const { return free_.size(); }
-
-  /// Bytes retained from the allocator (arena capacity + edge table).
-  [[nodiscard]] std::size_t arena_bytes() const {
-    return arena_.capacity() * sizeof(Node) +
-           free_.capacity() * sizeof(std::uint32_t) +
-           edges_.size() * (sizeof(std::uint64_t) + sizeof(std::uint32_t) +
-                            2 * sizeof(void*));
-  }
+  /// Arena occupancy: every slot is a live node (slot 0 is the root).
+  [[nodiscard]] std::size_t live_nodes() const { return arena_.size(); }
 
   /// Deterministic live-table bytes (live nodes × node size + one edge
   /// record per non-root live node) — allocator-growth independent, the
@@ -188,13 +181,21 @@ class NameTrie {
            edges * (sizeof(std::uint64_t) + sizeof(std::uint32_t));
   }
 
-  /// Immutable snapshot with batch lookups; results are bit-identical to
-  /// live lookups at freeze time.
-  [[nodiscard]] FrozenNameTrie<T> freeze() const;
+  /// The payload of arena slot `slot` (engaged iff it stores an entry);
+  /// with for_each_edge, the serialized form from_edges reads back.
+  [[nodiscard]] const std::optional<T>& slot_value(std::size_t slot) const {
+    return arena_[slot].value;
+  }
+
+  /// Visits every edge, in child-slot order.
+  template <typename Fn>
+  void for_each_edge(Fn&& fn) const {
+    for (std::uint32_t c = 1; c < arena_.size(); ++c) {
+      fn(Edge{arena_[c].parent, arena_[c].label, c});
+    }
+  }
 
  private:
-  friend class FrozenNameTrie<T>;
-
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
   struct Node {
@@ -204,24 +205,25 @@ class NameTrie {
     std::uint32_t next_sibling = kNil;
     std::optional<T> value;
   };
+  // table_bytes() counts nodes of exactly this layout, and the
+  // aggregateability benches gate on it.
+  static_assert(sizeof(Node) == 16 + sizeof(std::optional<T>));
 
   std::uint32_t link_child(std::uint32_t parent, std::uint32_t id) {
-    std::uint32_t idx;
-    if (!free_.empty()) {
-      idx = free_.back();
-      free_.pop_back();
-      arena_[idx] = Node{};
-    } else {
-      idx = static_cast<std::uint32_t>(arena_.size());
-      arena_.emplace_back();
-    }
+    const auto idx = static_cast<std::uint32_t>(arena_.size());
+    arena_.emplace_back();
+    attach(parent, id, idx);
+    edges_.emplace(detail::edge_key(parent, id), idx);
+    return idx;
+  }
+
+  /// Links slot `idx` under `parent` by component `id` (child list only).
+  void attach(std::uint32_t parent, std::uint32_t id, std::uint32_t idx) {
     Node& n = arena_[idx];
     n.label = id;
     n.parent = parent;
     n.next_sibling = arena_[parent].first_child;
     arena_[parent].first_child = idx;
-    edges_.emplace(detail::edge_key(parent, id), idx);
-    return idx;
   }
 
   [[nodiscard]] std::uint32_t descend(const ContentName& name) const {
@@ -258,109 +260,6 @@ class NameTrie {
     return best;
   }
 
-  /// Unlinks `idx` from its parent's child list and recycles the slot.
-  void detach(std::uint32_t idx) {
-    Node& n = arena_[idx];
-    edges_.erase(detail::edge_key(n.parent, n.label));
-    Node& p = arena_[n.parent];
-    if (p.first_child == idx) {
-      p.first_child = n.next_sibling;
-    } else {
-      std::uint32_t prev = p.first_child;
-      while (arena_[prev].next_sibling != idx) prev = arena_[prev].next_sibling;
-      arena_[prev].next_sibling = n.next_sibling;
-    }
-    arena_[idx] = Node{};
-    free_.push_back(idx);
-  }
-
-  /// Prunes value-less leaves starting at `idx`, walking toward the root.
-  void prune(std::uint32_t idx) {
-    while (idx != 0) {
-      Node& n = arena_[idx];
-      if (n.value.has_value() || n.first_child != kNil) return;
-      const std::uint32_t parent = n.parent;
-      detach(idx);
-      idx = parent;
-    }
-  }
-
-  // --- incremental lpm_compressed_size maintenance -----------------------
-
-  [[nodiscard]] static std::size_t contribution(const std::optional<T>& value,
-                                                const T* above) {
-    if (!value.has_value()) return 0;
-    return (above == nullptr || !(*above == *value)) ? 1 : 0;
-  }
-
-  /// Nearest valued strict ancestor's value (nullptr if none).
-  [[nodiscard]] const T* ancestor_value(std::uint32_t idx) const {
-    std::uint32_t cur = arena_[idx].parent;
-    while (cur != kNil) {
-      const Node& n = arena_[cur];
-      if (n.value.has_value()) return &*n.value;
-      cur = n.parent;
-    }
-    return nullptr;
-  }
-
-  /// Sum of contributions over `idx`'s valued frontier (valued descendants
-  /// with no valued node strictly between them and `idx`).
-  [[nodiscard]] std::size_t frontier_contribution(std::uint32_t idx,
-                                                  const T* above) const {
-    std::size_t sum = 0;
-    scratch_.clear();
-    for (std::uint32_t c = arena_[idx].first_child; c != kNil;
-         c = arena_[c].next_sibling) {
-      scratch_.push_back(c);
-    }
-    while (!scratch_.empty()) {
-      const std::uint32_t c = scratch_.back();
-      scratch_.pop_back();
-      const Node& n = arena_[c];
-      if (n.value.has_value()) {
-        sum += contribution(n.value, above);
-        continue;  // deeper entries inherit from this node, not from idx
-      }
-      for (std::uint32_t g = n.first_child; g != kNil;
-           g = arena_[g].next_sibling) {
-        scratch_.push_back(g);
-      }
-    }
-    return sum;
-  }
-
-  void assign_value(std::uint32_t idx, T value) {
-    const T* above = ancestor_value(idx);
-    Node& n = arena_[idx];
-    const T* effective_before = n.value.has_value() ? &*n.value : above;
-    const std::size_t before = contribution(n.value, above) +
-                               frontier_contribution(idx, effective_before);
-    n.value = std::move(value);
-    const std::size_t after =
-        contribution(arena_[idx].value, above) +
-        frontier_contribution(idx, &*arena_[idx].value);
-    compressed_ += after;
-    compressed_ -= before;
-  }
-
-  void clear_value(std::uint32_t idx) {
-    const T* above = ancestor_value(idx);
-    Node& n = arena_[idx];
-    const std::size_t before = contribution(n.value, above) +
-                               frontier_contribution(idx, &*n.value);
-    n.value.reset();
-    const std::size_t after = frontier_contribution(idx, above);
-    compressed_ += after;
-    compressed_ -= before;
-  }
-
-  void check_compressed_invariant() const {
-#ifndef NDEBUG
-    assert(compressed_ == lpm_compressed_size_recursive());
-#endif
-  }
-
   // --- traversal ---------------------------------------------------------
 
   /// Children of `idx` sorted by component spelling — id-assignment
@@ -393,183 +292,63 @@ class NameTrie {
     }
   }
 
-  [[nodiscard]] std::size_t compressed_count(std::uint32_t idx,
-                                             const T* inherited) const {
-    const Node& n = arena_[idx];
-    std::size_t count = 0;
-    const T* effective = inherited;
-    if (n.value.has_value()) {
-      count = contribution(n.value, inherited);
-      effective = &*n.value;
-    }
-    for (std::uint32_t c = n.first_child; c != kNil;
-         c = arena_[c].next_sibling) {
-      count += compressed_count(c, effective);
-    }
-    return count;
-  }
-
   std::vector<Node> arena_;  // [0] is the root
   std::unordered_map<std::uint64_t, std::uint32_t, detail::EdgeHash> edges_;
-  std::vector<std::uint32_t> free_;
-  std::size_t size_ = 0;
-  std::size_t compressed_ = 0;
-  mutable std::vector<std::uint32_t> scratch_;  // reused frontier DFS stack
-};
-
-/// Immutable longest-prefix-match snapshot of a NameTrie: the same
-/// integer-probe descent over a frozen copy of the edge table, plus a
-/// batch `lookup_many` for read-mostly phases. Built by NameTrie::freeze().
-template <typename T>
-class FrozenNameTrie {
- public:
-  FrozenNameTrie() = default;
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-
-  /// Arena slots (node-id address space; slot 0 is the root). Retired
-  /// source-trie slots are carried as value-less, edge-less ids.
-  [[nodiscard]] std::size_t node_slots() const { return values_.size(); }
-
-  [[nodiscard]] std::size_t arena_bytes() const {
-    return values_.capacity() * sizeof(std::optional<T>) +
-           keys_.capacity() * sizeof(std::uint64_t) +
-           children_.capacity() * sizeof(std::uint32_t);
-  }
-
-  /// Visits every live edge as (parent, component-id, child) in probe-table
-  /// order — the serialization view used by lina::snap.
-  template <typename Fn>
-  void for_each_edge(Fn&& fn) const {
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-      if (keys_[i] == kEmptyKey) continue;
-      fn(static_cast<std::uint32_t>(keys_[i] >> 32),
-         static_cast<std::uint32_t>(keys_[i]), children_[i]);
-    }
-  }
-
-  /// Node-id-indexed payload slots (engaged iff the node stores an entry).
-  [[nodiscard]] std::span<const std::optional<T>> raw_values() const {
-    return values_;
-  }
-
-  /// Rebuilds a frozen trie from its logical contents — the edge list
-  /// (edge_key(parent, id) -> child) plus node-id-indexed values. The
-  /// loader-side inverse of for_each_edge/raw_values; freeze() routes
-  /// through this too, so both paths share the probe-table layout.
-  [[nodiscard]] static FrozenNameTrie assemble(
-      std::span<const std::pair<std::uint64_t, std::uint32_t>> edges,
-      std::vector<std::optional<T>> values, std::size_t size);
-
-  /// LPM payload for `name`; nullptr if uncovered. Identical to the source
-  /// trie's lookup_value at freeze time.
-  [[nodiscard]] const T* lookup_value(const ContentName& name) const {
-    if (values_.empty()) return nullptr;
-    std::uint64_t visited = 0;
-    const T* best = walk(name, visited);
-    obs::metric::name_trie_lpm_lookups().add();
-    obs::metric::name_trie_lpm_node_visits().add(visited);
-    return best;
-  }
-
-  /// Batch LPM: out[i] = lookup_value(names[i]); sizes must match. The
-  /// observability counters are bumped once per batch instead of twice
-  /// per query.
-  void lookup_many(std::span<const ContentName> names,
-                   std::span<const T*> out) const {
-    PROF_SPAN("lina.trie.name_lookup_many");
-    if (values_.empty()) {
-      for (std::size_t i = 0; i < names.size(); ++i) out[i] = nullptr;
-      return;
-    }
-    std::uint64_t visited = 0;
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      out[i] = walk(names[i], visited);
-    }
-    obs::metric::name_trie_lpm_lookups().add(names.size());
-    obs::metric::name_trie_lpm_node_visits().add(visited);
-  }
-
- private:
-  friend class NameTrie<T>;
-
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-  // (0xffffffff << 32 | ...) can never be a live edge key: parents are
-  // arena indices and kNil is never a parent.
-  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
-
-  /// Descends the flat probe table; `visited` accrues touched nodes
-  /// (root included) so batch and scalar telemetry agree with the live
-  /// trie's accounting.
-  [[nodiscard]] const T* walk(const ContentName& name,
-                              std::uint64_t& visited) const {
-    std::uint32_t idx = 0;
-    const T* best = values_[0].has_value() ? &*values_[0] : nullptr;
-    ++visited;
-    for (const std::uint32_t id : name.component_ids()) {
-      const std::uint64_t key = detail::edge_key(idx, id);
-      std::size_t i = detail::EdgeHash{}(key)&mask_;
-      std::uint32_t child = kNil;
-      while (true) {
-        if (keys_[i] == key) {
-          child = children_[i];
-          break;
-        }
-        if (keys_[i] == kEmptyKey) break;
-        i = (i + 1) & mask_;
-      }
-      if (child == kNil) break;
-      idx = child;
-      ++visited;
-      if (values_[idx].has_value()) best = &*values_[idx];
-    }
-    return best;
-  }
-
-  // Open-addressed (parent, component-id) -> child edge table, power-of-2
-  // capacity with linear probing at load factor <= 0.5: one cache line
-  // per hop on the common hit path, versus the source table's
-  // bucket-pointer chase.
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::uint32_t> children_;
-  std::size_t mask_ = 0;
-  std::vector<std::optional<T>> values_;  // indexed by node id
   std::size_t size_ = 0;
 };
 
 template <typename T>
-FrozenNameTrie<T> FrozenNameTrie<T>::assemble(
-    std::span<const std::pair<std::uint64_t, std::uint32_t>> edges,
-    std::vector<std::optional<T>> values, std::size_t size) {
-  FrozenNameTrie<T> frozen;
-  std::size_t capacity = 2;
-  while (capacity < edges.size() * 2) capacity <<= 1;
-  frozen.keys_.assign(capacity, kEmptyKey);
-  frozen.children_.assign(capacity, kNil);
-  frozen.mask_ = capacity - 1;
-  for (const auto& [key, child] : edges) {
-    std::size_t i = detail::EdgeHash{}(key)&frozen.mask_;
-    while (frozen.keys_[i] != kEmptyKey) {
-      i = (i + 1) & frozen.mask_;
+NameTrie<T> NameTrie<T>::from_edges(std::vector<std::optional<T>> values,
+                                    std::span<const Edge> edges) {
+  const std::size_t slots = values.size();
+  if (slots == 0) throw std::invalid_argument("no root slot");
+  NameTrie trie;
+  trie.arena_.resize(slots);
+  trie.edges_.reserve(edges.size());
+  const auto reject = [](const Edge& e, const std::string& why) {
+    return std::invalid_argument("edge " + std::to_string(e.parent) +
+                                 " -> " + std::to_string(e.child) + " " + why);
+  };
+  for (const Edge& e : edges) {
+    if (e.parent >= slots || e.child >= slots) {
+      throw reject(e, "leaves the " + std::to_string(slots) + " slots");
     }
-    frozen.keys_[i] = key;
-    frozen.children_[i] = child;
+    if (e.child == 0) throw reject(e, "points into the root slot 0");
+    if (trie.arena_[e.child].parent != kNil) {
+      throw reject(e, "claims slot " + std::to_string(e.child) +
+                          ", which another edge already claims");
+    }
+    if (!trie.edges_.emplace(detail::edge_key(e.parent, e.label), e.child)
+             .second) {
+      throw reject(e, "duplicates the (parent, component id " +
+                          std::to_string(e.label) + ") key");
+    }
+    trie.attach(e.parent, e.label, e.child);
   }
-  frozen.values_ = std::move(values);
-  frozen.size_ = size;
-  return frozen;
-}
-
-template <typename T>
-FrozenNameTrie<T> NameTrie<T>::freeze() const {
-  PROF_SPAN("lina.trie.name_freeze");
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> edges(edges_.begin(),
-                                                             edges_.end());
-  std::vector<std::optional<T>> values;
-  values.reserve(arena_.size());
-  for (const Node& n : arena_) values.push_back(n.value);
-  return FrozenNameTrie<T>::assemble(edges, std::move(values), size_);
+  // Each slot has at most one parent and the root has none, so a walk
+  // from the root meets every slot at most once; slots it misses are
+  // orphans or sit on a cycle.
+  std::size_t reached = 0;
+  std::vector<std::uint32_t> stack = {0};
+  while (!stack.empty()) {
+    const std::uint32_t idx = stack.back();
+    stack.pop_back();
+    ++reached;
+    for (std::uint32_t c = trie.arena_[idx].first_child; c != kNil;
+         c = trie.arena_[c].next_sibling) {
+      stack.push_back(c);
+    }
+  }
+  if (reached != slots) {
+    throw std::invalid_argument(
+        std::to_string(slots - reached) +
+        " slots are not reachable from the root (orphan or cycle)");
+  }
+  for (std::size_t i = 0; i < slots; ++i) {
+    if (values[i].has_value()) ++trie.size_;
+    trie.arena_[i].value = std::move(values[i]);
+  }
+  return trie;
 }
 
 }  // namespace lina::names

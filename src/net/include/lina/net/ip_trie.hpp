@@ -1,7 +1,6 @@
 #pragma once
 
 #include <bit>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -24,25 +23,20 @@ namespace lina::net {
 /// malloc-scattered memory. Each node stores its full prefix (`key`/`len`),
 /// so chains of single-child bit nodes never exist — lookups visit only
 /// branching or valued nodes (at most 33 on any root-to-leaf path instead
-/// of one node per bit). Erase prunes value-less chains back into a
-/// free-list, so memory stays bounded under mobility churn.
+/// of one node per bit).
 ///
-/// Structural invariant: every non-root node either holds a value or has
-/// exactly two children (value-less unary nodes are spliced out), which
-/// bounds live nodes by 2·size() + 1.
+/// The trie is build-once: entries are inserted or overwritten, never
+/// erased, so the arena only grows and every slot is live. Every non-root
+/// node either holds a value or has exactly two children (inserts create
+/// value-less nodes only as split points), which bounds the arena by
+/// 2·size() + 1.
 ///
 /// T is the payload stored per prefix (an output port, a next hop, ...).
 /// Operations:
 ///  - insert / assign a value for an exact prefix,
 ///  - longest-prefix match for an address,
-///  - exact-match lookup and erase,
+///  - exact-match lookup,
 ///  - in-order visitation of all stored entries,
-///  - `lpm_compressed_size()`: the number of entries that survive
-///    longest-prefix-match subsumption (an entry equal to its nearest stored
-///    ancestor is redundant) — the quantity behind the paper's
-///    aggregateability metric (§3.3.2) applied to IP tables. Maintained
-///    incrementally on every mutation (ancestor/descendant delta at the
-///    mutation point), so reading it is O(1),
 ///  - `freeze()`: an immutable FrozenIpTrie snapshot with batched
 ///    prefetched lookups for the read-mostly evaluation phases.
 template <typename T>
@@ -60,11 +54,10 @@ class IpTrie {
   bool insert(const Prefix& prefix, T value) {
     const std::uint32_t idx = find_or_create(prefix);
     const bool created = !arena_[idx].value.has_value();
-    assign_value(idx, std::move(value));
+    arena_[idx].value = std::move(value);
     if (created) ++size_;
     obs::metric::ip_trie_inserts().add();
     if (!created) obs::metric::ip_trie_displacements().add();
-    check_compressed_invariant();
     return created;
   }
 
@@ -103,22 +96,6 @@ class IpTrie {
     return const_cast<T*>(std::as_const(*this).exact(prefix));
   }
 
-  /// Removes the entry at `prefix` if present; returns whether it existed.
-  /// Value-less chains left behind are pruned into the free-list so the
-  /// arena stays bounded under insert/erase churn.
-  bool erase(const Prefix& prefix) {
-    std::uint32_t stack[34];
-    std::size_t depth = 0;
-    const std::uint32_t idx = descend_recording(prefix, stack, depth);
-    if (idx == kNil || !arena_[idx].value.has_value()) return false;
-    clear_value(idx);
-    --size_;
-    obs::metric::ip_trie_erases().add();
-    prune(stack, depth);
-    check_compressed_invariant();
-    return true;
-  }
-
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
@@ -128,42 +105,20 @@ class IpTrie {
     visit_node(0, fn);
   }
 
-  /// Number of entries remaining after removing entries subsumed by their
-  /// nearest stored ancestor (same payload, as compared by ==). O(1): the
-  /// count is maintained incrementally by insert/assign/erase.
-  [[nodiscard]] std::size_t lpm_compressed_size() const {
-    return compressed_;
-  }
-
-  /// The O(n) recursive recount of lpm_compressed_size(), kept as the
-  /// reference for the incremental counter (debug builds cross-check every
-  /// mutation against it; the differential test suite does so explicitly).
-  [[nodiscard]] std::size_t lpm_compressed_size_recursive() const {
-    return compressed_count(0, nullptr);
-  }
-
   void clear() {
     arena_.clear();
     arena_.emplace_back();
-    free_.clear();
     size_ = 0;
-    compressed_ = 0;
   }
 
-  /// Arena occupancy: nodes currently reachable (excluding free-listed
-  /// slots). At most 2·size() + 1 by the structural invariant.
-  [[nodiscard]] std::size_t live_nodes() const {
-    return arena_.size() - free_.size();
-  }
-
-  /// Slots parked on the erase free-list, awaiting reuse.
-  [[nodiscard]] std::size_t free_nodes() const { return free_.size(); }
+  /// Arena occupancy: every slot is a live node. At most 2·size() + 1 by
+  /// the structural invariant.
+  [[nodiscard]] std::size_t live_nodes() const { return arena_.size(); }
 
   /// Bytes the arena retains from the allocator (capacity, not just live
   /// nodes) — the `lina.fib.arena_bytes` telemetry source.
   [[nodiscard]] std::size_t arena_bytes() const {
-    return arena_.capacity() * sizeof(Node) +
-           free_.capacity() * sizeof(std::uint32_t);
+    return arena_.capacity() * sizeof(Node);
   }
 
   /// Bytes needed for the live table alone (live nodes × node size) — the
@@ -198,6 +153,9 @@ class IpTrie {
     std::uint8_t len = 0;                   // prefix length 0..32
     std::optional<T> value;
   };
+  // table_bytes() counts nodes of exactly this layout, and the table-size
+  // benches gate on it.
+  static_assert(sizeof(Node) == 16 + sizeof(std::optional<T>));
 
   /// Bit `i` (0 = most significant) of `key`; requires i < 32.
   [[nodiscard]] static unsigned bit_at(std::uint32_t key, unsigned i) {
@@ -210,15 +168,8 @@ class IpTrie {
   }
 
   std::uint32_t allocate(std::uint32_t key, std::uint8_t len) {
-    std::uint32_t idx;
-    if (!free_.empty()) {
-      idx = free_.back();
-      free_.pop_back();
-      arena_[idx] = Node{};
-    } else {
-      idx = static_cast<std::uint32_t>(arena_.size());
-      arena_.emplace_back();
-    }
+    const auto idx = static_cast<std::uint32_t>(arena_.size());
+    arena_.emplace_back();
     arena_[idx].key = key;
     arena_[idx].len = len;
     return idx;
@@ -233,25 +184,6 @@ class IpTrie {
       const Node& n = arena_[idx];
       if (n.len > len) return kNil;
       if (((key ^ n.key) & prefix_mask(n.len)) != 0) return kNil;
-      if (n.len == len) return idx;
-      const std::uint32_t c = n.child[bit_at(key, n.len)];
-      if (c == kNil) return kNil;
-      idx = c;
-    }
-  }
-
-  /// Exact descent that records the node path (for erase pruning).
-  [[nodiscard]] std::uint32_t descend_recording(const Prefix& prefix,
-                                                std::uint32_t* stack,
-                                                std::size_t& depth) const {
-    const std::uint32_t key = prefix.network().value();
-    const unsigned len = prefix.length();
-    std::uint32_t idx = 0;
-    while (true) {
-      const Node& n = arena_[idx];
-      if (n.len > len) return kNil;
-      if (((key ^ n.key) & prefix_mask(n.len)) != 0) return kNil;
-      stack[depth++] = idx;
       if (n.len == len) return idx;
       const std::uint32_t c = n.child[bit_at(key, n.len)];
       if (c == kNil) return kNil;
@@ -301,108 +233,6 @@ class IpTrie {
     }
   }
 
-  /// Splices value-less unary/leaf nodes out of the path recorded by
-  /// descend_recording (stack[depth-1] is the erased node).
-  void prune(const std::uint32_t* stack, std::size_t depth) {
-    while (depth > 1) {
-      const std::uint32_t idx = stack[--depth];
-      Node& n = arena_[idx];
-      if (n.value.has_value()) return;
-      const std::uint32_t parent = stack[depth - 1];
-      const unsigned branch = bit_at(n.key, arena_[parent].len);
-      const bool has0 = n.child[0] != kNil;
-      const bool has1 = n.child[1] != kNil;
-      if (has0 && has1) return;  // still a branch node: keep
-      // Unary: splice the lone child through; leaf: detach entirely.
-      arena_[parent].child[branch] =
-          has0 ? n.child[0] : (has1 ? n.child[1] : kNil);
-      n.value.reset();
-      free_.push_back(idx);
-      if (has0 || has1) return;  // parent's child count unchanged
-    }
-  }
-
-  // --- incremental lpm_compressed_size maintenance -----------------------
-
-  [[nodiscard]] static std::size_t contribution(const std::optional<T>& value,
-                                                const T* above) {
-    if (!value.has_value()) return 0;
-    return (above == nullptr || !(*above == *value)) ? 1 : 0;
-  }
-
-  /// Nearest valued strict ancestor of `idx` (nullptr if none). O(path).
-  [[nodiscard]] const T* ancestor_value(std::uint32_t idx) const {
-    const std::uint32_t key = arena_[idx].key;
-    const T* above = nullptr;
-    std::uint32_t cur = 0;
-    while (cur != idx) {
-      const Node& n = arena_[cur];
-      if (n.value.has_value()) above = &*n.value;
-      cur = n.child[bit_at(key, n.len)];
-    }
-    return above;
-  }
-
-  /// Sum of subsumption contributions over the valued frontier of `idx`:
-  /// the valued descendants with no other valued node between them and
-  /// `idx` (exactly the entries whose nearest stored ancestor is `idx`
-  /// when `idx` holds a value, or `idx`'s own ancestor otherwise).
-  [[nodiscard]] std::size_t frontier_contribution(std::uint32_t idx,
-                                                  const T* above) const {
-    std::size_t sum = 0;
-    scratch_.clear();
-    const Node& root = arena_[idx];
-    if (root.child[0] != kNil) scratch_.push_back(root.child[0]);
-    if (root.child[1] != kNil) scratch_.push_back(root.child[1]);
-    while (!scratch_.empty()) {
-      const std::uint32_t c = scratch_.back();
-      scratch_.pop_back();
-      const Node& n = arena_[c];
-      if (n.value.has_value()) {
-        sum += contribution(n.value, above);
-        continue;  // deeper entries inherit from this node, not from idx
-      }
-      if (n.child[0] != kNil) scratch_.push_back(n.child[0]);
-      if (n.child[1] != kNil) scratch_.push_back(n.child[1]);
-    }
-    return sum;
-  }
-
-  /// Applies a value write at `idx`, updating `compressed_` by the local
-  /// ancestor/descendant delta.
-  void assign_value(std::uint32_t idx, T value) {
-    const T* above = ancestor_value(idx);
-    Node& n = arena_[idx];
-    const T* effective_before =
-        n.value.has_value() ? &*n.value : above;
-    std::size_t before = contribution(n.value, above) +
-                         frontier_contribution(idx, effective_before);
-    n.value = std::move(value);
-    // n is still valid: frontier/ancestor walks never allocate.
-    std::size_t after = contribution(arena_[idx].value, above) +
-                        frontier_contribution(idx, &*arena_[idx].value);
-    compressed_ += after;
-    compressed_ -= before;
-  }
-
-  /// Clears the value at `idx`, updating `compressed_` likewise.
-  void clear_value(std::uint32_t idx) {
-    const T* above = ancestor_value(idx);
-    Node& n = arena_[idx];
-    const std::size_t before = contribution(n.value, above) +
-                               frontier_contribution(idx, &*n.value);
-    n.value.reset();
-    const std::size_t after = frontier_contribution(idx, above);
-    compressed_ += after;
-    compressed_ -= before;
-  }
-
-  void check_compressed_invariant() const {
-#ifndef NDEBUG
-    assert(compressed_ == lpm_compressed_size_recursive());
-#endif
-  }
-
   // --- traversal ---------------------------------------------------------
 
   void visit_node(std::uint32_t idx,
@@ -413,20 +243,6 @@ class IpTrie {
     if (n.value.has_value()) fn(Prefix(Ipv4Address(n.key), n.len), *n.value);
     visit_node(n.child[0], fn);
     visit_node(n.child[1], fn);
-  }
-
-  [[nodiscard]] std::size_t compressed_count(std::uint32_t idx,
-                                             const T* inherited) const {
-    if (idx == kNil) return 0;
-    const Node& n = arena_[idx];
-    std::size_t count = 0;
-    const T* effective = inherited;
-    if (n.value.has_value()) {
-      count = contribution(n.value, inherited);
-      effective = &*n.value;
-    }
-    return count + compressed_count(n.child[0], effective) +
-           compressed_count(n.child[1], effective);
   }
 
   /// Preorder copy into the frozen layout. Returns the new node's index.
@@ -455,12 +271,8 @@ class IpTrie {
     return self;
   }
 
-  std::vector<Node> arena_;          // [0] is the root (len 0)
-  std::vector<std::uint32_t> free_;  // recycled slots from erase pruning
+  std::vector<Node> arena_;  // [0] is the root (len 0)
   std::size_t size_ = 0;
-  std::size_t compressed_ = 0;  // incremental lpm_compressed_size()
-  // Reused DFS stack for the frontier walks (no per-mutation allocation).
-  mutable std::vector<std::uint32_t> scratch_;
 };
 
 }  // namespace lina::net

@@ -43,7 +43,6 @@ class Json {
 
   [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] bool is_null() const { return kind_ == Kind::kNull; }
-  [[nodiscard]] bool is_number() const { return kind_ == Kind::kNumber; }
   [[nodiscard]] bool is_string() const { return kind_ == Kind::kString; }
   [[nodiscard]] bool is_array() const { return kind_ == Kind::kArray; }
   [[nodiscard]] bool is_object() const { return kind_ == Kind::kObject; }

@@ -36,19 +36,16 @@ LINA_OBS_COUNTER(ip_trie_lpm_lookups, "lina.net.ip_trie.lpm_lookups")
 LINA_OBS_COUNTER(ip_trie_lpm_node_visits, "lina.net.ip_trie.lpm_node_visits")
 LINA_OBS_COUNTER(ip_trie_inserts, "lina.net.ip_trie.inserts")
 LINA_OBS_COUNTER(ip_trie_displacements, "lina.net.ip_trie.displacements")
-LINA_OBS_COUNTER(ip_trie_erases, "lina.net.ip_trie.erases")
 LINA_OBS_COUNTER(name_trie_lpm_lookups, "lina.names.name_trie.lpm_lookups")
 LINA_OBS_COUNTER(name_trie_lpm_node_visits,
                  "lina.names.name_trie.lpm_node_visits")
 LINA_OBS_COUNTER(name_trie_inserts, "lina.names.name_trie.inserts")
 LINA_OBS_COUNTER(name_trie_displacements,
                  "lina.names.name_trie.displacements")
-LINA_OBS_COUNTER(name_trie_erases, "lina.names.name_trie.erases")
 
 // FIB storage footprint (arena capacities and the shared component
 // interner), refreshed whenever a table is frozen or a bench samples it.
 LINA_OBS_GAUGE(fib_arena_bytes, "lina.fib.arena_bytes")
-LINA_OBS_GAUGE(name_fib_arena_bytes, "lina.fib.name_arena_bytes")
 LINA_OBS_GAUGE(name_interner_entries, "lina.names.interner.entries")
 LINA_OBS_GAUGE(name_interner_bytes, "lina.names.interner.bytes")
 

@@ -93,9 +93,6 @@ struct SpanRecord {
   double value = 0.0;   // instants: payload (AS id, message id, ...)
 
   [[nodiscard]] bool is_instant() const { return id == 0; }
-  [[nodiscard]] double duration_us() const {
-    return static_cast<double>(end_ns - begin_ns) / 1000.0;
-  }
 };
 
 namespace detail {

@@ -116,12 +116,6 @@ class Fib {
 
   [[nodiscard]] std::size_t size() const { return trie_.size(); }
 
-  /// Entries surviving longest-prefix-match subsumption; size() divided by
-  /// this is the aggregateability of the IP table.
-  [[nodiscard]] std::size_t lpm_compressed_size() const {
-    return trie_.lpm_compressed_size();
-  }
-
   /// Number of distinct output ports — the "next-hop degree" the paper uses
   /// to explain cross-router differences in update rate (§6.2.2).
   [[nodiscard]] std::size_t next_hop_degree() const;
@@ -136,8 +130,6 @@ class Fib {
   /// Deterministic live-table bytes (live nodes × node size) — what the
   /// table-size benches report.
   [[nodiscard]] std::size_t table_bytes() const { return trie_.table_bytes(); }
-
-  [[nodiscard]] std::size_t live_nodes() const { return trie_.live_nodes(); }
 
   /// Visits all entries.
   void visit(const std::function<void(const net::Prefix&, const FibEntry&)>&

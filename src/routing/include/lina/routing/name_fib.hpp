@@ -2,16 +2,14 @@
 
 #include <filesystem>
 #include <optional>
-#include <span>
 #include <string>
+#include <utility>
 
 #include "lina/names/content_name.hpp"
 #include "lina/names/name_trie.hpp"
 #include "lina/routing/rib.hpp"
 
 namespace lina::routing {
-
-class NameFib;
 
 /// A name-based router's forwarding table (Figure 2 right): hierarchical
 /// name prefixes mapped to output ports, looked up by longest matching
@@ -23,58 +21,16 @@ class NameFib;
 /// the bits keep being served from the same place — Q must install the
 /// exception [/Disney/StarWarsIV -> 5] iff its LPM ports for the old and
 /// new names differ.
-/// Immutable snapshot of a NameFib with batch lookups; results are
-/// bit-identical to the live table at freeze time. Built by
-/// NameFib::freeze().
-class FrozenNameFib {
- public:
-  FrozenNameFib() = default;
-  explicit FrozenNameFib(names::FrozenNameTrie<Port> trie)
-      : trie_(std::move(trie)) {}
-
-  /// Longest-matching-prefix port for `name`; nullopt if uncovered.
-  [[nodiscard]] std::optional<Port> port_for(
-      const names::ContentName& name) const {
-    const Port* p = trie_.lookup_value(name);
-    if (p == nullptr) return std::nullopt;
-    return *p;
-  }
-
-  /// Batch LPM: out[i] = port pointer for names[i] (nullptr if uncovered).
-  void ports_for_many(std::span<const names::ContentName> names,
-                      std::span<const Port*> out) const {
-    trie_.lookup_many(names, out);
-  }
-
-  [[nodiscard]] std::size_t size() const { return trie_.size(); }
-  [[nodiscard]] std::size_t arena_bytes() const { return trie_.arena_bytes(); }
-
-  /// The underlying frozen trie — serialization view for lina::snap.
-  [[nodiscard]] const names::FrozenNameTrie<Port>& trie() const {
-    return trie_;
-  }
-
-  /// Loads the snapshot named `table` from the lina::snap store at `dir`,
-  /// falling back to `live.freeze()` (and bumping
-  /// lina.snap.fallback_rebuilds) if the snapshot is missing, truncated,
-  /// corrupt, or from an incompatible format version. Never throws on a
-  /// bad snapshot — corruption always degrades to a rebuild. Defined in
-  /// lina::snap; link lina::snap to use.
-  [[nodiscard]] static FrozenNameFib load_or_rebuild(
-      const std::filesystem::path& dir, const std::string& table,
-      const NameFib& live);
-
- private:
-  names::FrozenNameTrie<Port> trie_;
-};
-
 class NameFib {
  public:
+  NameFib() = default;
+
+  /// Wraps a trie rebuilt elsewhere (the lina::snap loader); its
+  /// exception_count() starts at zero.
+  explicit NameFib(names::NameTrie<Port> trie) : trie_(std::move(trie)) {}
+
   /// Announces a name prefix on an output port (overwrites on repeat).
   void announce(const names::ContentName& prefix, Port port);
-
-  /// Withdraws an announcement; returns whether it existed.
-  bool withdraw(const names::ContentName& prefix);
 
   /// Longest-matching-prefix port for `name`; nullopt if uncovered.
   [[nodiscard]] std::optional<Port> port_for(
@@ -95,20 +51,27 @@ class NameFib {
   /// Exception entries installed by renames so far.
   [[nodiscard]] std::size_t exception_count() const { return exceptions_; }
 
-  /// Entries surviving LPM subsumption (§3.3.2 aggregateability basis).
+  /// Entries surviving LPM subsumption (§3.3.2 aggregateability basis);
+  /// an O(n) recount of the table.
   [[nodiscard]] std::size_t lpm_compressed_size() const {
     return trie_.lpm_compressed_size();
   }
 
-  /// Immutable batched-lookup snapshot (also refreshes the
-  /// lina.fib.name_arena_bytes gauge).
-  [[nodiscard]] FrozenNameFib freeze() const;
-
-  /// Bytes retained from the allocator by the live trie arena + edge table.
-  [[nodiscard]] std::size_t arena_bytes() const { return trie_.arena_bytes(); }
-
   /// Deterministic live-table bytes — what the table-size benches report.
   [[nodiscard]] std::size_t table_bytes() const { return trie_.table_bytes(); }
+
+  /// The underlying trie — serialization view for lina::snap.
+  [[nodiscard]] const names::NameTrie<Port>& trie() const { return trie_; }
+
+  /// Loads the snapshot named `table` from the lina::snap store at `dir`,
+  /// falling back to a copy of `live` (and bumping
+  /// lina.snap.fallback_rebuilds) if the snapshot is missing, truncated,
+  /// corrupt, or from an incompatible format version. Never throws on a
+  /// bad snapshot — corruption always degrades to a rebuild. Defined in
+  /// lina::snap; link lina::snap to use.
+  [[nodiscard]] static NameFib load_or_rebuild(
+      const std::filesystem::path& dir, const std::string& table,
+      const NameFib& live);
 
  private:
   names::NameTrie<Port> trie_;

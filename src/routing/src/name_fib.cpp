@@ -2,34 +2,16 @@
 
 #include <stdexcept>
 
-#include "lina/names/interner.hpp"
-#include "lina/obs/metrics.hpp"
-
 namespace lina::routing {
 
 void NameFib::announce(const names::ContentName& prefix, Port port) {
   trie_.insert(prefix, port);
 }
 
-bool NameFib::withdraw(const names::ContentName& prefix) {
-  return trie_.erase(prefix);
-}
-
 std::optional<Port> NameFib::port_for(const names::ContentName& name) const {
   const Port* p = trie_.lookup_value(name);
   if (p == nullptr) return std::nullopt;
   return *p;
-}
-
-FrozenNameFib NameFib::freeze() const {
-  obs::metric::name_fib_arena_bytes().set(
-      static_cast<double>(trie_.arena_bytes()));
-  const names::ComponentInterner& interner = names::ComponentInterner::global();
-  obs::metric::name_interner_entries().set(
-      static_cast<double>(interner.size()));
-  obs::metric::name_interner_bytes().set(
-      static_cast<double>(interner.bytes()));
-  return FrozenNameFib(trie_.freeze());
 }
 
 bool NameFib::process_rename(const names::ContentName& from,

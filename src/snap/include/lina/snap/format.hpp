@@ -3,7 +3,8 @@
 // On-disk layout of the lina::snap durable FIB snapshot store
 // (DESIGN.md §4f).
 //
-// A snapshot file holds one frozen forwarding table:
+// A snapshot file holds one forwarding table (a frozen IP FIB or a name
+// FIB):
 //
 //     [ FileHeader | section table | toc CRC | section payloads | Footer ]
 //
@@ -18,7 +19,7 @@
 // Node arrays are bit-packed (6-bit prefix lengths, 1-bit child/value
 // flags, key bits only up to the prefix length) and pointers/ids are
 // varint-coded deltas, so a snapshot is substantially smaller than the
-// in-memory frozen table it round-trips.
+// in-memory table it round-trips.
 
 #include <cstddef>
 #include <cstdint>
@@ -57,7 +58,7 @@ inline constexpr std::uint16_t kSnapFormatVersion = 1;
 /// What a snapshot file stores (header `kind` field).
 enum class SnapKind : std::uint16_t {
   kIpFib = 1,    // FrozenIpTrie<routing::FibEntry>
-  kNameFib = 2,  // FrozenNameTrie<routing::Port> + its component table
+  kNameFib = 2,  // NameTrie<routing::Port> + its component table
 };
 
 /// Section ids (section-table `id` field).

@@ -15,7 +15,7 @@
 // Loads mmap the file and validate header, footer, table-of-contents
 // CRC, and every section CRC before decoding a byte of payload; any
 // mismatch throws SnapFormatError naming the file and the failed check.
-// `FrozenFib::load_or_rebuild` / `FrozenNameFib::load_or_rebuild` (whose
+// `FrozenFib::load_or_rebuild` / `NameFib::load_or_rebuild` (whose
 // definitions live here) wrap that contract into graceful recovery:
 // corruption degrades to a rebuild from the live table, counted by
 // lina.snap.fallback_rebuilds.
@@ -69,21 +69,20 @@ class SnapshotStore {
   /// see FaultPlan.
   explicit SnapshotStore(std::filesystem::path dir, FaultPlan faults = {});
 
-  /// Serializes and durably commits a frozen table under `table`,
-  /// advancing the manifest generation. Throws SnapIoError on (real or
-  /// injected) I/O failure, leaving the previous generation current.
+  /// Serializes and durably commits a table under `table`, advancing the
+  /// manifest generation. Throws SnapIoError on (real or injected) I/O
+  /// failure, leaving the previous generation current.
   SavedInfo save_ip_fib(const std::string& table,
                         const routing::FrozenFib& fib);
   SavedInfo save_name_fib(const std::string& table,
-                          const routing::FrozenNameFib& fib);
+                          const routing::NameFib& fib);
 
   /// Loads the committed snapshot for `table`, validating every CRC and
   /// structural invariant before use. Throws SnapFormatError (naming the
   /// file and the failed check) on any problem: missing table, kind or
   /// generation mismatch, truncation, bit rot, unsupported version.
   [[nodiscard]] routing::FrozenFib load_ip_fib(const std::string& table) const;
-  [[nodiscard]] routing::FrozenNameFib load_name_fib(
-      const std::string& table) const;
+  [[nodiscard]] routing::NameFib load_name_fib(const std::string& table) const;
 
   /// Reads and validates the manifest; a missing manifest is an empty
   /// store (generation 0, no tables). Throws SnapFormatError if present

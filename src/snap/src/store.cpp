@@ -1,6 +1,7 @@
 #include "lina/snap/store.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -287,7 +288,7 @@ IpTrie decode_ip(const net::MappedFile& file, const Parsed& parsed,
 
 // --- name FIB codec -------------------------------------------------------
 
-using NameTrie = names::FrozenNameTrie<Port>;
+using NameTrie = names::NameTrie<Port>;
 
 /// Serializes spellings (not interner ids): ids are process-local and
 /// assignment-order dependent, so the snapshot carries the component
@@ -295,22 +296,16 @@ using NameTrie = names::FrozenNameTrie<Port>;
 /// re-interns them and rebuilds the edge keys against the live interner.
 std::vector<std::pair<SectionId, std::vector<char>>> encode_name(
     const NameTrie& trie) {
-  struct Edge {
-    std::uint32_t parent;
-    std::uint32_t label;  // global id on write, local id once remapped
-    std::uint32_t child;
-  };
-  std::vector<Edge> edges;
-  trie.for_each_edge([&](std::uint32_t parent, std::uint32_t label,
-                         std::uint32_t child) {
-    edges.push_back({parent, label, child});
-  });
+  // Labels are global ids here and local ids once remapped below.
+  std::vector<NameTrie::Edge> edges;
+  edges.reserve(trie.live_nodes() - 1);
+  trie.for_each_edge([&](const NameTrie::Edge& e) { edges.push_back(e); });
 
   const names::ComponentInterner& interner =
       names::ComponentInterner::global();
   std::vector<std::uint32_t> globals;
   globals.reserve(edges.size());
-  for (const Edge& e : edges) globals.push_back(e.label);
+  for (const NameTrie::Edge& e : edges) globals.push_back(e.label);
   std::sort(globals.begin(), globals.end());
   globals.erase(std::unique(globals.begin(), globals.end()), globals.end());
   std::sort(globals.begin(), globals.end(),
@@ -329,14 +324,16 @@ std::vector<std::pair<SectionId, std::vector<char>>> encode_name(
     components.insert(components.end(), spelling.begin(), spelling.end());
   }
 
-  for (Edge& e : edges) e.label = local.at(e.label);
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    return a.parent != b.parent ? a.parent < b.parent : a.label < b.label;
-  });
+  for (NameTrie::Edge& e : edges) e.label = local.at(e.label);
+  std::sort(edges.begin(), edges.end(),
+            [](const NameTrie::Edge& a, const NameTrie::Edge& b) {
+              return a.parent != b.parent ? a.parent < b.parent
+                                          : a.label < b.label;
+            });
   std::vector<char> packed_edges;
   put_varint(packed_edges, edges.size());
   std::uint32_t prev_parent = 0;
-  for (const Edge& e : edges) {
+  for (const NameTrie::Edge& e : edges) {
     put_varint(packed_edges, e.parent - prev_parent);
     put_varint(packed_edges, e.label);
     put_varint(packed_edges, e.child);
@@ -344,7 +341,8 @@ std::vector<std::pair<SectionId, std::vector<char>>> encode_name(
   }
 
   BitWriter packed_values;
-  for (const std::optional<Port>& v : trie.raw_values()) {
+  for (std::size_t slot = 0; slot < trie.live_nodes(); ++slot) {
+    const std::optional<Port>& v = trie.slot_value(slot);
     packed_values.bit(v.has_value());
     if (v.has_value()) packed_values.varint(*v);
   }
@@ -396,22 +394,19 @@ NameTrie decode_name(const net::MappedFile& file, const Parsed& parsed,
     throw SnapFormatError(ctx + ": edge count " + std::to_string(edge_count) +
                           " exceeds what the section can hold");
   }
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> edges;
+  std::vector<NameTrie::Edge> edges;
   edges.reserve(edge_count);
   std::uint64_t parent = 0;
   for (std::uint64_t i = 0; i < edge_count; ++i) {
     parent += packed_edges.varint();
     const std::uint64_t label = packed_edges.varint();
     const std::uint64_t child = packed_edges.varint();
-    if (parent >= node_count || label >= comp_count || child == 0 ||
-        child >= node_count) {
+    if (parent >= node_count || label >= comp_count || child >= node_count) {
       throw SnapFormatError(ctx + ": edge " + std::to_string(i) +
                             " references an out-of-range node or component");
     }
-    edges.emplace_back(
-        names::detail::edge_key(static_cast<std::uint32_t>(parent),
-                                global_of[label]),
-        static_cast<std::uint32_t>(child));
+    edges.push_back({static_cast<std::uint32_t>(parent), global_of[label],
+                     static_cast<std::uint32_t>(child)});
   }
   if (!packed_edges.done()) {
     throw SnapFormatError(ctx + ": trailing bytes after edge table");
@@ -442,8 +437,13 @@ NameTrie decode_name(const net::MappedFile& file, const Parsed& parsed,
                           " entries but the value bitmap carries " +
                           std::to_string(entries));
   }
-  return NameTrie::assemble(edges, std::move(values),
-                            static_cast<std::size_t>(entries));
+  // The tree checks (no edge into the root, no slot claimed twice, no
+  // duplicate key, every slot reachable) run as the arena is linked.
+  try {
+    return NameTrie::from_edges(std::move(values), edges);
+  } catch (const std::invalid_argument& e) {
+    throw SnapFormatError(ctx + ": " + e.what());
+  }
 }
 
 // --- manifest codec -------------------------------------------------------
@@ -636,12 +636,12 @@ SavedInfo SnapshotStore::save_ip_fib(const std::string& table,
 }
 
 SavedInfo SnapshotStore::save_name_fib(const std::string& table,
-                                       const routing::FrozenNameFib& fib) {
+                                       const routing::NameFib& fib) {
   PROF_SPAN("lina.snap.save");
   SnapHeader header;
   header.kind = SnapKind::kNameFib;
   header.entry_count = fib.trie().size();
-  header.node_count = fib.trie().node_slots();
+  header.node_count = fib.trie().live_nodes();
   return commit(table, header, encode_name(fib.trie()));
 }
 
@@ -653,13 +653,12 @@ routing::FrozenFib SnapshotStore::load_ip_fib(const std::string& table) const {
   return routing::FrozenFib(std::move(trie));
 }
 
-routing::FrozenNameFib SnapshotStore::load_name_fib(
-    const std::string& table) const {
+routing::NameFib SnapshotStore::load_name_fib(const std::string& table) const {
   PROF_SPAN("lina.snap.load");
   Opened opened = open_table(*this, table, SnapKind::kNameFib);
   NameTrie trie = decode_name(opened.file, opened.parsed, opened.ctx);
   obs::metric::snap_loads().add();
-  return routing::FrozenNameFib(std::move(trie));
+  return routing::NameFib(std::move(trie));
 }
 
 }  // namespace lina::snap
@@ -679,16 +678,16 @@ FrozenFib FrozenFib::load_or_rebuild(const std::filesystem::path& dir,
   }
 }
 
-FrozenNameFib FrozenNameFib::load_or_rebuild(const std::filesystem::path& dir,
-                                             const std::string& table,
-                                             const NameFib& live) {
+NameFib NameFib::load_or_rebuild(const std::filesystem::path& dir,
+                                 const std::string& table,
+                                 const NameFib& live) {
   try {
     const snap::SnapshotStore store(dir);
     return store.load_name_fib(table);
   } catch (const snap::SnapFormatError&) {
     obs::metric::snap_load_failures().add();
     obs::metric::snap_fallback_rebuilds().add();
-    return live.freeze();
+    return live;
   }
 }
 

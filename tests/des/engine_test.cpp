@@ -109,7 +109,11 @@ TEST(DesModelTest, ValidatesSessions) {
 
   p = good;
   p.correspondent = static_cast<AsId>(1u << 30);  // out of range
-  EXPECT_THROW(model.add_session(p), std::invalid_argument);
+  EXPECT_THROW(model.add_session(p), std::out_of_range);
+
+  p = good;
+  p.home_as = static_cast<AsId>(1u << 30);
+  EXPECT_THROW(model.add_session(p), std::out_of_range);
 
   PacketModel resolution(fabric(), sim::SimArchitecture::kNameResolution);
   p = good;  // no resolver_as: defaults to the correspondent's AS
@@ -121,6 +125,8 @@ TEST(DesModelTest, ValidatesSessions) {
                          sim::SimArchitecture::kReplicatedResolution);
   p = good;  // no replicas
   EXPECT_THROW(replicated.add_session(p), std::invalid_argument);
+  p.resolver_replicas = {edge(5), static_cast<AsId>(1u << 30)};
+  EXPECT_THROW(replicated.add_session(p), std::out_of_range);
   p.resolver_replicas = {edge(5), edge(6)};
   EXPECT_EQ(replicated.add_session(p), 0u);
 }

@@ -188,7 +188,7 @@ TEST(DesReplayThreadsTest, RejectionThrowsOnCallerAndLeavesPoolIdle) {
         shared_internet().graph().as_count());
     EXPECT_THROW((void)replay_packets_streamed(fabric(), trace_set(),
                                                bad_model),
-                 std::invalid_argument)
+                 std::out_of_range)
         << "threads=" << threads;
     EXPECT_TRUE(exec::ThreadPool::shared().idle());
     EXPECT_FALSE(exec::in_parallel_region());

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <stdexcept>
+#include <vector>
 
 #include "lina/stats/rng.hpp"
 
@@ -65,17 +68,6 @@ TEST(NameTrieTest, RootEntryCatchesAll) {
   EXPECT_EQ(trie.lookup(dns("anything.example"))->second, 42);
 }
 
-TEST(NameTrieTest, EraseKeepsDescendants) {
-  NameTrie<int> trie;
-  trie.insert(dns("yahoo.com"), 2);
-  trie.insert(dns("travel.yahoo.com"), 7);
-  EXPECT_TRUE(trie.erase(dns("yahoo.com")));
-  EXPECT_FALSE(trie.erase(dns("yahoo.com")));
-  EXPECT_EQ(trie.size(), 1u);
-  EXPECT_EQ(trie.lookup(dns("travel.yahoo.com"))->second, 7);
-  EXPECT_EQ(trie.lookup(dns("sports.yahoo.com")), std::nullopt);
-}
-
 TEST(NameTrieTest, VisitInOrder) {
   NameTrie<int> trie;
   trie.insert(dns("cnn.com"), 1);
@@ -123,6 +115,69 @@ TEST(NameTrieTest, ClearResets) {
   trie.clear();
   EXPECT_TRUE(trie.empty());
   EXPECT_EQ(trie.lookup(dns("a.com")), std::nullopt);
+}
+
+TEST(NameTrieTest, CopyIsIndependent) {
+  NameTrie<int> trie;
+  trie.insert(dns("yahoo.com"), 2);
+  NameTrie<int> copy = trie;
+  copy.insert(dns("travel.yahoo.com"), 7);
+  trie.insert(dns("yahoo.com"), 3);
+  EXPECT_EQ(trie.size(), 1u);
+  EXPECT_EQ(trie.lookup(dns("travel.yahoo.com"))->second, 3);
+  EXPECT_EQ(copy.size(), 2u);
+  EXPECT_EQ(copy.lookup(dns("travel.yahoo.com"))->second, 7);
+  EXPECT_EQ(copy.lookup(dns("sports.yahoo.com"))->second, 2);
+}
+
+TEST(NameTrieTest, FromEdgesRebuildsTheSerializedForm) {
+  NameTrie<int> trie;
+  trie.insert(dns("yahoo.com"), 2);
+  trie.insert(dns("travel.yahoo.com"), 2);
+  trie.insert(dns("sports.yahoo.com"), 5);
+  std::vector<NameTrie<int>::Edge> edges;
+  trie.for_each_edge([&](const NameTrie<int>::Edge& e) { edges.push_back(e); });
+  std::vector<std::optional<int>> values;
+  for (std::size_t s = 0; s < trie.live_nodes(); ++s) {
+    values.push_back(trie.slot_value(s));
+  }
+  ASSERT_EQ(edges.size(), trie.live_nodes() - 1);
+
+  const auto rebuilt = NameTrie<int>::from_edges(values, edges);
+  EXPECT_EQ(rebuilt.size(), 3u);
+  EXPECT_EQ(rebuilt.lpm_compressed_size(), 2u);
+  EXPECT_EQ(rebuilt.table_bytes(), trie.table_bytes());
+  EXPECT_EQ(rebuilt.lookup(dns("travel.yahoo.com")),
+            trie.lookup(dns("travel.yahoo.com")));
+  EXPECT_EQ(rebuilt.lookup(dns("x.sports.yahoo.com"))->second, 5);
+
+  // Edges are in child-slot order: slot 1 is "com" under the root.
+  auto broken = edges;
+  broken[0].child = 0;  // an edge into the root
+  EXPECT_THROW((void)NameTrie<int>::from_edges(values, broken),
+               std::invalid_argument);
+  broken = edges;
+  broken.pop_back();  // a slot no edge reaches
+  EXPECT_THROW((void)NameTrie<int>::from_edges(values, broken),
+               std::invalid_argument);
+  EXPECT_THROW((void)NameTrie<int>::from_edges({}, {}),
+               std::invalid_argument);
+}
+
+TEST(NameTrieTest, DeepRebuiltChainCountsWithoutRecursion) {
+  // A serialized trie may be one long chain; neither the rebuild nor the
+  // compressed count may recurse once per level.
+  constexpr std::uint32_t kDepth = 300000;
+  const std::uint32_t id = ComponentInterner::global().intern("deep");
+  std::vector<NameTrie<int>::Edge> edges;
+  std::vector<std::optional<int>> values(kDepth + 1);
+  for (std::uint32_t slot = 0; slot <= kDepth; ++slot) {
+    if (slot > 0) edges.push_back({slot - 1, id, slot});
+    values[slot] = static_cast<int>(slot % 2);  // every entry differs
+  }
+  const auto trie = NameTrie<int>::from_edges(std::move(values), edges);
+  EXPECT_EQ(trie.size(), kDepth + 1u);
+  EXPECT_EQ(trie.lpm_compressed_size(), kDepth + 1u);
 }
 
 // Property test: trie lookups agree with brute force over random

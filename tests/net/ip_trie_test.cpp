@@ -71,17 +71,6 @@ TEST(IpTrieTest, DefaultRouteMatchesEverything) {
   EXPECT_EQ(trie.lookup(Ipv4Address::parse("0.0.0.0"))->second, 99);
 }
 
-TEST(IpTrieTest, EraseRemovesEntryKeepsDescendants) {
-  IpTrie<int> trie;
-  trie.insert(Prefix::parse("10.0.0.0/8"), 8);
-  trie.insert(Prefix::parse("10.1.0.0/16"), 16);
-  EXPECT_TRUE(trie.erase(Prefix::parse("10.0.0.0/8")));
-  EXPECT_FALSE(trie.erase(Prefix::parse("10.0.0.0/8")));
-  EXPECT_EQ(trie.size(), 1u);
-  EXPECT_EQ(trie.lookup(Ipv4Address::parse("10.200.0.1")), std::nullopt);
-  EXPECT_EQ(trie.lookup(Ipv4Address::parse("10.1.0.1"))->second, 16);
-}
-
 TEST(IpTrieTest, VisitEnumeratesAll) {
   IpTrie<int> trie;
   trie.insert(Prefix::parse("0.0.0.0/0"), 0);
@@ -93,31 +82,6 @@ TEST(IpTrieTest, VisitEnumeratesAll) {
   EXPECT_EQ(seen.size(), 4u);
   EXPECT_EQ(seen[Prefix::parse("10.0.0.0/8")], 2);
   EXPECT_EQ(seen[Prefix::host(Ipv4Address::parse("1.1.1.1"))], 3);
-}
-
-TEST(IpTrieTest, LpmCompressionSubsumesEqualChild) {
-  // Figure 3 analogue on IP tables: a child entry equal to its ancestor is
-  // redundant under longest-prefix matching.
-  IpTrie<int> trie;
-  trie.insert(Prefix::parse("10.0.0.0/8"), 2);
-  trie.insert(Prefix::parse("10.1.0.0/16"), 2);   // subsumed
-  trie.insert(Prefix::parse("10.2.0.0/16"), 5);   // kept
-  trie.insert(Prefix::parse("10.2.3.0/24"), 2);   // kept (ancestor is 5)
-  EXPECT_EQ(trie.size(), 4u);
-  EXPECT_EQ(trie.lpm_compressed_size(), 3u);
-}
-
-TEST(IpTrieTest, LpmCompressionDeepChain) {
-  IpTrie<int> trie;
-  trie.insert(Prefix::parse("10.0.0.0/8"), 1);
-  trie.insert(Prefix::parse("10.0.0.0/16"), 1);
-  trie.insert(Prefix::parse("10.0.0.0/24"), 1);
-  trie.insert(Prefix::parse("10.0.0.0/32"), 1);
-  EXPECT_EQ(trie.lpm_compressed_size(), 1u);
-  trie.insert(Prefix::parse("10.0.0.0/20"), 9);
-  // Chain now 1,1,(9),1,1: the /24 and /32 under the /20 differ from it.
-  // /8 kept, /16 subsumed, /20 kept, /24 kept (!= 9), /32 subsumed by /24.
-  EXPECT_EQ(trie.lpm_compressed_size(), 3u);
 }
 
 TEST(IpTrieTest, ClearResets) {

@@ -69,17 +69,6 @@ TEST(FibTest, NextHopDegreeCountsDistinctPorts) {
   EXPECT_EQ(fib.next_hop_degree(), 2u);
 }
 
-TEST(FibTest, LpmCompressedSize) {
-  Fib fib;
-  const FibEntry port7{.port = 7};
-  const FibEntry port9{.port = 9};
-  fib.insert(net::Prefix::parse("10.0.0.0/8"), port7);
-  fib.insert(net::Prefix::parse("10.1.0.0/16"), port7);  // subsumed
-  fib.insert(net::Prefix::parse("10.2.0.0/16"), port9);
-  EXPECT_EQ(fib.size(), 3u);
-  EXPECT_EQ(fib.lpm_compressed_size(), 2u);
-}
-
 TEST(FibTest, VisitEnumerates) {
   Fib fib;
   fib.insert(net::Prefix::parse("1.0.0.0/16"), FibEntry{.port = 1});

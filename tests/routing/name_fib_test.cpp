@@ -19,14 +19,6 @@ TEST(NameFibTest, AnnounceAndLookup) {
   EXPECT_EQ(fib.port_for(uri("/Paramount/TopGun")), std::nullopt);
 }
 
-TEST(NameFibTest, WithdrawRemovesEntry) {
-  NameFib fib;
-  fib.announce(uri("/Disney"), 3);
-  EXPECT_TRUE(fib.withdraw(uri("/Disney")));
-  EXPECT_FALSE(fib.withdraw(uri("/Disney")));
-  EXPECT_EQ(fib.port_for(uri("/Disney/Frozen")), std::nullopt);
-}
-
 TEST(NameFibTest, PaperFigure2bExample) {
   // Router Q: /20thCenturyFox/* -> 5, /Disney/* -> 3. The rights transfer
   // renames /20thCenturyFox/StarWarsIV to /Disney/StarWarsIV; Q must pin

@@ -258,7 +258,7 @@ TEST(FaultMatrixNames, CorruptNameSnapshotsAreDetectedAndRecovered) {
   const routing::NameFib live = make_name_fib(41, 180);
   const std::vector<names::ContentName> probes = probe_names(42, 1024);
   SnapshotStore store(dir.path());
-  const SavedInfo good = store.save_name_fib("names", live.freeze());
+  const SavedInfo good = store.save_name_fib("names", live);
   const std::vector<char> pristine = read_file(good.path);
 
   std::set<std::uint64_t> cuts = {0, kSnapHeaderBytes,
@@ -274,9 +274,9 @@ TEST(FaultMatrixNames, CorruptNameSnapshotsAreDetectedAndRecovered) {
     write_file(good.path, bytes);
     EXPECT_THROW((void)store.load_name_fib("names"), SnapFormatError)
         << "truncation to " << cut;
-    const routing::FrozenNameFib recovered =
-        routing::FrozenNameFib::load_or_rebuild(dir.path(), "names", live);
-    expect_name_identical(live.freeze(), recovered, probes);
+    const routing::NameFib recovered =
+        routing::NameFib::load_or_rebuild(dir.path(), "names", live);
+    expect_name_identical(live, recovered, probes);
   }
 
   std::mt19937_64 rng(0xabadcafeULL);
@@ -289,9 +289,9 @@ TEST(FaultMatrixNames, CorruptNameSnapshotsAreDetectedAndRecovered) {
     write_file(good.path, bytes);
     EXPECT_THROW((void)store.load_name_fib("names"), SnapFormatError)
         << "flipped bit " << bit;
-    const routing::FrozenNameFib recovered =
-        routing::FrozenNameFib::load_or_rebuild(dir.path(), "names", live);
-    expect_name_identical(live.freeze(), recovered, probes);
+    const routing::NameFib recovered =
+        routing::NameFib::load_or_rebuild(dir.path(), "names", live);
+    expect_name_identical(live, recovered, probes);
   }
 }
 

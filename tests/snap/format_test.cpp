@@ -3,14 +3,18 @@
 // saves are byte-deterministic, the manifest generation protocol holds,
 // and every structural violation surfaces as a named SnapFormatError.
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "lina/net/codec.hpp"
+#include "lina/net/crc32.hpp"
 #include "lina/snap/format.hpp"
 #include "lina/snap/store.hpp"
 #include "snap_test_util.hpp"
@@ -47,30 +51,36 @@ TEST(SnapFormat, IpRoundtripIsBitIdentical) {
 
 TEST(SnapFormat, NameRoundtripIsBitIdentical) {
   TempSnapDir dir("name-roundtrip");
+  TempSnapDir again("name-roundtrip-again");
   const routing::NameFib live = make_name_fib(2, 300);
-  const routing::FrozenNameFib frozen = live.freeze();
 
   SnapshotStore store(dir.path());
-  const SavedInfo info = store.save_name_fib("names", frozen);
+  const SavedInfo info = store.save_name_fib("names", live);
   ASSERT_EQ(info.sections.size(), 3u);
   EXPECT_EQ(info.sections[0].id, SectionId::kComponents);
   EXPECT_EQ(info.sections[1].id, SectionId::kNameEdges);
   EXPECT_EQ(info.sections[2].id, SectionId::kNameValues);
 
-  const routing::FrozenNameFib loaded = store.load_name_fib("names");
-  expect_name_identical(frozen, loaded, probe_names(9, 2048));
+  const routing::NameFib loaded = store.load_name_fib("names");
+  expect_name_identical(live, loaded, probe_names(9, 2048));
+
+  // save -> load -> save writes the same bytes: the loaded arena keeps
+  // every slot id.
+  const SavedInfo resaved =
+      SnapshotStore(again.path()).save_name_fib("names", loaded);
+  EXPECT_EQ(read_file(info.path), read_file(resaved.path));
 }
 
 TEST(SnapFormat, EmptyTablesRoundtrip) {
   TempSnapDir dir("empty");
   SnapshotStore store(dir.path());
   store.save_ip_fib("ip", routing::Fib().freeze());
-  store.save_name_fib("names", routing::NameFib().freeze());
+  store.save_name_fib("names", routing::NameFib());
 
   const routing::FrozenFib ip = store.load_ip_fib("ip");
   EXPECT_EQ(ip.size(), 0u);
   EXPECT_EQ(ip.entry_for(net::Ipv4Address(0x01020304u)), nullptr);
-  const routing::FrozenNameFib names = store.load_name_fib("names");
+  const routing::NameFib names = store.load_name_fib("names");
   EXPECT_EQ(names.size(), 0u);
 }
 
@@ -78,7 +88,7 @@ TEST(SnapFormat, RepeatedSavesAreByteDeterministic) {
   TempSnapDir dir_a("det-a");
   TempSnapDir dir_b("det-b");
   const routing::FrozenFib ip = make_ip_fib(3, 400).freeze();
-  const routing::FrozenNameFib names = make_name_fib(4, 200).freeze();
+  const routing::NameFib names = make_name_fib(4, 200);
 
   SnapshotStore a(dir_a.path());
   SnapshotStore b(dir_b.path());
@@ -99,7 +109,7 @@ TEST(SnapFormat, ManifestTracksGenerationsAndDropsStaleFiles) {
 
   const routing::Fib v1 = make_ip_fib(5, 100);
   const SavedInfo first = store.save_ip_fib("device", v1.freeze());
-  store.save_name_fib("names", make_name_fib(6, 50).freeze());
+  store.save_name_fib("names", make_name_fib(6, 50));
 
   const routing::Fib v2 = make_ip_fib(55, 120);
   const SavedInfo third = store.save_ip_fib("device", v2.freeze());
@@ -142,7 +152,7 @@ TEST(SnapFormat, WrongKindLoadThrows) {
   store.save_ip_fib("t", make_ip_fib(9, 20).freeze());
   EXPECT_THROW((void)store.load_name_fib("t"), SnapFormatError);
 
-  store.save_name_fib("n", make_name_fib(10, 20).freeze());
+  store.save_name_fib("n", make_name_fib(10, 20));
   EXPECT_THROW((void)store.load_ip_fib("n"), SnapFormatError);
 }
 
@@ -232,10 +242,10 @@ TEST(SnapFormat, LoadOrRebuildPrefersSnapshot) {
   expect_ip_identical(live.freeze(), warm, probe_addresses(15, 2048));
 
   const routing::NameFib name_live = make_name_fib(16, 150);
-  store.save_name_fib("names", name_live.freeze());
-  const routing::FrozenNameFib name_warm =
-      routing::FrozenNameFib::load_or_rebuild(dir.path(), "names", name_live);
-  expect_name_identical(name_live.freeze(), name_warm, probe_names(17, 1024));
+  store.save_name_fib("names", name_live);
+  const routing::NameFib name_warm =
+      routing::NameFib::load_or_rebuild(dir.path(), "names", name_live);
+  expect_name_identical(name_live, name_warm, probe_names(17, 1024));
 }
 
 TEST(SnapFormat, LoadOrRebuildFallsBackWhenStoreIsEmpty) {
@@ -246,9 +256,9 @@ TEST(SnapFormat, LoadOrRebuildFallsBackWhenStoreIsEmpty) {
   expect_ip_identical(live.freeze(), rebuilt, probe_addresses(19, 1024));
 
   const routing::NameFib name_live = make_name_fib(20, 100);
-  const routing::FrozenNameFib name_rebuilt =
-      routing::FrozenNameFib::load_or_rebuild(dir.path(), "names", name_live);
-  expect_name_identical(name_live.freeze(), name_rebuilt,
+  const routing::NameFib name_rebuilt =
+      routing::NameFib::load_or_rebuild(dir.path(), "names", name_live);
+  expect_name_identical(name_live, name_rebuilt,
                         probe_names(21, 512));
 }
 
@@ -269,6 +279,170 @@ TEST(SnapFormat, CorruptManifestIsNamedNeverCrashes) {
   store.save_ip_fib("t", live.freeze());
   expect_ip_identical(live.freeze(), store.load_ip_fib("t"),
                       probe_addresses(24, 1024));
+}
+
+/// A name snapshot's edge section, decoded: (parent, local label, child).
+struct RawEdge {
+  std::uint64_t parent;
+  std::uint64_t label;
+  std::uint64_t child;
+};
+
+std::vector<RawEdge> decode_edges(const std::vector<char>& file,
+                                  const SectionRecord& rec) {
+  ByteCursor cursor(file.data() + rec.offset, rec.bytes, "edges");
+  std::vector<RawEdge> edges(cursor.varint());
+  std::uint64_t parent = 0;
+  for (RawEdge& e : edges) {
+    parent += cursor.varint();
+    e.parent = parent;
+    e.label = cursor.varint();
+    e.child = cursor.varint();
+  }
+  return edges;
+}
+
+/// Encodes `edges` the way the writer does (parent-sorted, delta-coded).
+std::vector<char> encode_edges(std::vector<RawEdge> edges) {
+  std::stable_sort(edges.begin(), edges.end(),
+                   [](const RawEdge& a, const RawEdge& b) {
+                     return a.parent < b.parent;
+                   });
+  std::vector<char> out;
+  net::put_varint(out, edges.size());
+  std::uint64_t prev = 0;
+  for (const RawEdge& e : edges) {
+    net::put_varint(out, e.parent - prev);
+    net::put_varint(out, e.label);
+    net::put_varint(out, e.child);
+    prev = e.parent;
+  }
+  return out;
+}
+
+/// Rewrites the snapshot at `info.path` with the edge section replaced
+/// and every CRC (section, section table, whole file) recomputed, so
+/// only the tree checks can reject it.
+void rewrite_edges(const SavedInfo& info, const std::vector<RawEdge>& edges) {
+  const std::vector<char> file = read_file(info.path);
+  std::vector<std::vector<char>> payloads;
+  for (const SectionRecord& rec : info.sections) {
+    payloads.push_back(
+        rec.id == SectionId::kNameEdges
+            ? encode_edges(edges)
+            : std::vector<char>(file.begin() + rec.offset,
+                                file.begin() + rec.offset + rec.bytes));
+  }
+  std::vector<char> out(file.begin(), file.begin() + kSnapHeaderBytes);
+  std::uint64_t offset =
+      kSnapHeaderBytes + info.sections.size() * kSectionRecordBytes + 4;
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    net::put_u32(out, static_cast<std::uint32_t>(info.sections[i].id));
+    net::put_u64(out, offset);
+    net::put_u64(out, payloads[i].size());
+    net::put_u32(out, net::crc32(0, payloads[i].data(), payloads[i].size()));
+    offset += payloads[i].size();
+  }
+  net::put_u32(out, net::crc32(0, out.data(), out.size()));
+  for (const std::vector<char>& payload : payloads) {
+    out.insert(out.end(), payload.begin(), payload.end());
+  }
+  net::put_footer(out, kSnapFooterMagic, net::crc32(0, out.data(), out.size()),
+                  out.size() + kSnapFooterBytes);
+  write_file(info.path, out);
+}
+
+/// Fixture: a saved name table plus its decoded edge list. `load_fails`
+/// rewrites the edges and expects a SnapFormatError naming the file and
+/// containing `needle`.
+class NameTreeTamper : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::make_unique<TempSnapDir>("name-tree");
+    store_ = std::make_unique<SnapshotStore>(dir_->path());
+    info_ = store_->save_name_fib("names", make_name_fib(30, 120));
+    const std::vector<char> file = read_file(info_.path);
+    for (const SectionRecord& rec : info_.sections) {
+      if (rec.id == SectionId::kNameEdges) edges_ = decode_edges(file, rec);
+    }
+    ASSERT_GT(edges_.size(), 4u);
+    // The untampered rewrite must still load: the helper is faithful.
+    rewrite_edges(info_, edges_);
+    EXPECT_EQ(store_->load_name_fib("names").size(), 120u);
+  }
+
+  /// Index of an edge whose child is itself a parent, and of one of that
+  /// child's own edges.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> parent_and_grandchild()
+      const {
+    for (std::size_t i = 0; i < edges_.size(); ++i) {
+      for (std::size_t j = 0; j < edges_.size(); ++j) {
+        if (edges_[j].parent == edges_[i].child) return {i, j};
+      }
+    }
+    ADD_FAILURE() << "fixture table has no depth-2 path";
+    return {0, 0};
+  }
+
+  void load_fails(const std::vector<RawEdge>& edges,
+                  const std::string& needle) {
+    rewrite_edges(info_, edges);
+    try {
+      (void)store_->load_name_fib("names");
+      FAIL() << "a malformed edge set must fail the load";
+    } catch (const SnapFormatError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(info_.path.filename().string()), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(needle), std::string::npos) << what;
+    }
+  }
+
+  std::unique_ptr<TempSnapDir> dir_;
+  std::unique_ptr<SnapshotStore> store_;
+  SavedInfo info_;
+  std::vector<RawEdge> edges_;
+};
+
+TEST_F(NameTreeTamper, EdgeIntoTheRootIsNamed) {
+  std::vector<RawEdge> edges = edges_;
+  edges.back().child = 0;
+  load_fails(edges, "root slot 0");
+}
+
+TEST_F(NameTreeTamper, SlotClaimedByTwoEdgesIsNamed) {
+  std::vector<RawEdge> edges = edges_;
+  edges.back().child = edges.front().child;
+  load_fails(edges, "another edge already claims");
+}
+
+TEST_F(NameTreeTamper, DuplicateParentComponentKeyIsNamed) {
+  // Two children of one parent under the same component.
+  std::vector<RawEdge> edges = edges_;
+  bool found = false;
+  for (std::size_t i = 1; i < edges.size() && !found; ++i) {
+    if (edges[i].parent == edges[i - 1].parent) {
+      edges[i].label = edges[i - 1].label;
+      found = true;
+    }
+  }
+  ASSERT_TRUE(found) << "fixture table has no parent with two children";
+  load_fails(edges, "duplicates the (parent, component");
+}
+
+TEST_F(NameTreeTamper, OrphanSlotIsNamed) {
+  std::vector<RawEdge> edges = edges_;
+  edges.pop_back();
+  load_fails(edges, "not reachable from the root");
+}
+
+TEST_F(NameTreeTamper, CycleIsNamed) {
+  // Re-parent a node under its own child: both slots stay claimed once,
+  // but no walk from the root reaches either.
+  std::vector<RawEdge> edges = edges_;
+  const auto [up, down] = parent_and_grandchild();
+  edges[up].parent = edges[down].child;
+  load_fails(edges, "not reachable from the root");
 }
 
 TEST(SnapFormat, VarintRejectsOverlongEncodings) {

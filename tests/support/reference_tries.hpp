@@ -1,11 +1,12 @@
 #pragma once
 
 // Reference (pre-optimisation) trie implementations, kept verbatim minus
-// instrumentation: the uncompressed pointer-per-node binary IP trie and the
-// std::map-per-node name trie the arena engines replaced. The `fib`
-// differential suite replays identical operation streams against these and
-// the production tries and asserts observable equality; the micro
-// benchmarks report them as the "legacy" baseline.
+// instrumentation and erase (the production tries are build-once): the
+// uncompressed pointer-per-node binary IP trie and the std::map-per-node
+// name trie the arena engines replaced. The `fib` differential suite
+// replays identical operation streams against these and the production
+// tries and asserts observable equality; the micro benchmarks report them
+// as the "legacy" baseline.
 
 #include <cstddef>
 #include <cstdint>
@@ -69,24 +70,12 @@ class LegacyIpTrie {
                                                         : nullptr;
   }
 
-  bool erase(const net::Prefix& prefix) {
-    Node* node = const_cast<Node*>(descend(prefix));
-    if (node == nullptr || !node->value.has_value()) return false;
-    node->value.reset();
-    --size_;
-    return true;
-  }
-
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
   void visit(
       const std::function<void(const net::Prefix&, const T&)>& fn) const {
     visit_node(root_.get(), net::Prefix(net::Ipv4Address(0), 0), fn);
-  }
-
-  [[nodiscard]] std::size_t lpm_compressed_size() const {
-    return compressed_count(root_.get(), nullptr);
   }
 
   void clear() {
@@ -129,18 +118,6 @@ class LegacyIpTrie {
     if (path.length() == 32) return;
     visit_node(node->zero.get(), path.left_half(), fn);
     visit_node(node->one.get(), path.right_half(), fn);
-  }
-
-  static std::size_t compressed_count(const Node* node, const T* inherited) {
-    if (node == nullptr) return 0;
-    std::size_t count = 0;
-    const T* effective = inherited;
-    if (node->value.has_value()) {
-      if (inherited == nullptr || !(*inherited == *node->value)) ++count;
-      effective = &*node->value;
-    }
-    return count + compressed_count(node->zero.get(), effective) +
-           compressed_count(node->one.get(), effective);
   }
 
   std::unique_ptr<Node> root_ = std::make_unique<Node>();
@@ -193,14 +170,6 @@ class LegacyNameTrie {
     const Node* node = descend(name);
     return (node != nullptr && node->value.has_value()) ? &*node->value
                                                         : nullptr;
-  }
-
-  bool erase(const names::ContentName& name) {
-    Node* node = const_cast<Node*>(descend(name));
-    if (node == nullptr || !node->value.has_value()) return false;
-    node->value.reset();
-    --size_;
-    return true;
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
