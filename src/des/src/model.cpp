@@ -38,30 +38,17 @@ std::uint32_t PacketModel::add_session(const SessionParams& params) {
   if (!finite(params.interval_ms) || params.interval_ms <= 0.0)
     throw std::invalid_argument("PacketModel: bad interval_ms");
   check_as(params.correspondent, "correspondent");
+  const topology::AsId home_as =
+      params.home_as.value_or(params.schedule.front().as);
+  check_as(home_as, "home AS");
 
-  Spec spec;
-  spec.digest_id = params.digest_id.value_or(specs_.size());
-  spec.correspondent = params.correspondent;
-  spec.home_as = params.home_as.value_or(params.schedule.front().as);
-  check_as(spec.home_as, "home AS");
-  spec.first_step = static_cast<std::uint32_t>(steps_.size());
-  spec.step_count = static_cast<std::uint32_t>(params.schedule.size());
-  spec.start_ms = params.start_ms;
-  spec.duration_ms = params.duration_ms;
-  spec.interval_ms = params.interval_ms;
-  spec.ttl_ms = params.resolver_ttl_ms;
-  spec.update_hop_ms = params.update_hop_ms;
-  spec.scope_hops = static_cast<std::uint32_t>(
-      std::min<std::size_t>(params.update_scope_hops, 0xffffffffULL));
-  steps_.insert(steps_.end(), params.schedule.begin(),
-                params.schedule.end());
-
-  spec.first_replica = static_cast<std::uint32_t>(replicas_.size());
+  // Every check runs before the first append, so a rejected session leaves
+  // the model unchanged.
+  std::vector<topology::AsId> pool;
   if (arch_ == sim::SimArchitecture::kNameResolution ||
       arch_ == sim::SimArchitecture::kReplicatedResolution) {
     if (!finite(params.resolver_ttl_ms) || params.resolver_ttl_ms <= 0.0)
       throw std::invalid_argument("PacketModel: bad resolver TTL");
-    std::vector<topology::AsId> pool;
     if (arch_ == sim::SimArchitecture::kReplicatedResolution) {
       if (params.resolver_replicas.empty())
         throw std::invalid_argument(
@@ -70,7 +57,7 @@ std::uint32_t PacketModel::add_session(const SessionParams& params) {
     } else {
       // As in sim::simulate_session, the resolver defaults to the
       // correspondent's AS.
-      pool = {params.resolver_as.value_or(spec.correspondent)};
+      pool = {params.resolver_as.value_or(params.correspondent)};
     }
     for (const topology::AsId replica : pool) check_as(replica, "replica");
     // Nearest-first (ties by AS id): the correspondent resolves at the
@@ -81,9 +68,9 @@ std::uint32_t PacketModel::add_session(const SessionParams& params) {
     std::stable_sort(pool.begin(), pool.end(),
                      [&](topology::AsId a, topology::AsId b) {
                        const auto da =
-                           fabric_->path_delay_ms(spec.correspondent, a);
+                           fabric_->path_delay_ms(params.correspondent, a);
                        const auto db =
-                           fabric_->path_delay_ms(spec.correspondent, b);
+                           fabric_->path_delay_ms(params.correspondent, b);
                        const double va = da.value_or(
                            std::numeric_limits<double>::infinity());
                        const double vb = db.value_or(
@@ -91,14 +78,29 @@ std::uint32_t PacketModel::add_session(const SessionParams& params) {
                        if (va != vb) return va < vb;
                        return a < b;
                      });
-    replicas_.insert(replicas_.end(), pool.begin(), pool.end());
   } else if (arch_ == sim::SimArchitecture::kNameBased) {
     if (!finite(params.update_hop_ms) || params.update_hop_ms <= 0.0)
       throw std::invalid_argument("PacketModel: bad update_hop_ms");
   }
-  spec.replica_count =
-      static_cast<std::uint32_t>(replicas_.size() - spec.first_replica);
 
+  Spec spec;
+  spec.digest_id = params.digest_id.value_or(specs_.size());
+  spec.correspondent = params.correspondent;
+  spec.home_as = home_as;
+  spec.first_step = static_cast<std::uint32_t>(steps_.size());
+  spec.step_count = static_cast<std::uint32_t>(params.schedule.size());
+  spec.start_ms = params.start_ms;
+  spec.duration_ms = params.duration_ms;
+  spec.interval_ms = params.interval_ms;
+  spec.ttl_ms = params.resolver_ttl_ms;
+  spec.update_hop_ms = params.update_hop_ms;
+  spec.scope_hops = static_cast<std::uint32_t>(
+      std::min<std::size_t>(params.update_scope_hops, 0xffffffffULL));
+  spec.first_replica = static_cast<std::uint32_t>(replicas_.size());
+  spec.replica_count = static_cast<std::uint32_t>(pool.size());
+  steps_.insert(steps_.end(), params.schedule.begin(),
+                params.schedule.end());
+  replicas_.insert(replicas_.end(), pool.begin(), pool.end());
   specs_.push_back(spec);
   return static_cast<std::uint32_t>(specs_.size() - 1);
 }

@@ -89,18 +89,4 @@ auto parallel_map(std::size_t n, Fn&& fn, std::size_t threads = 0)
   return results;
 }
 
-/// parallel_map followed by an ordered fold: `acc = reduce(acc, result_i)`
-/// runs on the calling thread for i = 0, 1, ..., n - 1, so the accumulator
-/// sees results in exactly the serial order (no reassociation).
-template <typename Acc, typename Fn, typename Reduce>
-Acc parallel_reduce(std::size_t n, Acc init, Fn&& fn, Reduce&& reduce,
-                    std::size_t threads = 0) {
-  auto partials = parallel_map(n, std::forward<Fn>(fn), threads);
-  Acc acc = std::move(init);
-  for (auto& partial : partials) {
-    acc = reduce(std::move(acc), std::move(partial));
-  }
-  return acc;
-}
-
 }  // namespace lina::exec

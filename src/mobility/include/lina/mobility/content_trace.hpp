@@ -64,9 +64,6 @@ class ContentTrace {
   /// All mobility events (consecutive snapshot pairs), in time order.
   [[nodiscard]] std::vector<ContentMobilityEvent> events() const;
 
-  /// Number of mobility events per day (size day_count()).
-  [[nodiscard]] std::vector<std::size_t> daily_event_counts() const;
-
   /// Average mobility events per day over the whole trace.
   [[nodiscard]] double events_per_day() const;
 

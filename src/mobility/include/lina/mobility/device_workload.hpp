@@ -93,19 +93,29 @@ class DeviceWorkloadGenerator {
   [[nodiscard]] const DeviceWorkloadConfig& config() const { return config_; }
 
  private:
+  /// A host address with the announced prefix it was drawn from, so a
+  /// visit never has to look its prefix up.
+  struct Attachment {
+    net::Ipv4Address address;
+    net::Prefix prefix;
+  };
+
   struct UserProfile {
     topology::AsId home_as;
     topology::AsId work_as;  // == home_as when the user has no work network
     topology::AsId cellular_as;
     std::vector<topology::AsId> extra_ases;
-    net::Ipv4Address home_address;
-    net::Ipv4Address work_address;
-    net::Ipv4Address cellular_address;
+    Attachment home;
+    Attachment work;
+    Attachment cellular;
     double daily_rate = 0.0;
     double cross_as_probability = 0.0;
   };
 
   [[nodiscard]] UserProfile make_profile(stats::Rng& rng) const;
+  /// A uniformly random host address in one of `as`'s prefixes; the same
+  /// draws as SyntheticInternet::random_address_in(as, rng).
+  [[nodiscard]] Attachment attach(topology::AsId as, stats::Rng& rng) const;
 
   const routing::SyntheticInternet& internet_;
   DeviceWorkloadConfig config_;

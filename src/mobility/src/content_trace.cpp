@@ -51,15 +51,6 @@ std::vector<ContentMobilityEvent> ContentTrace::events() const {
   return out;
 }
 
-std::vector<std::size_t> ContentTrace::daily_event_counts() const {
-  std::vector<std::size_t> counts(day_count_, 0);
-  for (std::size_t i = 1; i < hours_.size(); ++i) {
-    const auto day = static_cast<std::size_t>(hours_[i] / 24.0);
-    if (day < counts.size()) ++counts[day];
-  }
-  return counts;
-}
-
 double ContentTrace::events_per_day() const {
   if (day_count_ == 0) return 0.0;
   const std::size_t events = hours_.empty() ? 0 : hours_.size() - 1;

@@ -19,12 +19,6 @@ namespace {
 // Location kinds drive both transition-target choice and dwell time.
 enum class Kind : std::uint8_t { kHome, kWork, kCellular, kOther };
 
-struct Occupant {
-  AsId as;
-  net::Ipv4Address address;
-  Kind kind;
-};
-
 }  // namespace
 
 DeviceWorkloadGenerator::DeviceWorkloadGenerator(
@@ -144,10 +138,9 @@ DeviceWorkloadGenerator::UserProfile DeviceWorkloadGenerator::make_profile(
     profile.extra_ases.push_back(choice);
   }
 
-  profile.home_address = internet_.random_address_in(profile.home_as, rng);
-  profile.work_address = internet_.random_address_in(profile.work_as, rng);
-  profile.cellular_address =
-      internet_.random_address_in(profile.cellular_as, rng);
+  profile.home = attach(profile.home_as, rng);
+  profile.work = attach(profile.work_as, rng);
+  profile.cellular = attach(profile.cellular_as, rng);
 
   const stats::LogNormal rate_dist(config_.median_daily_transitions,
                                    config_.transition_sigma);
@@ -161,10 +154,26 @@ DeviceWorkloadGenerator::UserProfile DeviceWorkloadGenerator::make_profile(
   return profile;
 }
 
+DeviceWorkloadGenerator::Attachment DeviceWorkloadGenerator::attach(
+    AsId as, stats::Rng& rng) const {
+  const auto prefixes = internet_.prefixes_of(as);
+  if (prefixes.empty())
+    throw std::invalid_argument(
+        "DeviceWorkloadGenerator: AS announces no prefix");
+  const net::Prefix& prefix = prefixes[rng.index(prefixes.size())];
+  return {SyntheticInternet::random_address_in(prefix, rng), prefix};
+}
+
 DeviceTrace DeviceWorkloadGenerator::generate_user(
     std::uint32_t user_id) const {
   stats::Rng rng(config_.seed, "device-user-" + std::to_string(user_id));
   UserProfile profile = make_profile(rng);
+
+  struct Occupant {
+    AsId as;
+    Attachment at;
+    Kind kind;
+  };
 
   const auto dwell_weight = [this](Kind kind) {
     switch (kind) {
@@ -180,10 +189,6 @@ DeviceTrace DeviceWorkloadGenerator::generate_user(
     return 1.0;
   };
 
-  const auto fresh_address = [&](AsId as) {
-    return internet_.random_address_in(as, rng);
-  };
-
   // Pick the next occupant given the current one.
   const auto next_occupant = [&](const Occupant& current) -> Occupant {
     if (!rng.chance(profile.cross_as_probability)) {
@@ -194,16 +199,16 @@ DeviceTrace DeviceWorkloadGenerator::generate_user(
       // pool (NAT/pool churn).
       if (current.kind == Kind::kHome || current.kind == Kind::kWork) {
         if (!rng.chance(config_.lease_change_probability)) return current;
-        const net::Ipv4Address addr = fresh_address(current.as);
-        if (current.kind == Kind::kHome) profile.home_address = addr;
-        if (current.kind == Kind::kWork) profile.work_address = addr;
-        return {current.as, addr, current.kind};
+        const Attachment at = attach(current.as, rng);
+        if (current.kind == Kind::kHome) profile.home = at;
+        if (current.kind == Kind::kWork) profile.work = at;
+        return {current.as, at, current.kind};
       }
       if (current.kind == Kind::kCellular) {
-        profile.cellular_address = fresh_address(current.as);
-        return {current.as, profile.cellular_address, Kind::kCellular};
+        profile.cellular = attach(current.as, rng);
+        return {current.as, profile.cellular, Kind::kCellular};
       }
-      return {current.as, fresh_address(current.as), Kind::kOther};
+      return {current.as, attach(current.as, rng), Kind::kOther};
     }
     // Cross-AS move: weighted choice among the other locations.
     struct Target {
@@ -226,27 +231,25 @@ DeviceTrace DeviceWorkloadGenerator::generate_user(
     const Kind kind = targets[stats::weighted_index(rng, weights)].kind;
     switch (kind) {
       case Kind::kHome:
-        return {profile.home_as, profile.home_address, Kind::kHome};
+        return {profile.home_as, profile.home, Kind::kHome};
       case Kind::kWork:
-        return {profile.work_as, profile.work_address, Kind::kWork};
+        return {profile.work_as, profile.work, Kind::kWork};
       case Kind::kCellular:
         // Carrier-assigned address is sticky across reconnects.
-        return {profile.cellular_as, profile.cellular_address,
-                Kind::kCellular};
+        return {profile.cellular_as, profile.cellular, Kind::kCellular};
       case Kind::kOther: {
         const AsId as =
             profile.extra_ases[rng.index(profile.extra_ases.size())];
-        return {as, fresh_address(as), Kind::kOther};
+        return {as, attach(as, rng), Kind::kOther};
       }
     }
     throw std::logic_error("unreachable");
   };
 
   DeviceTrace trace(user_id, config_.days);
-  Occupant current{profile.home_as, profile.home_address, Kind::kHome};
-  DeviceVisit pending{0.0, 0.0, current.address,
-                      internet_.prefix_of(current.address), current.as,
-                      current.kind == Kind::kCellular};
+  Occupant current{profile.home_as, profile.home, Kind::kHome};
+  DeviceVisit pending{0.0, 0.0, current.at.address, current.at.prefix,
+                      current.as, current.kind == Kind::kCellular};
 
   double clock = 0.0;
   for (std::size_t day = 0; day < config_.days; ++day) {
@@ -274,10 +277,9 @@ DeviceTrace DeviceWorkloadGenerator::generate_user(
       } else {
         trace.append(pending);
         clock = pending.start_hour + pending.duration_hours;
-        pending = DeviceVisit{
-            clock, duration, occupants[i].address,
-            internet_.prefix_of(occupants[i].address), occupants[i].as,
-            occupants[i].kind == Kind::kCellular};
+        pending = DeviceVisit{clock, duration, occupants[i].at.address,
+                              occupants[i].at.prefix, occupants[i].as,
+                              occupants[i].kind == Kind::kCellular};
       }
     }
     current = occupants.back();

@@ -14,9 +14,10 @@
 
 namespace lina::net {
 
-/// An immutable longest-prefix-match snapshot of an IpTrie, laid out for
-/// the read-mostly evaluation phases (stretch, displaced-entry scans,
-/// aggregateability, streamed replay).
+/// An immutable longest-prefix-match snapshot of an IpTrie — the one
+/// reader of every IP table — laid out for the read-mostly evaluation
+/// phases (stretch, displaced-entry scans, aggregateability, streamed
+/// replay).
 ///
 /// Nodes are a contiguous preorder array of 16-byte records (child0 is
 /// always the next record, so half of all descents are a sequential read);
@@ -84,8 +85,8 @@ class FrozenIpTrie {
            root_.capacity() * sizeof(RootEntry);
   }
 
-  /// Longest-prefix match, identical in result to IpTrie::lookup on the
-  /// frozen source.
+  /// Longest-prefix match: the most specific stored entry containing
+  /// `addr`, or nullopt.
   [[nodiscard]] std::optional<std::pair<Prefix, T>> lookup(
       Ipv4Address addr) const {
     std::uint64_t visited = 0;

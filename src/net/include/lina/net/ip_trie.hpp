@@ -14,16 +14,15 @@
 
 namespace lina::net {
 
-/// A path-compressed (Patricia-style) binary trie keyed by IP prefixes with
-/// longest-prefix-match lookups — the data structure underlying every FIB
-/// in the library.
+/// A path-compressed (Patricia-style) binary trie keyed by IP prefixes —
+/// the builder behind every IP table in the library. It only builds:
+/// every longest-prefix match is answered by the immutable
+/// `FrozenIpTrie` that `freeze()` emits.
 ///
 /// Nodes live in a contiguous `std::vector` arena addressed by 32-bit
 /// indices: no per-node heap allocation, no pointer chasing through
 /// malloc-scattered memory. Each node stores its full prefix (`key`/`len`),
-/// so chains of single-child bit nodes never exist — lookups visit only
-/// branching or valued nodes (at most 33 on any root-to-leaf path instead
-/// of one node per bit).
+/// so chains of single-child bit nodes never exist.
 ///
 /// The trie is build-once: entries are inserted or overwritten, never
 /// erased, so the arena only grows and every slot is live. Every non-root
@@ -34,11 +33,9 @@ namespace lina::net {
 /// T is the payload stored per prefix (an output port, a next hop, ...).
 /// Operations:
 ///  - insert / assign a value for an exact prefix,
-///  - longest-prefix match for an address,
-///  - exact-match lookup,
 ///  - in-order visitation of all stored entries,
-///  - `freeze()`: an immutable FrozenIpTrie snapshot with batched
-///    prefetched lookups for the read-mostly evaluation phases.
+///  - `freeze()`: the immutable FrozenIpTrie that answers lookups, with
+///    batched prefetched lookups for the read-mostly evaluation phases.
 template <typename T>
 class IpTrie {
  public:
@@ -61,41 +58,6 @@ class IpTrie {
     return created;
   }
 
-  /// Longest-prefix match: the most specific stored entry containing `addr`.
-  [[nodiscard]] std::optional<std::pair<Prefix, T>> lookup(
-      Ipv4Address addr) const {
-    const std::uint32_t a = addr.value();
-    std::uint32_t best = kNil;
-    std::uint32_t idx = 0;
-    std::uint64_t visited = 0;
-    while (idx != kNil) {
-      const Node& n = arena_[idx];
-      if (((a ^ n.key) & prefix_mask(n.len)) != 0) break;
-      ++visited;
-      if (n.value.has_value()) best = idx;
-      if (n.len == 32) break;
-      idx = n.child[bit_at(a, n.len)];
-    }
-    obs::metric::ip_trie_lpm_lookups().add();
-    obs::metric::ip_trie_lpm_node_visits().add(visited);
-    if (best == kNil) return std::nullopt;
-    // The matched prefix is derived once from the winning node — never
-    // materialised per descent step.
-    const Node& b = arena_[best];
-    return std::make_pair(Prefix(Ipv4Address(b.key), b.len), *b.value);
-  }
-
-  /// Exact-match lookup.
-  [[nodiscard]] const T* exact(const Prefix& prefix) const {
-    const std::uint32_t idx = descend(prefix);
-    if (idx == kNil || !arena_[idx].value.has_value()) return nullptr;
-    return &*arena_[idx].value;
-  }
-
-  [[nodiscard]] T* exact(const Prefix& prefix) {
-    return const_cast<T*>(std::as_const(*this).exact(prefix));
-  }
-
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
@@ -103,12 +65,6 @@ class IpTrie {
   /// prefixes before their descendants, zero branch before one branch).
   void visit(const std::function<void(const Prefix&, const T&)>& fn) const {
     visit_node(0, fn);
-  }
-
-  void clear() {
-    arena_.clear();
-    arena_.emplace_back();
-    size_ = 0;
   }
 
   /// Arena occupancy: every slot is a live node. At most 2·size() + 1 by
@@ -128,8 +84,8 @@ class IpTrie {
     return live_nodes() * sizeof(Node);
   }
 
-  /// Emits an immutable snapshot in preorder layout with batch lookups;
-  /// results are bit-identical to live lookups at freeze time.
+  /// Emits the immutable lookup table: preorder layout with batch
+  /// lookups, holding exactly the entries inserted so far.
   [[nodiscard]] FrozenIpTrie<T> freeze() const {
     PROF_SPAN("lina.trie.ip_freeze");
     using FNode = typename FrozenIpTrie<T>::Node;
@@ -173,22 +129,6 @@ class IpTrie {
     arena_[idx].key = key;
     arena_[idx].len = len;
     return idx;
-  }
-
-  /// Exact descent; kNil if the prefix has no node.
-  [[nodiscard]] std::uint32_t descend(const Prefix& prefix) const {
-    const std::uint32_t key = prefix.network().value();
-    const unsigned len = prefix.length();
-    std::uint32_t idx = 0;
-    while (true) {
-      const Node& n = arena_[idx];
-      if (n.len > len) return kNil;
-      if (((key ^ n.key) & prefix_mask(n.len)) != 0) return kNil;
-      if (n.len == len) return idx;
-      const std::uint32_t c = n.child[bit_at(key, n.len)];
-      if (c == kNil) return kNil;
-      idx = c;
-    }
   }
 
   /// Finds the node for `prefix`, creating (leaf / proper-prefix parent /

@@ -35,8 +35,8 @@ class Fib;
 /// `route_preferred` minus local-pref, which FIBs do not retain).
 [[nodiscard]] bool entry_preferred(const FibEntry& a, const FibEntry& b);
 
-/// An immutable snapshot of a Fib for read-mostly phases: same
-/// longest-prefix-match results as the source table at freeze time, plus a
+/// An immutable snapshot of a Fib and the one reader of its entries:
+/// longest-prefix match over the entries present at freeze time, plus a
 /// software-prefetched batch `entries_for_many` that keeps several
 /// independent descents in flight per cache-miss window and spreads large
 /// batches across threads. Built by Fib::freeze().
@@ -46,13 +46,7 @@ class FrozenFib {
   explicit FrozenFib(net::FrozenIpTrie<FibEntry> trie)
       : trie_(std::move(trie)) {}
 
-  /// Longest-prefix match; nullopt if no entry covers the address.
-  [[nodiscard]] std::optional<std::pair<net::Prefix, FibEntry>> lookup(
-      net::Ipv4Address addr) const {
-    return trie_.lookup(addr);
-  }
-
-  /// LPM payload only — no Prefix materialisation; nullptr if uncovered.
+  /// LPM payload; nullptr if uncovered.
   [[nodiscard]] const FibEntry* entry_for(net::Ipv4Address addr) const {
     return trie_.lookup_value(addr);
   }
@@ -95,8 +89,8 @@ class FrozenFib {
   net::FrozenIpTrie<FibEntry> trie_;
 };
 
-/// A forwarding information base: longest-prefix-match table from IP
-/// prefixes to selected forwarding entries.
+/// A forwarding information base under construction: IP prefixes to
+/// selected forwarding entries. Lookups go through `freeze()`.
 class Fib {
  public:
   Fib() = default;
@@ -106,13 +100,6 @@ class Fib {
   static Fib from_rib(const Rib& rib);
 
   void insert(const net::Prefix& prefix, FibEntry entry);
-
-  /// Longest-prefix match; nullopt if no entry covers the address.
-  [[nodiscard]] std::optional<std::pair<net::Prefix, FibEntry>> lookup(
-      net::Ipv4Address addr) const;
-
-  /// The forwarding port for an address, or nullopt if uncovered.
-  [[nodiscard]] std::optional<Port> port_for(net::Ipv4Address addr) const;
 
   [[nodiscard]] std::size_t size() const { return trie_.size(); }
 

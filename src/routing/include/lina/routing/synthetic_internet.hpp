@@ -6,7 +6,7 @@
 #include <string_view>
 #include <vector>
 
-#include "lina/net/ip_trie.hpp"
+#include "lina/net/frozen_ip_trie.hpp"
 #include "lina/net/ipv4.hpp"
 #include "lina/routing/vantage_router.hpp"
 #include "lina/stats/rng.hpp"
@@ -112,7 +112,7 @@ class SyntheticInternet {
   std::vector<std::vector<net::Prefix>> prefixes_by_as_;
   std::vector<net::Prefix> all_prefixes_;
   std::vector<topology::AsId> edge_ases_;
-  net::IpTrie<topology::AsId> owner_trie_;
+  net::FrozenIpTrie<topology::AsId> owner_trie_;  // prefix -> announcing AS
 };
 
 }  // namespace lina::routing

@@ -2,11 +2,9 @@
 
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 
-#include "lina/net/ipv4.hpp"
 #include "lina/routing/fib.hpp"
 #include "lina/routing/rib.hpp"
 #include "lina/topology/geo.hpp"
@@ -46,9 +44,9 @@ class VantageRouter {
   /// Adds a candidate route to the RIB. Invalidates the cached FIB.
   void install(RibRoute route);
 
-  /// Selects best routes for every prefix. Called lazily by lookups but
+  /// Selects best routes for every prefix. Called lazily by fib() but
   /// exposed so bulk loading can pay the cost once. Thread-safe (the lazy
-  /// build runs under a std::once_flag), so one router may serve lookups
+  /// build runs under a std::once_flag), so one router may serve fib()
   /// from many lina::exec workers.
   void build_fib() const;
 
@@ -58,13 +56,6 @@ class VantageRouter {
 
   [[nodiscard]] const Rib& rib() const { return rib_; }
   [[nodiscard]] const Fib& fib() const;
-
-  /// The forwarding entry whose prefix is the longest match for `addr`.
-  [[nodiscard]] std::optional<std::pair<net::Prefix, FibEntry>> route_for(
-      net::Ipv4Address addr) const;
-
-  /// The output port (next-hop AS) for `addr`; nullopt if uncovered.
-  [[nodiscard]] std::optional<Port> port_for(net::Ipv4Address addr) const;
 
   /// Distinct output ports across the FIB.
   [[nodiscard]] std::size_t next_hop_degree() const;

@@ -56,17 +56,6 @@ void Fib::insert(const net::Prefix& prefix, FibEntry entry) {
   trie_.insert(prefix, entry);
 }
 
-std::optional<std::pair<net::Prefix, FibEntry>> Fib::lookup(
-    net::Ipv4Address addr) const {
-  return trie_.lookup(addr);
-}
-
-std::optional<Port> Fib::port_for(net::Ipv4Address addr) const {
-  const auto hit = trie_.lookup(addr);
-  if (!hit.has_value()) return std::nullopt;
-  return hit->second.port;
-}
-
 FrozenFib Fib::freeze() const {
   obs::metric::fib_arena_bytes().set(
       static_cast<double>(trie_.arena_bytes()));

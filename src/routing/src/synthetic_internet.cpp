@@ -5,6 +5,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "lina/net/ip_trie.hpp"
 #include "lina/routing/policy_routing.hpp"
 
 namespace lina::routing {
@@ -86,6 +87,7 @@ void SyntheticInternet::assign_prefixes(const SyntheticInternetConfig& config,
   // (b/256 + 1).(b%256).0.0/16, so prefixes read like real unicast space.
   std::uint32_t next_block = 0;
   constexpr std::uint32_t kMaxBlocks = 222u * 256u;  // up to 222.x.0.0/16
+  net::IpTrie<AsId> owners;
 
   const auto allocate = [&](AsId as, std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) {
@@ -98,7 +100,7 @@ void SyntheticInternet::assign_prefixes(const SyntheticInternetConfig& config,
       ++next_block;
       prefixes_by_as_[as].push_back(prefix);
       all_prefixes_.push_back(prefix);
-      owner_trie_.insert(prefix, as);
+      owners.insert(prefix, as);
     }
   };
 
@@ -118,6 +120,7 @@ void SyntheticInternet::assign_prefixes(const SyntheticInternetConfig& config,
     }
     if (!prefixes_by_as_[as].empty()) edge_ases_.push_back(id);
   }
+  owner_trie_ = owners.freeze();
 }
 
 AsId SyntheticInternet::pick_vantage_as(
@@ -260,11 +263,11 @@ std::span<const net::Prefix> SyntheticInternet::prefixes_of(AsId as) const {
 }
 
 AsId SyntheticInternet::owner_of(net::Ipv4Address addr) const {
-  const auto hit = owner_trie_.lookup(addr);
-  if (!hit.has_value())
+  const AsId* owner = owner_trie_.lookup_value(addr);
+  if (owner == nullptr)
     throw std::invalid_argument("SyntheticInternet::owner_of: " +
                                 addr.to_string() + " not announced");
-  return hit->second;
+  return *owner;
 }
 
 net::Prefix SyntheticInternet::prefix_of(net::Ipv4Address addr) const {

@@ -17,15 +17,6 @@ const Fib& VantageRouter::fib() const {
   return fib_;
 }
 
-std::optional<std::pair<net::Prefix, FibEntry>> VantageRouter::route_for(
-    net::Ipv4Address addr) const {
-  return fib().lookup(addr);
-}
-
-std::optional<Port> VantageRouter::port_for(net::Ipv4Address addr) const {
-  return fib().port_for(addr);
-}
-
 std::size_t VantageRouter::next_hop_degree() const {
   return fib().next_hop_degree();
 }

@@ -23,10 +23,6 @@ class Rng {
   /// accidentally share streams.
   Rng(std::uint64_t seed, std::string_view label) : Rng(mix(seed, label)) {}
 
-  /// Derives an independent child generator; `label` distinguishes children.
-  /// Consumes one draw, so consecutive forks differ.
-  [[nodiscard]] Rng fork(std::string_view label);
-
   /// Derives the `task_index`-th independent substream — counter-based: the
   /// child seed is a pure function of this generator's *construction seed*
   /// and the index, never of how many values have been drawn. This is the

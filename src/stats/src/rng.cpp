@@ -19,8 +19,6 @@ std::uint64_t Rng::mix(std::uint64_t seed, std::string_view label) {
   return h ^ (h >> 31);
 }
 
-Rng Rng::fork(std::string_view label) { return Rng(mix(engine_(), label)); }
-
 Rng Rng::split(std::uint64_t task_index) const {
   // splitmix64 over (construction seed, counter); +1 keeps split(0) from
   // cloning the parent stream.

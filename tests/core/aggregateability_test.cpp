@@ -14,17 +14,18 @@ namespace {
 using lina::testing::shared_content_catalog;
 using lina::testing::shared_internet;
 
-/// Independent reference: per router, a plain loop over the live FIB, the
-/// written-out best-entry rule and a NameTrie filled in catalog order.
+/// Independent reference: per router, a plain loop over the reference trie,
+/// the written-out best-entry rule and a NameTrie filled in catalog order.
 std::vector<AggregateabilityResult> reference_aggregateability(
     std::span<const routing::VantageRouter> routers,
     std::span<const mobility::ContentTrace> traces) {
   std::vector<AggregateabilityResult> out;
   for (const routing::VantageRouter& router : routers) {
+    const auto fib = lina::testing::reference_trie(router.fib());
     names::NameTrie<routing::Port> table;
     for (const mobility::ContentTrace& trace : traces) {
       const auto best = lina::testing::reference_best_entry(
-          router.fib(), trace.final_addresses());
+          fib, trace.final_addresses());
       if (best.has_value()) table.insert(trace.name(), best->port);
     }
     out.push_back(AggregateabilityResult{std::string(router.name()),

@@ -27,7 +27,7 @@ const std::vector<RenameEvent>& events() {
 }
 
 /// Independent reference: per router, a NameFib seeded in catalog order
-/// through the live FIB and the written-out best-entry rule, then the
+/// through the reference trie and the written-out best-entry rule, then the
 /// renames processed in order.
 std::vector<RenameDisplacementResult> reference_rename_displacement(
     std::span<const routing::VantageRouter> routers,
@@ -35,10 +35,11 @@ std::vector<RenameDisplacementResult> reference_rename_displacement(
     std::span<const RenameEvent> renames) {
   std::vector<RenameDisplacementResult> out;
   for (const routing::VantageRouter& router : routers) {
+    const auto reference = lina::testing::reference_trie(router.fib());
     routing::NameFib fib;
     for (const mobility::ContentTrace& trace : catalog) {
       const auto best = lina::testing::reference_best_entry(
-          router.fib(), trace.final_addresses());
+          reference, trace.final_addresses());
       if (best) fib.announce(trace.name(), best->port);
     }
     RenameDisplacementResult result;

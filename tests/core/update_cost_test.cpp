@@ -8,6 +8,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "../support/fixtures.hpp"
 #include "../support/reference_best_port.hpp"
@@ -27,16 +28,16 @@ constexpr StrategyKind kAllKinds[] = {StrategyKind::kBestPort,
                                       StrategyKind::kHistoryUnion};
 
 /// Independent reference for the §3.3.1 snapshot replay: a plain loop per
-/// router and per trace over the live FIB, with std::set port sets and the
-/// strategy rules written out here (nothing from lina::strategy beyond the
-/// kind enum).
+/// router and per trace over the reference trie, with std::set port sets and
+/// the strategy rules written out here (nothing from lina::strategy beyond
+/// the kind enum).
 template <typename Traces>
 std::vector<RouterUpdateStats> reference_update_cost(
     std::span<const routing::VantageRouter> routers, const Traces& traces,
     StrategyKind kind) {
   std::vector<RouterUpdateStats> out;
   for (const routing::VantageRouter& router : routers) {
-    const routing::Fib& fib = router.fib();
+    const auto fib = lina::testing::reference_trie(router.fib());
     RouterUpdateStats tally{std::string(router.name()), 0, 0};
     for (const auto& trace : traces) {
       std::set<routing::Port> ports;
@@ -56,8 +57,8 @@ std::vector<RouterUpdateStats> reference_update_cost(
             history.insert(addr.value());
           }
           for (const std::uint32_t raw : history) {
-            const auto port = fib.port_for(net::Ipv4Address(raw));
-            if (port) next.insert(*port);
+            const auto hit = fib.lookup(net::Ipv4Address(raw));
+            if (hit) next.insert(hit->second.port);
           }
         }
         if (!first) {
@@ -98,13 +99,17 @@ struct EdgeCaseSets {
 
 EdgeCaseSets edge_case_sets() {
   const auto routers = shared_internet().vantages();
+  std::vector<routing::FrozenFib> fibs;
+  for (const routing::VantageRouter& r : routers) {
+    fibs.push_back(r.fib().freeze());
+  }
   // An address no vantage router routes.
   std::optional<net::Ipv4Address> unrouted;
   for (const char* candidate : {"0.0.0.1", "127.0.0.1", "240.0.0.1",
                                 "255.255.255.254"}) {
     const auto addr = net::Ipv4Address::parse(candidate);
-    if (std::none_of(routers.begin(), routers.end(), [&](const auto& r) {
-          return r.fib().lookup(addr).has_value();
+    if (std::none_of(fibs.begin(), fibs.end(), [&](const auto& fib) {
+          return fib.entry_for(addr) != nullptr;
         })) {
       unrouted = addr;
       break;
@@ -124,9 +129,9 @@ EdgeCaseSets edge_case_sets() {
                              const routing::FibEntry&) {
     if (tie) return;
     const net::Ipv4Address addr = prefix.network();
-    const auto hit = routers[0].fib().lookup(addr);
-    if (!hit) return;
-    const routing::FibEntry& e = hit->second;
+    const routing::FibEntry* hit = fibs[0].entry_for(addr);
+    if (hit == nullptr) return;
+    const routing::FibEntry& e = *hit;
     const auto key = std::make_tuple(e.route_class, e.path_length, e.med);
     const auto [it, inserted] = seen.try_emplace(key, addr, e.port);
     if (!inserted && it->second.second != e.port) {

@@ -131,6 +131,37 @@ TEST(DesModelTest, ValidatesSessions) {
   EXPECT_EQ(replicated.add_session(p), 0u);
 }
 
+TEST(DesModelTest, RejectedSessionLeavesModelUnchanged) {
+  // Every check of add_session runs before the model changes, so a model
+  // built from s1, a rejected session and s2 equals one built from s1, s2.
+  SessionParams s1;
+  s1.correspondent = edge(0);
+  s1.schedule = {{0.0, edge(1)}, {3000.0, edge(2)}};
+  s1.resolver_replicas = {edge(4), edge(5)};
+  SessionParams s2 = s1;
+  s2.correspondent = edge(3);
+  s2.schedule = {{0.0, edge(2)}, {2000.0, edge(6)}, {4500.0, edge(1)}};
+  SessionParams bad = s1;
+  bad.schedule = {{0.0, edge(7)}, {1000.0, edge(8)}};
+  bad.resolver_replicas = {edge(4), static_cast<AsId>(1u << 30)};
+
+  PacketModel with_reject(fabric(),
+                          sim::SimArchitecture::kReplicatedResolution);
+  with_reject.add_session(s1);
+  EXPECT_THROW(with_reject.add_session(bad), std::out_of_range);
+  with_reject.add_session(s2);
+  PacketModel clean(fabric(), sim::SimArchitecture::kReplicatedResolution);
+  clean.add_session(s1);
+  clean.add_session(s2);
+
+  EXPECT_EQ(with_reject.session_count(), 2u);
+  EXPECT_EQ(with_reject.session_count(), clean.session_count());
+  const RunStats a = run_serial(with_reject);
+  const RunStats b = run_serial(clean);
+  EXPECT_GT(a.digest.delivered, 0u);
+  EXPECT_EQ(a.digest, b.digest);
+}
+
 TEST(DesModelTest, ResolverDefaultsToCorrespondent) {
   // Same default as sim::simulate_session: a name-resolution session
   // without resolver_as resolves at its correspondent's AS.

@@ -68,18 +68,6 @@ TEST(ParallelMapTest, MatchesSerialAtEveryThreadCount) {
   }
 }
 
-TEST(ParallelReduceTest, MatchesSerialAccumulation) {
-  const auto serial = [] {
-    std::size_t acc = 0;
-    for (std::size_t i = 0; i < 1000; ++i) acc += i * 7;
-    return acc;
-  }();
-  const auto parallel = parallel_reduce(
-      1000, std::size_t{0}, [](std::size_t i) { return i * 7; },
-      [](std::size_t a, std::size_t b) { return a + b; }, 8);
-  EXPECT_EQ(parallel, serial);
-}
-
 TEST(ParallelForTest, ExceptionsPropagateToCaller) {
   EXPECT_THROW(parallel_for(
                    100,

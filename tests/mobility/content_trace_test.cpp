@@ -69,7 +69,7 @@ TEST(ContentTraceTest, NonFiniteHoursRejected) {
         << hour;
   }
   EXPECT_EQ(trace.snapshots().size(), 1u);
-  EXPECT_EQ(trace.daily_event_counts(), (std::vector<std::size_t>{0, 0}));
+  EXPECT_TRUE(trace.events().empty());
 }
 
 TEST(ContentTraceTest, EmptySetsAllowed) {
@@ -81,16 +81,13 @@ TEST(ContentTraceTest, EmptySetsAllowed) {
   EXPECT_TRUE(trace.final_addresses().empty());
 }
 
-TEST(ContentTraceTest, DailyEventCounts) {
+TEST(ContentTraceTest, EventsPerDayAveragesOverDays) {
   ContentTrace trace = make_trace();
   trace.observe(0.0, addrs({"1.0.0.1"}));
   trace.observe(2.0, addrs({"2.0.0.1"}));   // day 0
   trace.observe(23.0, addrs({"3.0.0.1"}));  // day 0
   trace.observe(25.0, addrs({"4.0.0.1"}));  // day 1
-  const auto counts = trace.daily_event_counts();
-  ASSERT_EQ(counts.size(), 2u);
-  EXPECT_EQ(counts[0], 2u);
-  EXPECT_EQ(counts[1], 1u);
+  EXPECT_EQ(trace.events().size(), 3u);
   EXPECT_DOUBLE_EQ(trace.events_per_day(), 1.5);
 }
 

@@ -51,12 +51,17 @@ TEST(DeviceWorkloadTest, TracesCoverFullPeriodContiguously) {
 }
 
 TEST(DeviceWorkloadTest, VisitMetadataConsistent) {
+  // Every visit of the workload: the generator keeps the prefix each
+  // address was drawn from, which must be the announced prefix covering it.
   const DeviceWorkloadGenerator gen(internet(), small_config());
-  const DeviceTrace trace = gen.generate_user(5);
-  for (const DeviceVisit& visit : trace.visits()) {
-    EXPECT_EQ(internet().owner_of(visit.address), visit.as);
-    EXPECT_TRUE(visit.prefix.contains(visit.address));
-    EXPECT_EQ(internet().prefix_of(visit.address), visit.prefix);
+  for (const DeviceTrace& trace : gen.generate()) {
+    for (const DeviceVisit& visit : trace.visits()) {
+      ASSERT_EQ(internet().owner_of(visit.address), visit.as)
+          << "user " << trace.user_id();
+      ASSERT_TRUE(visit.prefix.contains(visit.address));
+      ASSERT_EQ(internet().prefix_of(visit.address), visit.prefix)
+          << "user " << trace.user_id();
+    }
   }
 }
 

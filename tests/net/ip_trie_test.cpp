@@ -11,10 +11,15 @@
 namespace lina::net {
 namespace {
 
+// IpTrie only builds; every lookup below reads the FrozenIpTrie that
+// freeze() emits.
+
 TEST(IpTrieTest, EmptyLookup) {
   IpTrie<int> trie;
   EXPECT_TRUE(trie.empty());
-  EXPECT_EQ(trie.lookup(Ipv4Address::parse("1.2.3.4")), std::nullopt);
+  const FrozenIpTrie<int> frozen = trie.freeze();
+  EXPECT_TRUE(frozen.empty());
+  EXPECT_EQ(frozen.lookup(Ipv4Address::parse("1.2.3.4")), std::nullopt);
 }
 
 TEST(IpTrieTest, InsertAndExact) {
@@ -22,9 +27,10 @@ TEST(IpTrieTest, InsertAndExact) {
   EXPECT_TRUE(trie.insert(Prefix::parse("10.0.0.0/8"), 1));
   EXPECT_FALSE(trie.insert(Prefix::parse("10.0.0.0/8"), 2));  // overwrite
   EXPECT_EQ(trie.size(), 1u);
-  ASSERT_NE(trie.exact(Prefix::parse("10.0.0.0/8")), nullptr);
-  EXPECT_EQ(*trie.exact(Prefix::parse("10.0.0.0/8")), 2);
-  EXPECT_EQ(trie.exact(Prefix::parse("10.0.0.0/9")), nullptr);
+  const auto hit = trie.freeze().lookup(Ipv4Address::parse("10.0.0.1"));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->first, Prefix::parse("10.0.0.0/8"));
+  EXPECT_EQ(hit->second, 2);
 }
 
 TEST(IpTrieTest, LongestPrefixMatchPrefersSpecific) {
@@ -32,21 +38,22 @@ TEST(IpTrieTest, LongestPrefixMatchPrefersSpecific) {
   trie.insert(Prefix::parse("10.0.0.0/8"), 8);
   trie.insert(Prefix::parse("10.1.0.0/16"), 16);
   trie.insert(Prefix::parse("10.1.2.0/24"), 24);
+  const FrozenIpTrie<int> frozen = trie.freeze();
 
-  const auto hit24 = trie.lookup(Ipv4Address::parse("10.1.2.3"));
+  const auto hit24 = frozen.lookup(Ipv4Address::parse("10.1.2.3"));
   ASSERT_TRUE(hit24.has_value());
   EXPECT_EQ(hit24->second, 24);
   EXPECT_EQ(hit24->first, Prefix::parse("10.1.2.0/24"));
 
-  const auto hit16 = trie.lookup(Ipv4Address::parse("10.1.3.1"));
+  const auto hit16 = frozen.lookup(Ipv4Address::parse("10.1.3.1"));
   ASSERT_TRUE(hit16.has_value());
   EXPECT_EQ(hit16->second, 16);
 
-  const auto hit8 = trie.lookup(Ipv4Address::parse("10.200.0.1"));
+  const auto hit8 = frozen.lookup(Ipv4Address::parse("10.200.0.1"));
   ASSERT_TRUE(hit8.has_value());
   EXPECT_EQ(hit8->second, 8);
 
-  EXPECT_EQ(trie.lookup(Ipv4Address::parse("11.0.0.0")), std::nullopt);
+  EXPECT_EQ(frozen.lookup(Ipv4Address::parse("11.0.0.0")), std::nullopt);
 }
 
 TEST(IpTrieTest, PaperDisplacementExample) {
@@ -56,19 +63,22 @@ TEST(IpTrieTest, PaperDisplacementExample) {
   IpTrie<int> fib;
   fib.insert(Prefix::parse("22.33.44.0/24"), 5);
   fib.insert(Prefix::parse("22.33.0.0/16"), 3);
-  EXPECT_EQ(fib.lookup(Ipv4Address::parse("22.33.44.55"))->second, 5);
-  EXPECT_EQ(fib.lookup(Ipv4Address::parse("22.33.88.55"))->second, 3);
+  const FrozenIpTrie<int> before = fib.freeze();
+  EXPECT_EQ(before.lookup(Ipv4Address::parse("22.33.44.55"))->second, 5);
+  EXPECT_EQ(before.lookup(Ipv4Address::parse("22.33.88.55"))->second, 3);
 
   fib.insert(Prefix::host(Ipv4Address::parse("22.33.44.55")), 3);
-  EXPECT_EQ(fib.lookup(Ipv4Address::parse("22.33.44.55"))->second, 3);
-  EXPECT_EQ(fib.lookup(Ipv4Address::parse("22.33.44.56"))->second, 5);
+  const FrozenIpTrie<int> after = fib.freeze();
+  EXPECT_EQ(after.lookup(Ipv4Address::parse("22.33.44.55"))->second, 3);
+  EXPECT_EQ(after.lookup(Ipv4Address::parse("22.33.44.56"))->second, 5);
 }
 
 TEST(IpTrieTest, DefaultRouteMatchesEverything) {
   IpTrie<int> trie;
   trie.insert(Prefix(Ipv4Address(0), 0), 99);
-  EXPECT_EQ(trie.lookup(Ipv4Address::parse("255.255.255.255"))->second, 99);
-  EXPECT_EQ(trie.lookup(Ipv4Address::parse("0.0.0.0"))->second, 99);
+  const FrozenIpTrie<int> frozen = trie.freeze();
+  EXPECT_EQ(frozen.lookup(Ipv4Address::parse("255.255.255.255"))->second, 99);
+  EXPECT_EQ(frozen.lookup(Ipv4Address::parse("0.0.0.0"))->second, 99);
 }
 
 TEST(IpTrieTest, VisitEnumeratesAll) {
@@ -84,23 +94,15 @@ TEST(IpTrieTest, VisitEnumeratesAll) {
   EXPECT_EQ(seen[Prefix::host(Ipv4Address::parse("1.1.1.1"))], 3);
 }
 
-TEST(IpTrieTest, ClearResets) {
-  IpTrie<int> trie;
-  trie.insert(Prefix::parse("10.0.0.0/8"), 1);
-  trie.clear();
-  EXPECT_TRUE(trie.empty());
-  EXPECT_EQ(trie.lookup(Ipv4Address::parse("10.0.0.1")), std::nullopt);
-}
-
 TEST(IpTrieTest, MoveSemantics) {
   IpTrie<int> trie;
   trie.insert(Prefix::parse("10.0.0.0/8"), 7);
   IpTrie<int> moved = std::move(trie);
-  EXPECT_EQ(moved.lookup(Ipv4Address::parse("10.0.0.1"))->second, 7);
+  EXPECT_EQ(moved.freeze().lookup(Ipv4Address::parse("10.0.0.1"))->second, 7);
 }
 
-// Property test: the trie agrees with a brute-force longest-prefix scan on
-// random tables, across densities.
+// Property test: the frozen trie agrees with a brute-force longest-prefix
+// scan on random tables, across densities.
 class IpTriePropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(IpTriePropertyTest, AgreesWithBruteForce) {
@@ -117,6 +119,7 @@ TEST_P(IpTriePropertyTest, AgreesWithBruteForce) {
     reference[prefix] = i;
   }
   EXPECT_EQ(trie.size(), reference.size());
+  const FrozenIpTrie<int> frozen = trie.freeze();
 
   for (int q = 0; q < 500; ++q) {
     const auto addr =
@@ -129,7 +132,7 @@ TEST_P(IpTriePropertyTest, AgreesWithBruteForce) {
         expected = {prefix, value};
       }
     }
-    const auto actual = trie.lookup(addr);
+    const auto actual = frozen.lookup(addr);
     ASSERT_EQ(actual.has_value(), expected.has_value());
     if (actual.has_value()) {
       EXPECT_EQ(actual->first, expected->first);

@@ -40,11 +40,12 @@ TEST(FibTest, FromRibSelectsBestPerPrefix) {
                    .route_class = RouteClass::kPeer});
   const Fib fib = Fib::from_rib(rib);
   EXPECT_EQ(fib.size(), 2u);
-  EXPECT_EQ(fib.port_for(net::Ipv4Address::parse("1.0.5.5")), 20u);
-  EXPECT_EQ(fib.port_for(net::Ipv4Address::parse("2.0.5.5")), 30u);
-  EXPECT_EQ(fib.port_for(net::Ipv4Address::parse("9.0.0.1")), std::nullopt);
+  const FrozenFib frozen = fib.freeze();
+  EXPECT_EQ(frozen.port_for(net::Ipv4Address::parse("1.0.5.5")), 20u);
+  EXPECT_EQ(frozen.port_for(net::Ipv4Address::parse("2.0.5.5")), 30u);
+  EXPECT_EQ(frozen.port_for(net::Ipv4Address::parse("9.0.0.1")), std::nullopt);
 
-  const auto entry = fib.lookup(net::Ipv4Address::parse("1.0.5.5"));
+  const auto entry = frozen.trie().lookup(net::Ipv4Address::parse("1.0.5.5"));
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->first, net::Prefix::parse("1.0.0.0/16"));
   EXPECT_EQ(entry->second.route_class, RouteClass::kCustomer);
@@ -57,8 +58,9 @@ TEST(FibTest, LongestPrefixWins) {
              FibEntry{.port = 1, .route_class = RouteClass::kPeer});
   fib.insert(net::Prefix::parse("10.1.0.0/16"),
              FibEntry{.port = 2, .route_class = RouteClass::kPeer});
-  EXPECT_EQ(fib.port_for(net::Ipv4Address::parse("10.1.0.1")), 2u);
-  EXPECT_EQ(fib.port_for(net::Ipv4Address::parse("10.2.0.1")), 1u);
+  const FrozenFib frozen = fib.freeze();
+  EXPECT_EQ(frozen.port_for(net::Ipv4Address::parse("10.1.0.1")), 2u);
+  EXPECT_EQ(frozen.port_for(net::Ipv4Address::parse("10.2.0.1")), 1u);
 }
 
 TEST(FibTest, NextHopDegreeCountsDistinctPorts) {

@@ -130,8 +130,9 @@ TEST(RibIoTest, VantageFromDumpBuildsWorkingFib) {
       vantage_from_dump(buffer, "dump-router", 42, {0.0, 0.0});
   EXPECT_EQ(router.name(), "dump-router");
   EXPECT_EQ(router.fib().size(), 2u);
-  EXPECT_EQ(router.port_for(net::Ipv4Address::parse("1.0.5.5")), 7u);
-  EXPECT_EQ(router.port_for(net::Ipv4Address::parse("2.5.9.9")), 9u);
+  const FrozenFib fib = router.fib().freeze();
+  EXPECT_EQ(fib.port_for(net::Ipv4Address::parse("1.0.5.5")), 7u);
+  EXPECT_EQ(fib.port_for(net::Ipv4Address::parse("2.5.9.9")), 9u);
 }
 
 TEST(RibIoTest, SyntheticVantageRoundTrip) {
@@ -151,12 +152,14 @@ TEST(RibIoTest, SyntheticVantageRoundTrip) {
       original.location());
 
   EXPECT_EQ(rebuilt.fib().size(), original.fib().size());
+  const FrozenFib rebuilt_fib = rebuilt.fib().freeze();
+  const FrozenFib original_fib = original.fib().freeze();
   stats::Rng rng(3);
   for (int i = 0; i < 200; ++i) {
     const auto as =
         internet.edge_ases()[rng.index(internet.edge_ases().size())];
     const auto addr = internet.random_address_in(as, rng);
-    EXPECT_EQ(rebuilt.port_for(addr), original.port_for(addr));
+    EXPECT_EQ(rebuilt_fib.port_for(addr), original_fib.port_for(addr));
   }
 }
 

@@ -198,7 +198,7 @@ TEST(VantageRouterTest, SelfRouteUsesLocalPort) {
   const VantageRouter& tokyo = internet.vantage("Tokyo");
   const auto own = internet.prefixes_of(tokyo.as_number());
   ASSERT_FALSE(own.empty());
-  const auto port = tokyo.port_for(own.front().network());
+  const auto port = tokyo.fib().freeze().port_for(own.front().network());
   ASSERT_TRUE(port.has_value());
   EXPECT_EQ(*port, tokyo.as_number());
 }

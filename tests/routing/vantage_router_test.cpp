@@ -20,7 +20,7 @@ TEST(VantageRouterTest, MetadataAccessors) {
   EXPECT_EQ(router.as_number(), 42u);
   EXPECT_DOUBLE_EQ(router.location().latitude_deg, 10.0);
   EXPECT_EQ(router.fib().size(), 0u);
-  EXPECT_EQ(router.port_for(net::Ipv4Address::parse("1.2.3.4")),
+  EXPECT_EQ(router.fib().freeze().port_for(net::Ipv4Address::parse("1.2.3.4")),
             std::nullopt);
 }
 
@@ -28,9 +28,10 @@ TEST(VantageRouterTest, FibRebuiltAfterLaterInstall) {
   VantageRouter router("test", 42, {});
   router.install(route("1.0.0.0/16", {7, 99}, RouteClass::kProvider));
   // Force a FIB build, then install a better route: lookups must see it.
-  EXPECT_EQ(router.port_for(net::Ipv4Address::parse("1.0.0.1")), 7u);
+  const auto addr = net::Ipv4Address::parse("1.0.0.1");
+  EXPECT_EQ(router.fib().freeze().port_for(addr), 7u);
   router.install(route("1.0.0.0/16", {8, 99}, RouteClass::kCustomer));
-  EXPECT_EQ(router.port_for(net::Ipv4Address::parse("1.0.0.1")), 8u);
+  EXPECT_EQ(router.fib().freeze().port_for(addr), 8u);
   EXPECT_EQ(router.rib().route_count(), 2u);
   EXPECT_EQ(router.fib().size(), 1u);
 }
@@ -39,7 +40,8 @@ TEST(VantageRouterTest, RouteForReturnsMatchedPrefix) {
   VantageRouter router("test", 42, {});
   router.install(route("10.0.0.0/8", {1, 9}, RouteClass::kPeer));
   router.install(route("10.1.0.0/16", {2, 9}, RouteClass::kPeer));
-  const auto hit = router.route_for(net::Ipv4Address::parse("10.1.0.7"));
+  const auto hit =
+      router.fib().freeze().trie().lookup(net::Ipv4Address::parse("10.1.0.7"));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->first, net::Prefix::parse("10.1.0.0/16"));
   EXPECT_EQ(hit->second.port, 2u);

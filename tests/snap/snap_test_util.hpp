@@ -155,8 +155,8 @@ inline void expect_ip_identical(const routing::FrozenFib& expect,
       ASSERT_EQ(*want[i], *have[i]) << "entry diverged at probe " << i;
     }
     // The full lookup must agree on the matched prefix too.
-    const auto a = expect.lookup(probes[i]);
-    const auto b = got.lookup(probes[i]);
+    const auto a = expect.trie().lookup(probes[i]);
+    const auto b = got.trie().lookup(probes[i]);
     ASSERT_EQ(a.has_value(), b.has_value());
     if (a.has_value()) {
       ASSERT_EQ(a->first.to_string(), b->first.to_string());

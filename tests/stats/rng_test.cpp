@@ -38,15 +38,6 @@ TEST(RngTest, SameLabelSameStream) {
   EXPECT_EQ(a(), b());
 }
 
-TEST(RngTest, ForkIsIndependentOfParentContinuation) {
-  Rng parent(11);
-  Rng child = parent.fork("child");
-  // The child must not replay the parent's stream.
-  Rng parent2(11);
-  (void)parent2.fork("child");
-  EXPECT_EQ(child(), Rng(11).fork("child")());
-}
-
 TEST(RngTest, UniformIntWithinBounds) {
   Rng rng(3);
   for (int i = 0; i < 1000; ++i) {

@@ -88,9 +88,10 @@ TEST(BestEntryTest, PicksMostPreferredAcrossAddresses) {
   const FibEntry* best = best_entry(entries({"1.0.0.1", "2.0.0.1", "3.0.0.1"}));
   ASSERT_NE(best, nullptr);
   EXPECT_EQ(best->port, 22u);  // customer route wins
-  // The reference rule over the live FIB makes the same choice.
+  // The reference rule over the reference trie makes the same choice.
   const auto reference = lina::testing::reference_best_entry(
-      make_fib(), addrs({"1.0.0.1", "2.0.0.1", "3.0.0.1"}));
+      lina::testing::reference_trie(make_fib()),
+      addrs({"1.0.0.1", "2.0.0.1", "3.0.0.1"}));
   ASSERT_TRUE(reference.has_value());
   EXPECT_EQ(*reference, *best);
 }
@@ -98,7 +99,8 @@ TEST(BestEntryTest, PicksMostPreferredAcrossAddresses) {
 TEST(BestEntryTest, NulloptWhenNothingRouted) {
   EXPECT_EQ(best_entry(entries({"9.9.9.9"})), nullptr);
   EXPECT_EQ(best_entry(entries({})), nullptr);
-  EXPECT_EQ(lina::testing::reference_best_entry(make_fib(), addrs({"9.9.9.9"})),
+  EXPECT_EQ(lina::testing::reference_best_entry(
+                lina::testing::reference_trie(make_fib()), addrs({"9.9.9.9"})),
             std::nullopt);
 }
 
