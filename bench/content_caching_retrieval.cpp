@@ -6,6 +6,7 @@
 // at least one copy of the requested content".
 
 #include <iostream>
+#include <string>
 
 #include "common.hpp"
 #include "lina/sim/content_session.hpp"
@@ -49,12 +50,20 @@ int main(int argc, char** argv) {
   for (const std::size_t cache : {0u, 16u, 64u, 256u, 1024u}) {
     const auto stats_out = sim::simulate_content_session(
         fabric, make_config(cache, 5.0, /*mobile=*/false));
-    rows.push_back(
-        {std::to_string(cache), stats::pct(stats_out.cache_hit_ratio(), 1),
-         stats::pct(static_cast<double>(stats_out.satisfied_from_publisher) /
-                        static_cast<double>(stats_out.interests_sent),
-                    1),
-         stats::fmt(stats_out.retrieval_delay_ms.quantile(0.5), 1)});
+    const double publisher_load =
+        static_cast<double>(stats_out.satisfied_from_publisher) /
+        static_cast<double>(stats_out.interests_sent);
+    const double median_delay = stats_out.retrieval_delay_ms.quantile(0.5);
+    // Simulated delay, not a wall time: named without the `_ms` suffix so
+    // that compare_runs.py gates it like every other result.
+    const std::string key = "cache_" + std::to_string(cache) + "_";
+    harness.result(key + "hit_ratio", stats_out.cache_hit_ratio());
+    harness.result(key + "publisher_load", publisher_load);
+    harness.result(key + "median_delay", median_delay);
+    rows.push_back({std::to_string(cache),
+                    stats::pct(stats_out.cache_hit_ratio(), 1),
+                    stats::pct(publisher_load, 1),
+                    stats::fmt(median_delay, 1)});
   }
   std::cout << stats::text_table(rows);
 
@@ -66,6 +75,12 @@ int main(int argc, char** argv) {
   for (const double hop_ms : {1.0, 20.0, 80.0}) {
     const auto stats_out = sim::simulate_content_session(
         fabric, make_config(64, hop_ms, /*mobile=*/true));
+    const std::string key =
+        "hop_" + std::to_string(static_cast<int>(hop_ms)) + "_";
+    harness.result(key + "reachability", stats_out.reachability());
+    harness.result(key + "hit_ratio", stats_out.cache_hit_ratio());
+    harness.result(key + "unsatisfied",
+                   static_cast<double>(stats_out.unsatisfied));
     rows.push_back({stats::fmt(hop_ms, 0),
                     stats::pct(stats_out.reachability(), 2),
                     stats::pct(stats_out.cache_hit_ratio(), 1),
