@@ -39,7 +39,7 @@ AsId mid_route_transit(const sim::ForwardingFabric& fabric, AsId from,
   std::vector<AsId> route{from};
   AsId current = from;
   while (current != to) {
-    current = *fabric.next_hop(current, to);
+    current = fabric.hop_toward(current, to)->next;
     route.push_back(current);
   }
   return route[route.size() / 2];
@@ -247,8 +247,9 @@ int main(int argc, char** argv) {
        [](const sim::SessionConfig& config, const sim::ForwardingFabric& f,
           const sim::ResolverPool&) {
          sim::FailurePlan plan(kSeed);
-         const AsId hop = *f.next_hop(config.correspondent,
-                                      config.schedule.front().as);
+         const AsId hop =
+             f.hop_toward(config.correspondent, config.schedule.front().as)
+                 ->next;
          plan.link_cut(config.correspondent, hop, kOutageStartMs,
                        kOutageStartMs + 2000.0);
          return std::optional<sim::FailurePlan>(std::move(plan));

@@ -17,9 +17,16 @@
 // mutable registries. Control-plane propagation (registrations, update
 // wavefronts) rides the healthy-topology delays; the data plane consults
 // the failure-aware fabric routes and control-process crash windows.
+//
+// The rules shared with the sim front-ends live in sim/session.hpp: the
+// input checks, where the mobile is (sim::location_at), the newest step
+// an element has heard of (sim::newest_known_step) and what a flooded
+// router believes (sim::wavefront_belief). What the indirection relay and
+// the resolver hear, and when, is this model's own.
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "lina/des/event.hpp"
@@ -64,6 +71,9 @@ struct SessionParams {
 /// is const and thread-safe.
 class PacketModel {
  public:
+  /// `failures` must outlive the model; nullptr runs it under the shared
+  /// empty plan (sim::no_failures()). Throws std::out_of_range when a fault
+  /// names an AS outside the fabric's graph.
   PacketModel(const sim::ForwardingFabric& fabric,
               sim::SimArchitecture architecture,
               const sim::FailurePlan* failures = nullptr,
@@ -72,10 +82,14 @@ class PacketModel {
   /// Validates and appends one session; returns its index. Throws
   /// std::invalid_argument on malformed params (empty/unsorted schedule,
   /// first step not at 0, non-finite or non-positive interval/duration,
-  /// missing resolver/replicas for the resolution architectures).
+  /// missing replicas for replicated resolution) and std::out_of_range on
+  /// an AS outside the graph. A rejected session leaves the model
+  /// unchanged.
   std::uint32_t add_session(const SessionParams& params);
 
   [[nodiscard]] std::size_t session_count() const { return specs_.size(); }
+  /// Mobility steps held across every session's schedule.
+  [[nodiscard]] std::size_t step_count() const { return steps_.size(); }
   [[nodiscard]] const sim::ForwardingFabric& fabric() const {
     return *fabric_;
   }
@@ -121,7 +135,10 @@ class PacketModel {
           hop.dest = resolver_belief(s, t);
           break;
         case sim::SimArchitecture::kNameBased:
-          hop.dest = router_belief(s, s.correspondent, t);
+          hop.dest = sim::wavefront_belief(*fabric_, steps(s),
+                                           s.correspondent, t,
+                                           s.update_hop_ms, s.scope_hops,
+                                           s.start_ms);
           break;
       }
       emit(hop);
@@ -135,13 +152,14 @@ class PacketModel {
       // Per-router belief: every hop re-aims at where *this* router
       // currently thinks the mobile is (the update wavefront may not have
       // reached it yet — transient loops are bounded by the hop TTL).
-      dest = router_belief(s, at, t);
+      dest = sim::wavefront_belief(*fabric_, steps(s), at, t,
+                                   s.update_hop_ms, s.scope_hops, s.start_ms);
     }
     if (at == dest) {
       if (ev.stage == HopStage::kRelay) {
         // At the indirection relay: re-address to the registered care-of
         // AS and keep forwarding (same instant, same router).
-        if (failures_ != nullptr && failures_->home_agent_down(at, t)) {
+        if (plan_->home_agent_down(at, t)) {
           digest.lost += 1;
           return;
         }
@@ -163,9 +181,7 @@ class PacketModel {
       return;
     }
     const std::optional<sim::Hop> hop =
-        (failures_ != nullptr && failures_->data_plane_impaired(t))
-            ? fabric_->hop_toward(at, dest, *failures_, t)
-            : fabric_->hop_toward(at, dest);
+        fabric_->hop_toward(at, dest, *plan_, t);
     if (!hop.has_value() || hop->next == at) {
       digest.lost += 1;
       return;
@@ -192,11 +208,12 @@ class PacketModel {
     double interval_ms = 0.0;
     double ttl_ms = 0.0;
     double update_hop_ms = 0.0;
-    std::uint32_t scope_hops = 0;  // UINT32_MAX = global
+    std::size_t scope_hops = 0;  // SIZE_MAX = global
   };
 
-  /// Where the mobile actually is at absolute time `t`.
-  [[nodiscard]] topology::AsId location_at(const Spec& s, double t) const;
+  [[nodiscard]] std::span<const sim::MobilityStep> steps(const Spec& s) const {
+    return {steps_.data() + s.first_step, s.step_count};
+  }
 
   /// The care-of AS the indirection relay believes at `t`: the latest
   /// step whose registration (riding the healthy policy route from the
@@ -212,14 +229,6 @@ class PacketModel {
   [[nodiscard]] topology::AsId resolver_belief(const Spec& s,
                                                double t) const;
 
-  /// Name-based routing: what router `at` believes at `t` under the
-  /// scoped update wavefront (step i reaches `at` after update_hop_ms per
-  /// physical hop; routers beyond scope_hops never learn it; the initial
-  /// attachment is globally announced).
-  [[nodiscard]] topology::AsId router_belief(const Spec& s,
-                                             topology::AsId at,
-                                             double t) const;
-
   /// Final-arrival bookkeeping: delivered iff the mobile is attached at
   /// the arrival AS at the arrival instant, lost otherwise (staleness).
   void finish(const Spec& s, const EventRecord& ev,
@@ -227,7 +236,7 @@ class PacketModel {
 
   const sim::ForwardingFabric* fabric_;
   sim::SimArchitecture arch_;
-  const sim::FailurePlan* failures_;
+  const sim::FailurePlan* plan_;  // the attached plan or sim::no_failures()
   std::uint16_t packet_ttl_hops_;
   std::vector<Spec> specs_;
   std::vector<sim::MobilityStep> steps_;      // per-session slices

@@ -59,10 +59,12 @@ struct PacketReplayStats {
   double shard_imbalance = 0.0;
 };
 
-/// Streams every user of `set` through the packet engine. Throws
-/// std::invalid_argument on the calling thread on a config the replay
-/// (batch_users == 0), the model or the engine rejects; no batch is still
-/// running when it does.
+/// Streams every user of `set` through the packet engine. Throws on the
+/// calling thread on a config the replay (batch_users == 0), the model or
+/// the engine rejects: std::out_of_range when the correspondent, a replica
+/// or a fault of `failures` names an AS outside the graph,
+/// std::invalid_argument otherwise. No batch is still running when it
+/// does.
 [[nodiscard]] PacketReplayStats replay_packets_streamed(
     const sim::ForwardingFabric& fabric, const trace::ShardSet& set,
     const PacketReplayConfig& config);

@@ -7,11 +7,7 @@
 
 namespace lina::des {
 
-namespace {
-
-[[nodiscard]] bool finite(double v) { return std::isfinite(v); }
-
-}  // namespace
+constexpr std::string_view kWho = "PacketModel";
 
 PacketModel::PacketModel(const sim::ForwardingFabric& fabric,
                          sim::SimArchitecture architecture,
@@ -19,10 +15,12 @@ PacketModel::PacketModel(const sim::ForwardingFabric& fabric,
                          std::size_t packet_ttl_hops)
     : fabric_(&fabric),
       arch_(architecture),
-      failures_(failures != nullptr && !failures->empty() ? failures
-                                                          : nullptr),
+      plan_(failures != nullptr ? failures : &sim::no_failures()),
       packet_ttl_hops_(static_cast<std::uint16_t>(
-          std::min<std::size_t>(packet_ttl_hops, 0xffff))) {}
+          std::min<std::size_t>(packet_ttl_hops, 0xffff))) {
+  sim::validate_failure_plan(*plan_, fabric.internet().graph().as_count(),
+                             kWho);
+}
 
 std::uint32_t PacketModel::add_session(const SessionParams& params) {
   const std::size_t as_count = fabric_->internet().graph().as_count();
@@ -30,13 +28,11 @@ std::uint32_t PacketModel::add_session(const SessionParams& params) {
     if (as >= as_count)
       throw std::out_of_range(std::string("PacketModel: bad ") + what);
   };
-  sim::validate_schedule(params.schedule, as_count, "PacketModel");
-  if (!finite(params.start_ms) || params.start_ms < 0.0)
+  sim::validate_schedule(params.schedule, as_count, kWho);
+  if (!std::isfinite(params.start_ms) || params.start_ms < 0.0)
     throw std::invalid_argument("PacketModel: bad start_ms");
-  if (!finite(params.duration_ms) || params.duration_ms <= 0.0)
-    throw std::invalid_argument("PacketModel: bad duration_ms");
-  if (!finite(params.interval_ms) || params.interval_ms <= 0.0)
-    throw std::invalid_argument("PacketModel: bad interval_ms");
+  sim::require_finite_positive(params.duration_ms, kWho, "duration_ms");
+  sim::require_finite_positive(params.interval_ms, kWho, "interval_ms");
   check_as(params.correspondent, "correspondent");
   const topology::AsId home_as =
       params.home_as.value_or(params.schedule.front().as);
@@ -47,8 +43,8 @@ std::uint32_t PacketModel::add_session(const SessionParams& params) {
   std::vector<topology::AsId> pool;
   if (arch_ == sim::SimArchitecture::kNameResolution ||
       arch_ == sim::SimArchitecture::kReplicatedResolution) {
-    if (!finite(params.resolver_ttl_ms) || params.resolver_ttl_ms <= 0.0)
-      throw std::invalid_argument("PacketModel: bad resolver TTL");
+    sim::require_finite_positive(params.resolver_ttl_ms, kWho,
+                                 "resolver_ttl_ms");
     if (arch_ == sim::SimArchitecture::kReplicatedResolution) {
       if (params.resolver_replicas.empty())
         throw std::invalid_argument(
@@ -79,8 +75,8 @@ std::uint32_t PacketModel::add_session(const SessionParams& params) {
                        return a < b;
                      });
   } else if (arch_ == sim::SimArchitecture::kNameBased) {
-    if (!finite(params.update_hop_ms) || params.update_hop_ms <= 0.0)
-      throw std::invalid_argument("PacketModel: bad update_hop_ms");
+    sim::require_finite_positive(params.update_hop_ms, kWho,
+                                 "update_hop_ms");
   }
 
   Spec spec;
@@ -94,8 +90,7 @@ std::uint32_t PacketModel::add_session(const SessionParams& params) {
   spec.interval_ms = params.interval_ms;
   spec.ttl_ms = params.resolver_ttl_ms;
   spec.update_hop_ms = params.update_hop_ms;
-  spec.scope_hops = static_cast<std::uint32_t>(
-      std::min<std::size_t>(params.update_scope_hops, 0xffffffffULL));
+  spec.scope_hops = params.update_scope_hops;
   spec.first_replica = static_cast<std::uint32_t>(replicas_.size());
   spec.replica_count = static_cast<std::uint32_t>(pool.size());
   steps_.insert(steps_.end(), params.schedule.begin(),
@@ -116,34 +111,16 @@ EventRecord PacketModel::initial_event(std::uint32_t session) const {
   return record;
 }
 
-topology::AsId PacketModel::location_at(const Spec& s, double t) const {
-  const double rel = t - s.start_ms;
-  const sim::MobilityStep* begin = steps_.data() + s.first_step;
-  const sim::MobilityStep* end = begin + s.step_count;
-  // Last step with time <= rel; the first step is at 0 and rel >= 0 at
-  // every call site (packets cannot arrive before the session starts).
-  const sim::MobilityStep* it = std::upper_bound(
-      begin, end, rel, [](double value, const sim::MobilityStep& step) {
-        return value < step.time_ms;
-      });
-  return (it == begin ? begin : it - 1)->as;
-}
-
 topology::AsId PacketModel::home_belief(const Spec& s, double t) const {
-  const sim::MobilityStep* begin = steps_.data() + s.first_step;
-  for (std::uint32_t i = s.step_count; i-- > 1;) {
-    const sim::MobilityStep& step = begin[i];
-    if (s.start_ms + step.time_ms > t) continue;  // not even sent yet
-    const std::optional<double> delay =
-        fabric_->path_delay_ms(step.as, s.home_as);
-    if (!delay.has_value()) continue;  // registration never arrived
-    if (s.start_ms + step.time_ms + *delay <= t) return step.as;
-  }
-  return begin[0].as;  // initial registration happens at session setup
+  // The initial registration happens at session setup; a registration
+  // without a route never arrives.
+  return sim::newest_known_step(
+      steps(s), t, s.start_ms, [&](const sim::MobilityStep& step) {
+        return fabric_->path_delay_ms(step.as, s.home_as);
+      });
 }
 
 topology::AsId PacketModel::resolver_belief(const Spec& s, double t) const {
-  const sim::MobilityStep* begin = steps_.data() + s.first_step;
   const topology::AsId* replicas = replicas_.data() + s.first_replica;
   // Resolutions happen on the TTL grid; if every replica is dead at an
   // epoch the correspondent keeps the previous epoch's answer.
@@ -153,49 +130,24 @@ topology::AsId PacketModel::resolver_belief(const Spec& s, double t) const {
     const double epoch = s.start_ms + static_cast<double>(k) * s.ttl_ms;
     const topology::AsId* replica = nullptr;
     for (std::uint32_t r = 0; r < s.replica_count; ++r) {
-      if (failures_ != nullptr &&
-          failures_->resolver_down(replicas[r], epoch)) {
-        continue;
-      }
+      if (plan_->resolver_down(replicas[r], epoch)) continue;
       replica = &replicas[r];
       break;
     }
     if (replica == nullptr) continue;
     // The replica's registry lags each step by the registration
     // propagation delay from the new attachment to that replica.
-    for (std::uint32_t i = s.step_count; i-- > 1;) {
-      const sim::MobilityStep& step = begin[i];
-      if (s.start_ms + step.time_ms > epoch) continue;
-      const std::optional<double> delay =
-          fabric_->path_delay_ms(step.as, *replica);
-      if (!delay.has_value()) continue;
-      if (s.start_ms + step.time_ms + *delay <= epoch) return step.as;
-    }
-    return begin[0].as;
+    return sim::newest_known_step(
+        steps(s), epoch, s.start_ms, [&](const sim::MobilityStep& step) {
+          return fabric_->path_delay_ms(step.as, *replica);
+        });
   }
-  return begin[0].as;
-}
-
-topology::AsId PacketModel::router_belief(const Spec& s, topology::AsId at,
-                                          double t) const {
-  const sim::MobilityStep* begin = steps_.data() + s.first_step;
-  for (std::uint32_t i = s.step_count; i-- > 1;) {
-    const sim::MobilityStep& step = begin[i];
-    if (s.start_ms + step.time_ms > t) continue;
-    const std::size_t hops = fabric_->physical_hops(at, step.as);
-    if (s.scope_hops != 0xffffffffU && hops > s.scope_hops) continue;
-    if (s.start_ms + step.time_ms +
-            s.update_hop_ms * static_cast<double>(hops) <=
-        t) {
-      return step.as;
-    }
-  }
-  return begin[0].as;  // the globally announced initial attachment
+  return steps(s).front().as;
 }
 
 void PacketModel::finish(const Spec& s, const EventRecord& ev,
                          DeliveryDigest& digest) const {
-  if (location_at(s, ev.time_ms) == ev.at) {
+  if (sim::location_at(steps(s), ev.time_ms - s.start_ms) == ev.at) {
     digest.add_delivered(s.digest_id, ev.packet, ev.time_ms, ev.sent_ms,
                          ev.hops, ev.at);
   } else {

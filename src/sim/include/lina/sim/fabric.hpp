@@ -51,12 +51,9 @@ class ForwardingFabric {
   explicit ForwardingFabric(const routing::SyntheticInternet& internet,
                             FabricConfig config = {});
 
-  /// Next hop from `at` toward destination AS `dest`; `at` itself when
+  /// The next hop from `at` toward destination AS `dest` and the
+  /// link_delay_ms of the link to it, in one read; `at` itself when
   /// at == dest; nullopt if the policy plane has no route.
-  [[nodiscard]] std::optional<topology::AsId> next_hop(
-      topology::AsId at, topology::AsId dest) const;
-
-  /// next_hop and the link_delay_ms of the link to it, in one read.
   [[nodiscard]] std::optional<Hop> hop_toward(topology::AsId at,
                                               topology::AsId dest) const;
 
@@ -67,10 +64,6 @@ class ForwardingFabric {
   /// End-to-end delay along the policy route, or nullopt if unroutable.
   [[nodiscard]] std::optional<double> path_delay_ms(topology::AsId from,
                                                     topology::AsId to) const;
-
-  /// Hop count of the policy route, or nullopt.
-  [[nodiscard]] std::optional<std::size_t> path_hops(
-      topology::AsId from, topology::AsId to) const;
 
   /// Physical (policy-free) AS-hop distance; used for update wavefronts.
   [[nodiscard]] std::size_t physical_hops(topology::AsId from,
@@ -84,11 +77,6 @@ class ForwardingFabric {
   // BGP reconvergence — detours stay policy-compliant, they do not become
   // delay-optimal shortcuts. Unroutable (nullopt) when the fault kills an
   // endpoint or no valley-free route survives.
-
-  /// Failure-aware next hop from `at` toward `dest`.
-  [[nodiscard]] std::optional<topology::AsId> next_hop(
-      topology::AsId at, topology::AsId dest, const FailurePlan& failures,
-      double time_ms) const;
 
   /// Failure-aware next hop and the delay of the link to it.
   [[nodiscard]] std::optional<Hop> hop_toward(topology::AsId at,
@@ -124,7 +112,7 @@ class ForwardingFabric {
     /// order (so it equals a left-to-right link_delay_ms sum bit for
     /// bit); +inf when the walk from u breaks or loops.
     std::vector<double> path_ms;
-    /// Routable u: the hop count. Unroutable u: the next_hop queries a
+    /// Routable u: the hop count. Unroutable u: the hop queries a
     /// walk from u spends, the failing one included. kLoop: the walk from
     /// u never reaches the destination.
     std::vector<std::uint32_t> hops;

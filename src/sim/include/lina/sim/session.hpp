@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -30,13 +31,67 @@ struct MobilityStep {
   topology::AsId as = 0;
 };
 
-/// The schedule check of every session front-end (simulate_session,
-/// simulate_content_session, des::PacketModel::add_session): a first step
-/// at time 0, then finite, strictly increasing times (else
-/// std::invalid_argument), and every AS below `as_count` (else
-/// std::out_of_range). `who` prefixes the message.
+// The rules every packet front-end shares: simulate_session,
+// simulate_content_session and des::PacketModel. `who` prefixes every
+// error message, and the lookups take schedules that validate_schedule
+// accepted.
+
+/// The schedule check: a first step at time 0, then finite, strictly
+/// increasing times (else std::invalid_argument), and every AS below
+/// `as_count` (else std::out_of_range).
 void validate_schedule(std::span<const MobilityStep> schedule,
                        std::size_t as_count, std::string_view who);
+
+/// Throws std::invalid_argument naming `field` unless `value` is finite
+/// and positive (an infinite duration would never end a send loop).
+void require_finite_positive(double value, std::string_view who,
+                             std::string_view field);
+
+/// Throws std::out_of_range when a fault names an AS outside the graph.
+void validate_failure_plan(const FailurePlan& plan, std::size_t as_count,
+                           std::string_view who);
+
+/// Where the mobile is `time_ms` after its schedule starts: the last step
+/// at or before it.
+[[nodiscard]] topology::AsId location_at(
+    std::span<const MobilityStep> schedule, double time_ms);
+
+/// What an element believes at absolute time `time_ms`: the newest step
+/// whose news has reached it. A step happens at start_ms + step.time_ms,
+/// and its news arrives `lag(step)` later (nullopt: never); an arrival
+/// exactly at `time_ms` counts. Steps after `time_ms` are skipped before
+/// `lag` is asked. The initial attachment is always known.
+template <typename Lag>
+[[nodiscard]] topology::AsId newest_known_step(
+    std::span<const MobilityStep> schedule, double time_ms, double start_ms,
+    Lag&& lag) {
+  auto it = std::upper_bound(schedule.begin() + 1, schedule.end(), time_ms,
+                             [&](double t, const MobilityStep& step) {
+                               return t < start_ms + step.time_ms;
+                             });
+  while (it != schedule.begin() + 1) {
+    --it;
+    const std::optional<double> delay = lag(*it);
+    if (delay.has_value() && start_ms + it->time_ms + *delay <= time_ms)
+      return it->as;
+  }
+  return schedule.front().as;
+}
+
+/// How long the name-update flood takes to travel `hops` physical AS hops.
+[[nodiscard]] inline double wavefront_lag_ms(std::size_t hops,
+                                             double update_hop_ms) {
+  return update_hop_ms * static_cast<double>(hops);
+}
+
+/// Name-based routing: the attachment `router` believes under the
+/// name-update flood (newest_known_step with wavefront_lag_ms). A router
+/// more than `scope_hops` physical hops from a move never learns it
+/// (SIZE_MAX = global flooding).
+[[nodiscard]] topology::AsId wavefront_belief(
+    const ForwardingFabric& fabric, std::span<const MobilityStep> schedule,
+    topology::AsId router, double time_ms, double update_hop_ms,
+    std::size_t scope_hops, double start_ms = 0.0);
 
 /// Exponential-backoff retransmission policy for control-plane operations
 /// (registrations, lookups, update relays). Only consulted when a
@@ -68,8 +123,9 @@ struct SessionConfig {
 
   /// Name-based routing: flooding scope in physical AS hops around the new
   /// attachment (§8's hybrid direction). Routers beyond the scope keep
-  /// routing toward the initial (globally announced) attachment, so scoped
-  /// flooding suits metro-local mobility. SIZE_MAX = global flooding.
+  /// their older belief, at worst the initial (globally announced)
+  /// attachment, so scoped flooding suits metro-local mobility. SIZE_MAX =
+  /// global flooding.
   std::size_t update_scope_hops = SIZE_MAX;
 
   /// Packets are dropped after this many forwarding hops (transient loops

@@ -1,8 +1,7 @@
 #include "lina/sim/content_session.hpp"
 
-#include <cmath>
+#include <optional>
 #include <stdexcept>
-#include <string>
 #include <unordered_map>
 
 #include "lina/cache/mapping_cache.hpp"
@@ -29,19 +28,12 @@ class ContentSessionRunner {
         fib_(config.mapping_cache),
         fib_cached_(fib_.enabled()) {
     const std::size_t as_count = fabric.internet().graph().as_count();
-    validate_schedule(config.publisher_schedule, as_count,
-                      "simulate_content_session");
-    // A NaN passes `<= 0.0`, and an infinite duration never ends the
-    // request loop.
-    const auto require_positive = [](double value, const char* name) {
-      if (!std::isfinite(value) || value <= 0.0)
-        throw std::invalid_argument(
-            std::string("simulate_content_session: ") + name +
-            " must be finite and positive");
-    };
-    require_positive(config.request_interval_ms, "request_interval_ms");
-    require_positive(config.duration_ms, "duration_ms");
-    require_positive(config.update_hop_ms, "update_hop_ms");
+    constexpr std::string_view kWho = "simulate_content_session";
+    validate_schedule(config.publisher_schedule, as_count, kWho);
+    require_finite_positive(config.request_interval_ms, kWho,
+                            "request_interval_ms");
+    require_finite_positive(config.duration_ms, kWho, "duration_ms");
+    require_finite_positive(config.update_hop_ms, kWho, "update_hop_ms");
     if (config.catalog_segments == 0)
       throw std::invalid_argument(
           "simulate_content_session: catalog_segments must be positive");
@@ -53,6 +45,7 @@ class ContentSessionRunner {
           "simulate_content_session: non-positive cache TTL");
     if (config.consumer >= as_count)
       throw std::out_of_range("simulate_content_session: consumer AS");
+    validate_failure_plan(plan_, as_count, kWho);
   }
 
   ContentSessionStats run() {
@@ -73,9 +66,8 @@ class ContentSessionRunner {
         const MobilityStep& step = config_.publisher_schedule[i];
         const double arrival =
             step.time_ms +
-            static_cast<double>(
-                fabric_.physical_hops(config_.consumer, step.as)) *
-                config_.update_hop_ms;
+            wavefront_lag_ms(fabric_.physical_hops(config_.consumer, step.as),
+                             config_.update_hop_ms);
         if (arrival >= config_.duration_ms) continue;
         queue_.schedule(arrival, [this] { fib_.invalidate_all(); });
       }
@@ -88,29 +80,6 @@ class ContentSessionRunner {
   }
 
  private:
-  [[nodiscard]] AsId publisher_location(double time_ms) const {
-    AsId location = config_.publisher_schedule.front().as;
-    for (const MobilityStep& step : config_.publisher_schedule) {
-      if (step.time_ms > time_ms) break;
-      location = step.as;
-    }
-    return location;
-  }
-
-  /// The publisher attachment router `at` currently believes in (flooded
-  /// update wavefront at update_hop_ms per physical AS hop).
-  [[nodiscard]] AsId belief(AsId at, double time_ms) const {
-    for (auto it = config_.publisher_schedule.rbegin();
-         it != config_.publisher_schedule.rend(); ++it) {
-      const double arrival =
-          it->time_ms + static_cast<double>(fabric_.physical_hops(
-                            at, it->as)) *
-                            config_.update_hop_ms;
-      if (arrival <= time_ms) return it->as;
-    }
-    return config_.publisher_schedule.front().as;
-  }
-
   ContentStore& store_at(AsId as) {
     const auto it = stores_.find(as);
     if (it != stores_.end()) return it->second;
@@ -144,17 +113,12 @@ class ContentSessionRunner {
   /// disabled cache) falls back to belief forwarding.
   void issue(std::uint64_t segment, double send_time_ms,
              std::size_t attempt) {
+    std::optional<AsId> cached;
     if (fib_cached_) {
-      const auto hit = fib_.probe(segment, queue_.now());
-      if (hit.has_value()) {
-        ++stats_.cache_guided_interests;
-        hop_directed(config_.consumer, *hit, segment, send_time_ms, 0.0,
-                     {}, 0, attempt);
-        return;
-      }
+      cached = fib_.probe(segment, queue_.now());
+      if (cached.has_value()) ++stats_.cache_guided_interests;
     }
-    std::vector<AsId> path;
-    hop(config_.consumer, segment, send_time_ms, 0.0, path, 0, attempt);
+    hop(config_.consumer, cached, segment, send_time_ms, 0.0, {}, 0, attempt);
   }
 
   /// Reissues a dead interest from the consumer on the retry backoff.
@@ -172,34 +136,41 @@ class ContentSessionRunner {
         });
   }
 
-  /// Interest forwarding toward a fixed cached location instead of router
-  /// beliefs. Content stores on the way still answer; at the destination a
-  /// vanished publisher means the cached entry was stale — it is
-  /// invalidated so the next interest re-resolves via beliefs.
-  void hop_directed(AsId at, AsId dest, std::uint64_t segment,
-                    double send_time_ms, double forward_delay_ms,
-                    std::vector<AsId> path, std::size_t hops,
-                    std::size_t attempt) {
-    if (hops > config_.interest_ttl_hops) {
-      retransmit(segment, send_time_ms, attempt);
-      return;
-    }
-    if (plan_.as_down(at, queue_.now())) {
+  /// Forwards an interest at `at`. Without a `cached` publisher location
+  /// every router aims at its own belief; with one the interest heads
+  /// straight there, and a publisher gone from it invalidates the entry
+  /// so the next interest re-resolves via beliefs. Content stores on the
+  /// way answer either way.
+  void hop(AsId at, std::optional<AsId> cached, std::uint64_t segment,
+           double send_time_ms, double forward_delay_ms,
+           std::vector<AsId> path, std::size_t hops, std::size_t attempt) {
+    // The interest dies past its TTL, and a dark AS forwards nothing and
+    // serves nothing (not even its cache).
+    if (hops > config_.interest_ttl_hops || plan_.as_down(at, queue_.now())) {
       retransmit(segment, send_time_ms, attempt);
       return;
     }
     path.push_back(at);
+    // Every on-path store is checked, the consumer's own included.
     if (store_at(at).lookup(segment)) {
       satisfy(segment, send_time_ms, forward_delay_ms, path, true);
       return;
     }
+    // Global flooding: every router learns every move.
+    const AsId dest =
+        cached.has_value()
+            ? *cached
+            : wavefront_belief(fabric_, config_.publisher_schedule, at,
+                               queue_.now(), config_.update_hop_ms, SIZE_MAX);
     if (at == dest) {
-      if (publisher_location(queue_.now()) == at) {
+      if (location_at(config_.publisher_schedule, queue_.now()) == at) {
         satisfy(segment, send_time_ms, forward_delay_ms, path, false);
-      } else {
-        fib_.invalidate(segment);
-        retransmit(segment, send_time_ms, attempt);
+        return;
       }
+      // Stale, and no cached copy on the way: unreachable now (§8). A
+      // retransmission may find a converged belief or a repaired fault.
+      if (cached.has_value()) fib_.invalidate(segment);
+      retransmit(segment, send_time_ms, attempt);
       return;
     }
     const auto step = fabric_.hop_toward(at, dest, plan_, queue_.now());
@@ -209,57 +180,10 @@ class ContentSessionRunner {
     }
     const double link = step->link_ms;
     queue_.schedule_in(
-        link, [this, next = step->next, dest, segment, send_time_ms,
+        link, [this, next = step->next, cached, segment, send_time_ms,
                forward_delay_ms, link, path = std::move(path), hops,
                attempt]() mutable {
-          hop_directed(next, dest, segment, send_time_ms,
-                       forward_delay_ms + link, std::move(path), hops + 1,
-                       attempt);
-        });
-  }
-
-  void hop(AsId at, std::uint64_t segment, double send_time_ms,
-           double forward_delay_ms, std::vector<AsId> path,
-           std::size_t hops, std::size_t attempt) {
-    if (hops > config_.interest_ttl_hops) {  // interest dies
-      retransmit(segment, send_time_ms, attempt);
-      return;
-    }
-    // A dark AS forwards nothing and serves nothing (not even its cache).
-    if (plan_.as_down(at, queue_.now())) {
-      retransmit(segment, send_time_ms, attempt);
-      return;
-    }
-    path.push_back(at);
-
-    // Content-store check (skip the consumer's own node for the first
-    // lookup realism; keeping it is also defensible — we check everywhere).
-    if (store_at(at).lookup(segment)) {
-      satisfy(segment, send_time_ms, forward_delay_ms, path, true);
-      return;
-    }
-
-    const AsId dest = belief(at, queue_.now());
-    if (at == dest) {
-      if (publisher_location(queue_.now()) == at) {
-        satisfy(segment, send_time_ms, forward_delay_ms, path, false);
-      } else {
-        // Stale belief and no cached copy — unreachable now (§8); a
-        // retransmission may find a converged belief or a repaired fault.
-        retransmit(segment, send_time_ms, attempt);
-      }
-      return;
-    }
-    const auto step = fabric_.hop_toward(at, dest, plan_, queue_.now());
-    if (!step.has_value()) {
-      retransmit(segment, send_time_ms, attempt);
-      return;
-    }
-    const double link = step->link_ms;
-    queue_.schedule_in(
-        link, [this, next = step->next, segment, send_time_ms, forward_delay_ms,
-               link, path = std::move(path), hops, attempt]() mutable {
-          hop(next, segment, send_time_ms, forward_delay_ms + link,
+          hop(next, cached, segment, send_time_ms, forward_delay_ms + link,
               std::move(path), hops + 1, attempt);
         });
   }

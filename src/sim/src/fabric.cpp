@@ -107,12 +107,6 @@ std::optional<Hop> ForwardingFabric::hop_toward(AsId at, AsId dest) const {
   return route_row(dest).hop(at);
 }
 
-std::optional<AsId> ForwardingFabric::next_hop(AsId at, AsId dest) const {
-  const auto hop = hop_toward(at, dest);
-  if (!hop.has_value()) return std::nullopt;
-  return hop->next;
-}
-
 double ForwardingFabric::link_delay_ms(AsId a, AsId b) const {
   const double propagation = topology::propagation_delay_ms(
       internet_->graph().location(a), internet_->graph().location(b),
@@ -135,15 +129,6 @@ std::optional<double> ForwardingFabric::path_delay_ms(AsId from,
   check_range(from, to, "ForwardingFabric::path_delay_ms");
   if (from == to) return 0.0;
   return path_row(from, to).delay(from);
-}
-
-std::optional<std::size_t> ForwardingFabric::path_hops(AsId from,
-                                                       AsId to) const {
-  check_range(from, to, "ForwardingFabric::path_hops");
-  if (from == to) return 0;
-  const RouteRow& row = path_row(from, to);
-  if (!row.delay(from).has_value()) return std::nullopt;
-  return row.hops[from];
 }
 
 const std::vector<std::uint32_t>& ForwardingFabric::bfs_from(
@@ -263,14 +248,6 @@ std::optional<Hop> ForwardingFabric::hop_toward(AsId at, AsId dest,
     return hop_toward(at, dest);
   obs::metric::fabric_detour_hops().add();
   return detour_row(dest, failures, time_ms).hop(at);
-}
-
-std::optional<AsId> ForwardingFabric::next_hop(AsId at, AsId dest,
-                                               const FailurePlan& failures,
-                                               double time_ms) const {
-  const auto hop = hop_toward(at, dest, failures, time_ms);
-  if (!hop.has_value()) return std::nullopt;
-  return hop->next;
 }
 
 std::optional<double> ForwardingFabric::path_delay_ms(

@@ -51,23 +51,54 @@ void validate_schedule(std::span<const MobilityStep> schedule,
   }
 }
 
+void require_finite_positive(double value, std::string_view who,
+                             std::string_view field) {
+  if (!std::isfinite(value) || value <= 0.0)
+    throw std::invalid_argument(std::string(who) + ": " + std::string(field) +
+                                " must be finite and positive");
+}
+
+void validate_failure_plan(const FailurePlan& plan, std::size_t as_count,
+                           std::string_view who) {
+  for (const FailureEvent& event : plan.events()) {
+    if (event.element >= as_count ||
+        (event.kind == FailureKind::kLinkCut && event.element_b >= as_count))
+      throw std::out_of_range(std::string(who) + ": failure-plan AS");
+  }
+}
+
+AsId location_at(std::span<const MobilityStep> schedule, double time_ms) {
+  const auto it = std::upper_bound(
+      schedule.begin(), schedule.end(), time_ms,
+      [](double t, const MobilityStep& step) { return t < step.time_ms; });
+  return (it == schedule.begin() ? it : it - 1)->as;
+}
+
+AsId wavefront_belief(const ForwardingFabric& fabric,
+                      std::span<const MobilityStep> schedule, AsId router,
+                      double time_ms, double update_hop_ms,
+                      std::size_t scope_hops, double start_ms) {
+  return newest_known_step(
+      schedule, time_ms, start_ms,
+      [&](const MobilityStep& step) -> std::optional<double> {
+        const std::size_t hops = fabric.physical_hops(router, step.as);
+        if (hops > scope_hops) return std::nullopt;
+        return wavefront_lag_ms(hops, update_hop_ms);
+      });
+}
+
 namespace {
 
 void validate(const SessionConfig& config, const ForwardingFabric& fabric,
               SimArchitecture architecture) {
   const std::size_t as_count = fabric.internet().graph().as_count();
-  validate_schedule(config.schedule, as_count, "simulate_session");
-  // A NaN passes `<= 0.0`, and an infinite duration never ends the
-  // packet loop.
-  const auto require_positive = [](double value, const char* name) {
-    if (!std::isfinite(value) || value <= 0.0)
-      throw std::invalid_argument(std::string("simulate_session: ") + name +
-                                  " must be finite and positive");
-  };
-  require_positive(config.packet_interval_ms, "packet_interval_ms");
-  require_positive(config.duration_ms, "duration_ms");
-  require_positive(config.update_hop_ms, "update_hop_ms");
-  require_positive(config.resolver_ttl_ms, "resolver_ttl_ms");
+  constexpr std::string_view kWho = "simulate_session";
+  validate_schedule(config.schedule, as_count, kWho);
+  require_finite_positive(config.packet_interval_ms, kWho,
+                          "packet_interval_ms");
+  require_finite_positive(config.duration_ms, kWho, "duration_ms");
+  require_finite_positive(config.update_hop_ms, kWho, "update_hop_ms");
+  require_finite_positive(config.resolver_ttl_ms, kWho, "resolver_ttl_ms");
   if (architecture == SimArchitecture::kReplicatedResolution &&
       config.resolver_replicas.empty())
     throw std::invalid_argument(
@@ -78,13 +109,8 @@ void validate(const SessionConfig& config, const ForwardingFabric& fabric,
     throw std::invalid_argument("simulate_session: non-positive cache TTL");
   if (config.correspondent >= as_count)
     throw std::out_of_range("simulate_session: correspondent AS");
-  if (config.failures != nullptr) {
-    for (const FailureEvent& event : config.failures->events()) {
-      if (event.element >= as_count ||
-          (event.kind == FailureKind::kLinkCut && event.element_b >= as_count))
-        throw std::out_of_range("simulate_session: failure-plan AS");
-    }
-  }
+  if (config.failures != nullptr)
+    validate_failure_plan(*config.failures, as_count, kWho);
 }
 
 /// Shared session machinery; architecture subclasses provide the control
@@ -149,22 +175,13 @@ class SessionRunner {
   virtual void on_move(AsId new_as) = 0;
   virtual void send_packet(double send_time_ms) = 0;
 
-  [[nodiscard]] AsId device_location(double time_ms) const {
-    AsId location = config_.schedule.front().as;
-    for (const MobilityStep& step : config_.schedule) {
-      if (step.time_ms > time_ms) break;
-      location = step.as;
-    }
-    return location;
-  }
-
   void deliver(double send_time_ms) {
     ++stats_.packets_delivered;
     const double delay = queue_.now() - send_time_ms;
     stats_.delivery_delay_ms.add(delay);
     const double direct =
         fabric_.path_delay_ms(config_.correspondent,
-                              device_location(queue_.now()))
+                              location_at(config_.schedule, queue_.now()))
             .value_or(delay);
     const double stretch =
         delay / std::max(direct, fabric_.config().min_link_ms);
@@ -212,7 +229,8 @@ class SessionRunner {
     const auto delay = path_delay(from, target);
     if (!delay.has_value()) return;  // lost: target unreachable
     queue_.schedule_in(*delay, [this, send_time_ms, target] {
-      if (device_location(queue_.now()) == target) deliver(send_time_ms);
+      if (location_at(config_.schedule, queue_.now()) == target)
+        deliver(send_time_ms);
     });
   }
 
@@ -244,7 +262,8 @@ class SessionRunner {
         config_.retry.attempts_left(attempt) ? attempt + 1 : 0;
     queue_.schedule_in(config_.retry.delay_ms(attempt),
                        [this, new_as, next, update] {
-                         if (device_location(queue_.now()) != new_as)
+                         if (location_at(config_.schedule, queue_.now()) !=
+                             new_as)
                            return;  // superseded
                          update(new_as, next);
                        });
@@ -606,39 +625,16 @@ class ResolutionRunner final : public SessionRunner {
 
 class NameBasedRunner final : public SessionRunner {
  public:
-  NameBasedRunner(const ForwardingFabric& fabric, const SessionConfig& config)
-      : SessionRunner(fabric, config) {
-    history_.push_back({0.0, config.schedule.front().as});
-  }
+  using SessionRunner::SessionRunner;
 
  private:
-  /// The attachment AS router `at` currently believes the name maps to:
-  /// the newest move whose flooding wavefront (update_hop_ms per physical
-  /// AS hop) has reached `at` by `time_ms`. Scoped flooding (§8 hybrid):
-  /// moves are only ever announced within update_scope_hops of the new
-  /// attachment; out-of-scope routers fall back to the initial, globally
-  /// announced attachment.
-  [[nodiscard]] AsId belief(AsId at, double time_ms) const {
-    for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
-      const std::size_t hops = fabric_.physical_hops(at, it->as);
-      const bool announced =
-          it == history_.rend() - 1 || hops <= config_.update_scope_hops;
-      if (!announced) continue;
-      const double arrival =
-          it->time_ms +
-          static_cast<double>(hops) * config_.update_hop_ms;
-      if (arrival <= time_ms) return it->as;
-    }
-    return history_.front().as;
-  }
-
   void on_move(AsId new_as) override {
     // The flooding wavefront is massively redundant (every router relays),
     // so a lost copy or a dead AS does not stop it: name-based routing has
     // no control-plane single point of failure to crash. Its failure mode
-    // is the data plane rerouting around dead elements (stretch).
-    history_.push_back({queue_.now(), new_as});
-    // Flooding cost: every router within scope (everyone when global).
+    // is the data plane rerouting around dead elements (stretch). Router
+    // beliefs follow from the schedule (wavefront_belief), so a move only
+    // costs the flood: every router within scope (everyone when global).
     const auto& graph = fabric_.internet().graph();
     if (config_.update_scope_hops >= graph.as_count()) {
       count_control(graph.as_count());
@@ -660,9 +656,12 @@ class NameBasedRunner final : public SessionRunner {
   void hop(AsId at, double send_time_ms, std::size_t hops) {
     if (hops > config_.packet_ttl_hops) return;  // dropped in a loop
     if (plan_.as_down(at, queue_.now())) return;  // router dark
-    const AsId dest = belief(at, queue_.now());
+    const AsId dest =
+        wavefront_belief(fabric_, config_.schedule, at, queue_.now(),
+                         config_.update_hop_ms, config_.update_scope_hops);
     if (at == dest) {
-      if (device_location(queue_.now()) == at) deliver(send_time_ms);
+      if (location_at(config_.schedule, queue_.now()) == at)
+        deliver(send_time_ms);
       return;  // belief said "here" but the device has left: lost
     }
     const auto step = fabric_.hop_toward(at, dest, plan_, queue_.now());
@@ -672,8 +671,6 @@ class NameBasedRunner final : public SessionRunner {
                          hop(next, send_time_ms, hops + 1);
                        });
   }
-
-  std::vector<MobilityStep> history_;
 };
 
 }  // namespace

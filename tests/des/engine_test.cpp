@@ -133,7 +133,7 @@ TEST(DesModelTest, ValidatesSessions) {
 
 TEST(DesModelTest, RejectedSessionLeavesModelUnchanged) {
   // Every check of add_session runs before the model changes, so a model
-  // built from s1, a rejected session and s2 equals one built from s1, s2.
+  // built from s1, rejected sessions and s2 equals one built from s1, s2.
   SessionParams s1;
   s1.correspondent = edge(0);
   s1.schedule = {{0.0, edge(1)}, {3000.0, edge(2)}};
@@ -141,15 +141,32 @@ TEST(DesModelTest, RejectedSessionLeavesModelUnchanged) {
   SessionParams s2 = s1;
   s2.correspondent = edge(3);
   s2.schedule = {{0.0, edge(2)}, {2000.0, edge(6)}, {4500.0, edge(1)}};
-  SessionParams bad = s1;
-  bad.schedule = {{0.0, edge(7)}, {1000.0, edge(8)}};
-  bad.resolver_replicas = {edge(4), static_cast<AsId>(1u << 30)};
+  // Each is rejected by a check that comes after the schedule's.
+  SessionParams bad_replica = s1;
+  bad_replica.schedule = {{0.0, edge(7)}, {1000.0, edge(8)}};
+  bad_replica.resolver_replicas = {edge(4), static_cast<AsId>(1u << 30)};
+  SessionParams no_replicas = bad_replica;
+  no_replicas.resolver_replicas.clear();
+  SessionParams bad_ttl = s1;
+  bad_ttl.resolver_ttl_ms = 0.0;
+  SessionParams bad_home = s1;
+  bad_home.home_as = static_cast<AsId>(1u << 30);
 
   PacketModel with_reject(fabric(),
                           sim::SimArchitecture::kReplicatedResolution);
   with_reject.add_session(s1);
-  EXPECT_THROW(with_reject.add_session(bad), std::out_of_range);
+  const std::size_t steps = with_reject.step_count();
+  EXPECT_EQ(steps, s1.schedule.size());
+  EXPECT_THROW(with_reject.add_session(bad_replica), std::out_of_range);
+  EXPECT_EQ(with_reject.step_count(), steps);
+  EXPECT_THROW(with_reject.add_session(no_replicas), std::invalid_argument);
+  EXPECT_EQ(with_reject.step_count(), steps);
+  EXPECT_THROW(with_reject.add_session(bad_ttl), std::invalid_argument);
+  EXPECT_EQ(with_reject.step_count(), steps);
+  EXPECT_THROW(with_reject.add_session(bad_home), std::out_of_range);
+  EXPECT_EQ(with_reject.step_count(), steps);
   with_reject.add_session(s2);
+  EXPECT_EQ(with_reject.step_count(), steps + s2.schedule.size());
   PacketModel clean(fabric(), sim::SimArchitecture::kReplicatedResolution);
   clean.add_session(s1);
   clean.add_session(s2);
@@ -160,6 +177,23 @@ TEST(DesModelTest, RejectedSessionLeavesModelUnchanged) {
   const RunStats b = run_serial(clean);
   EXPECT_GT(a.digest.delivered, 0u);
   EXPECT_EQ(a.digest, b.digest);
+}
+
+TEST(DesModelTest, RejectsFailurePlanOutsideGraph) {
+  // Such a fault would never apply: the model rejects it, as
+  // sim::simulate_session does.
+  const AsId outside =
+      static_cast<AsId>(shared_internet().graph().as_count());
+  sim::FailurePlan plan;
+  plan.resolver_crash(outside, 100.0, 200.0);
+  EXPECT_THROW(PacketModel(fabric(), sim::SimArchitecture::kNameResolution,
+                           &plan),
+               std::out_of_range);
+  sim::FailurePlan inside;
+  inside.resolver_crash(edge(5), 100.0, 200.0);
+  EXPECT_NO_THROW(PacketModel(fabric(),
+                              sim::SimArchitecture::kNameResolution,
+                              &inside));
 }
 
 TEST(DesModelTest, ResolverDefaultsToCorrespondent) {

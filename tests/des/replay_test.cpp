@@ -193,6 +193,17 @@ TEST(DesReplayThreadsTest, RejectionThrowsOnCallerAndLeavesPoolIdle) {
     EXPECT_TRUE(exec::ThreadPool::shared().idle());
     EXPECT_FALSE(exec::in_parallel_region());
 
+    // Each batch's model rejects a fault outside the graph.
+    sim::FailurePlan outside;
+    outside.as_outage(bad_model.correspondent, 100.0, 200.0);
+    PacketReplayConfig bad_plan = config;
+    bad_plan.failures = &outside;
+    EXPECT_THROW((void)replay_packets_streamed(fabric(), trace_set(),
+                                               bad_plan),
+                 std::out_of_range)
+        << "threads=" << threads;
+    EXPECT_TRUE(exec::ThreadPool::shared().idle());
+
     // The engine rejects its config once a task's model is built: the
     // failure is rethrown on the caller once every batch has drained.
     PacketReplayConfig bad_engine = config;

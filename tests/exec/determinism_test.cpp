@@ -273,7 +273,7 @@ TEST(FabricMemoTest, DegradedGraphBuildsOncePerPlanEpoch) {
   const AsId dest = edges[10];
   // Take down the first transit hop of the policy route so every
   // failure-aware query inside the window needs the degraded graph.
-  const AsId transit = *fabric.next_hop(from, dest);
+  const AsId transit = fabric.hop_toward(from, dest)->next;
   sim::FailurePlan plan(7);
   plan.as_outage(transit, 500.0, 3000.0);
 
@@ -281,14 +281,14 @@ TEST(FabricMemoTest, DegradedGraphBuildsOncePerPlanEpoch) {
   // fault epoch: the memoizer must build the surviving-topology graph
   // exactly once, not once per query as a per-call cache would.
   for (double t = 600.0; t < 2900.0; t += 100.0) {
-    (void)fabric.next_hop(from, dest, plan, t);
+    (void)fabric.hop_toward(from, dest, plan, t);
     (void)fabric.path_delay_ms(from, dest, plan, t);
   }
   exec::parallel_for(
       64,
       [&](std::size_t i) {
-        (void)fabric.next_hop(from, dest, plan,
-                              600.0 + static_cast<double>(i % 23) * 100.0);
+        (void)fabric.hop_toward(from, dest, plan,
+                                600.0 + static_cast<double>(i % 23) * 100.0);
       },
       8);
   EXPECT_EQ(obs::metric::fabric_degraded_graph_builds().value(), 1u);
@@ -305,7 +305,7 @@ TEST(FabricConcurrencyTest, RacingFirstTouchesReadTheSerialRows) {
   for (AsId dest = 0; dest < count; dest += 5) dests.push_back(dest);
 
   struct Answers {
-    std::vector<std::optional<AsId>> next;
+    std::vector<std::optional<sim::Hop>> next;
     std::vector<std::optional<double>> delay;
     std::vector<std::size_t> physical;
   };
@@ -322,7 +322,7 @@ TEST(FabricConcurrencyTest, RacingFirstTouchesReadTheSerialRows) {
       const std::size_t d = (first + (reverse ? dests.size() - i : i)) %
                             dests.size();
       for (AsId from = 0; from < count; ++from) {
-        out.next[slot(d, from)] = fabric.next_hop(from, dests[d]);
+        out.next[slot(d, from)] = fabric.hop_toward(from, dests[d]);
         out.delay[slot(d, from)] = fabric.path_delay_ms(from, dests[d]);
         out.physical[slot(d, from)] = fabric.physical_hops(dests[d], from);
       }

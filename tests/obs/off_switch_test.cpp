@@ -97,8 +97,9 @@ TEST(ObsOffSwitchTest, FaultedSessionIsAlsoBitIdenticalOnVsOff) {
   // Cut the correspondent's first hop toward the second attachment; the
   // two endpoints are always distinct (a node is never its own next hop).
   plan.link_cut(config.correspondent,
-                *fabric().next_hop(config.correspondent,
-                                   config.schedule[1].as),
+                fabric()
+                    .hop_toward(config.correspondent, config.schedule[1].as)
+                    ->next,
                 2000.0, 5000.0);
   plan.update_loss(0.4, 1000.0, 6000.0);
   config.failures = &plan;

@@ -138,8 +138,9 @@ TEST(ProfBitIdentityTest, FaultedSessionEmitsInstantsAndStaysBitIdentical) {
   SessionConfig config = mobile_config();
   FailurePlan plan(20140817u);
   plan.link_cut(config.correspondent,
-                *fabric().next_hop(config.correspondent,
-                                   config.schedule[1].as),
+                fabric()
+                    .hop_toward(config.correspondent, config.schedule[1].as)
+                    ->next,
                 2000.0, 5000.0);
   plan.update_loss(0.6, 1000.0, 7000.0);
   config.failures = &plan;

@@ -101,6 +101,18 @@ TEST(ContentSessionTest, RejectsNonFiniteUpdateHop) {
   }
 }
 
+TEST(ContentSessionTest, RejectsFailurePlanOutsideGraph) {
+  // Such a fault would never apply: the session rejects it, as
+  // simulate_session does.
+  FailurePlan plan;
+  plan.as_outage(static_cast<AsId>(shared_internet().graph().as_count()),
+                 100.0, 200.0);
+  ContentSessionConfig config = base_config();
+  config.failures = &plan;
+  EXPECT_THROW((void)simulate_content_session(fabric(), config),
+               std::out_of_range);
+}
+
 TEST(ContentSessionTest, StationaryPublisherFullReachability) {
   const auto stats = simulate_content_session(fabric(), base_config());
   EXPECT_EQ(stats.interests_sent, 500u);

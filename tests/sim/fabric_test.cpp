@@ -61,14 +61,20 @@ Walk walk(const ForwardingFabric& f, AsId from, AsId to, Next&& next) {
   return result;
 }
 
+/// The next AS of hop_toward's answer, if any.
+std::optional<AsId> next_of(const std::optional<Hop>& hop) {
+  if (!hop.has_value()) return std::nullopt;
+  return hop->next;
+}
+
 Walk policy_walk(const ForwardingFabric& f, AsId from, AsId to) {
-  return walk(f, from, to, [&](AsId at) { return f.next_hop(at, to); });
+  return walk(f, from, to,
+              [&](AsId at) { return next_of(f.hop_toward(at, to)); });
 }
 
 TEST(FabricTest, SelfNextHopIsSelf) {
   const AsId as = shared_internet().edge_ases()[0];
-  EXPECT_EQ(fabric().next_hop(as, as), as);
-  EXPECT_EQ(fabric().path_hops(as, as), 0u);
+  EXPECT_EQ(next_of(fabric().hop_toward(as, as)), as);
   EXPECT_DOUBLE_EQ(*fabric().path_delay_ms(as, as), 0.0);
 }
 
@@ -77,7 +83,7 @@ TEST(FabricTest, NextHopIsAdjacent) {
   const AsId dest = shared_internet().edge_ases()[3];
   for (AsId u = 0; u < graph.as_count(); u += 17) {
     if (u == dest) continue;
-    const auto hop = fabric().next_hop(u, dest);
+    const auto hop = next_of(fabric().hop_toward(u, dest));
     ASSERT_TRUE(hop.has_value()) << u;
     EXPECT_TRUE(graph.relationship(u, *hop).has_value()) << u;
   }
@@ -89,12 +95,11 @@ TEST(FabricTest, HopByHopReachesDestination) {
   AsId current = src;
   std::size_t hops = 0;
   while (current != dest) {
-    const auto next = fabric().next_hop(current, dest);
+    const auto next = next_of(fabric().hop_toward(current, dest));
     ASSERT_TRUE(next.has_value());
     current = *next;
     ASSERT_LT(++hops, 32u);
   }
-  EXPECT_EQ(fabric().path_hops(src, dest), hops);
 }
 
 TEST(FabricTest, PathDelayIsSumOfLinkDelays) {
@@ -103,7 +108,7 @@ TEST(FabricTest, PathDelayIsSumOfLinkDelays) {
   double sum = 0.0;
   AsId current = src;
   while (current != dest) {
-    const AsId next = *fabric().next_hop(current, dest);
+    const AsId next = fabric().hop_toward(current, dest)->next;
     sum += fabric().link_delay_ms(current, next);
     current = next;
   }
@@ -126,14 +131,14 @@ TEST(FabricTest, PhysicalHopsLowerBoundsPolicyHops) {
        i += 11) {
     const AsId a = shared_internet().edge_ases()[i];
     const AsId b = shared_internet().edge_ases()[i + 5];
-    const auto policy = fabric().path_hops(a, b);
+    const auto policy = policy_walk(fabric(), a, b).hops;
     ASSERT_TRUE(policy.has_value());
     EXPECT_GE(*policy, fabric().physical_hops(a, b));
   }
 }
 
 TEST(FabricTest, OutOfRangeThrows) {
-  EXPECT_THROW((void)fabric().next_hop(1u << 20, 0), std::out_of_range);
+  EXPECT_THROW((void)fabric().hop_toward(1u << 20, 0), std::out_of_range);
   EXPECT_THROW((void)fabric().physical_hops(0, 1u << 20),
                std::out_of_range);
 }
@@ -143,8 +148,6 @@ TEST(FabricTest, PathQueriesOutOfRangeThrow) {
   EXPECT_THROW((void)fabric().path_delay_ms(kBad, 0), std::out_of_range);
   EXPECT_THROW((void)fabric().path_delay_ms(0, kBad), std::out_of_range);
   EXPECT_THROW((void)fabric().path_delay_ms(kBad, kBad), std::out_of_range);
-  EXPECT_THROW((void)fabric().path_hops(kBad, 0), std::out_of_range);
-  EXPECT_THROW((void)fabric().path_hops(0, kBad), std::out_of_range);
   EXPECT_THROW((void)fabric().hop_toward(kBad, 0), std::out_of_range);
   EXPECT_THROW((void)fabric().hop_toward(0, kBad), std::out_of_range);
 }
@@ -159,7 +162,8 @@ TEST(FabricTest, PathQueryCountsTheNextHopQueriesItStandsFor) {
   const std::uint64_t before = queries.value();
   (void)fabric().path_delay_ms(from, to);
   EXPECT_EQ(queries.value() - before, hops);
-  (void)fabric().path_hops(from, to);
+  // A failure-aware query under no fault reads the same row.
+  (void)fabric().path_delay_ms(from, to, no_failures(), 0.0);
   EXPECT_EQ(queries.value() - before, 2 * hops);
   (void)fabric().path_delay_ms(to, to);
   (void)fabric().hop_toward(from, to);
@@ -182,23 +186,25 @@ TEST(FabricIdentityTest, PathDelayIsTheLeftToRightLinkDelaySum) {
   }
 }
 
-TEST(FabricIdentityTest, PathHopsIsTheNumberOfHopsWalked) {
-  const ForwardingFabric& f = default_fabric();
-  const AsId count = static_cast<AsId>(f.internet().graph().as_count());
-  for (AsId dest = 0; dest < count; ++dest) {
-    for (AsId from = 0; from < count; ++from) {
-      EXPECT_EQ(f.path_hops(from, dest), policy_walk(f, from, dest).hops)
-          << from << " -> " << dest;
-    }
-  }
+/// The next hop from `at` on the best valley-free path toward `routes`'
+/// destination, computed without the fabric; `at` itself at the
+/// destination.
+std::optional<AsId> policy_next(const routing::PolicyRoutes& routes, AsId at,
+                                AsId dest) {
+  if (at == dest) return at;
+  const auto path = routes.best_path(at);
+  if (!path.has_value() || path->empty()) return std::nullopt;
+  return path->next_hop();
 }
 
 TEST(FabricIdentityTest, HopTowardIsNextHopAndLinkDelay) {
   const ForwardingFabric& f = default_fabric();
-  const AsId count = static_cast<AsId>(f.internet().graph().as_count());
+  const auto& graph = f.internet().graph();
+  const AsId count = static_cast<AsId>(graph.as_count());
   for (AsId dest = 0; dest < count; ++dest) {
+    const routing::PolicyRoutes routes(graph, dest);
     for (AsId at = 0; at < count; ++at) {
-      const std::optional<AsId> next = f.next_hop(at, dest);
+      const std::optional<AsId> next = policy_next(routes, at, dest);
       const std::optional<Hop> hop = f.hop_toward(at, dest);
       ASSERT_EQ(hop.has_value(), next.has_value()) << at << " -> " << dest;
       if (!next.has_value()) continue;
@@ -239,13 +245,14 @@ TEST(FabricIdentityTest, DetourPathDelayIsTheWalkOverSurvivingRoutes) {
   const AsId from0 = shared_internet().edge_ases()[0];
   const AsId to0 = shared_internet().edge_ases()[25];
   std::vector<AsId> route{from0};
-  while (route.back() != to0) route.push_back(*f.next_hop(route.back(), to0));
+  while (route.back() != to0)
+    route.push_back(f.hop_toward(route.back(), to0)->next);
   ASSERT_GE(route.size(), 3u);
   const AsId to1 = shared_internet().edge_ases()[60];
   const AsId before_to1 = [&] {
     AsId current = from0;
-    while (*f.next_hop(current, to1) != to1)
-      current = *f.next_hop(current, to1);
+    while (f.hop_toward(current, to1)->next != to1)
+      current = f.hop_toward(current, to1)->next;
     return current;
   }();
   FailurePlan plan;
@@ -264,35 +271,30 @@ TEST(FabricIdentityTest, DetourPathDelayIsTheWalkOverSurvivingRoutes) {
         EXPECT_FALSE(delay.has_value()) << from << " -> " << to;
         continue;
       }
+      const auto hop = f.hop_toward(from, to, plan, kT);
       if (!f.policy_path_impaired(from, to, plan, kT)) {
         EXPECT_EQ(delay, policy_walk(f, from, to).delay_ms);
+        EXPECT_EQ(hop, f.hop_toward(from, to)) << from << " -> " << to;
         continue;
       }
       ++detoured;
-      const Walk expected = walk(f, from, to, [&](AsId at) {
-        std::optional<AsId> hop;
-        if (plan.as_down(at, kT)) return hop;
-        const auto path = routes->best_path(at);
-        if (path.has_value() && !path->empty()) hop = path->next_hop();
-        return hop;
-      });
+      const auto detour_next = [&](AsId at) {
+        std::optional<AsId> next;
+        if (!plan.as_down(at, kT)) next = policy_next(*routes, at, to);
+        return next;
+      };
+      const Walk expected = walk(f, from, to, detour_next);
       ASSERT_FALSE(expected.loop) << from << " -> " << to;
       EXPECT_EQ(delay, expected.delay_ms) << from << " -> " << to;
-    }
-  }
-  EXPECT_GT(detoured, 0u);
-
-  // The failure-aware hop_toward agrees with the failure-aware next_hop.
-  for (AsId to = 0; to < graph.as_count(); to += 7) {
-    for (AsId at = 0; at < graph.as_count(); ++at) {
-      const auto next = f.next_hop(at, to, plan, kT);
-      const auto hop = f.hop_toward(at, to, plan, kT);
-      ASSERT_EQ(hop.has_value(), next.has_value()) << at << " -> " << to;
+      // The failure-aware hop is the surviving route's first link.
+      const std::optional<AsId> next = detour_next(from);
+      ASSERT_EQ(hop.has_value(), next.has_value()) << from << " -> " << to;
       if (next.has_value()) {
-        EXPECT_EQ(*hop, (Hop{*next, f.link_delay_ms(at, *next)}));
+        EXPECT_EQ(*hop, (Hop{*next, f.link_delay_ms(from, *next)}));
       }
     }
   }
+  EXPECT_GT(detoured, 0u);
 }
 
 }  // namespace

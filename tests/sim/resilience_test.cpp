@@ -34,7 +34,7 @@ std::vector<AsId> policy_route(AsId from, AsId to) {
   std::vector<AsId> route{from};
   AsId current = from;
   while (current != to) {
-    current = *fabric().next_hop(current, to);
+    current = fabric().hop_toward(current, to)->next;
     route.push_back(current);
   }
   return route;
@@ -144,8 +144,8 @@ TEST(FailureAwareFabricTest, ReroutesAroundDeadTransitAs) {
   // Outside the window: identical to the base queries.
   EXPECT_EQ(fabric().path_delay_ms(from, to, plan, 500.0),
             fabric().path_delay_ms(from, to));
-  EXPECT_EQ(fabric().next_hop(from, to, plan, 2500.0),
-            fabric().next_hop(from, to));
+  EXPECT_EQ(fabric().hop_toward(from, to, plan, 2500.0),
+            fabric().hop_toward(from, to));
 
   // Inside: a detour exists and never traverses the dead AS.
   ASSERT_TRUE(fabric().policy_path_impaired(from, to, plan, 1500.0));
@@ -155,10 +155,10 @@ TEST(FailureAwareFabricTest, ReroutesAroundDeadTransitAs) {
   AsId current = from;
   std::size_t guard = 0;
   while (current != to) {
-    const auto next = fabric().next_hop(current, to, plan, 1500.0);
-    ASSERT_TRUE(next.has_value());
-    EXPECT_NE(*next, dead);
-    current = *next;
+    const auto hop = fabric().hop_toward(current, to, plan, 1500.0);
+    ASSERT_TRUE(hop.has_value());
+    EXPECT_NE(hop->next, dead);
+    current = hop->next;
     ASSERT_LT(++guard, shared_internet().graph().as_count());
   }
 }
@@ -169,7 +169,7 @@ TEST(FailureAwareFabricTest, DeadEndpointIsUnroutable) {
   FailurePlan plan;
   plan.as_outage(to, 0.0, 1000.0);
   EXPECT_FALSE(fabric().path_delay_ms(from, to, plan, 500.0).has_value());
-  EXPECT_FALSE(fabric().next_hop(from, to, plan, 500.0).has_value());
+  EXPECT_FALSE(fabric().hop_toward(from, to, plan, 500.0).has_value());
   EXPECT_TRUE(fabric().path_delay_ms(from, to, plan, 1500.0).has_value());
 }
 
@@ -201,10 +201,10 @@ TEST(FailureAwareFabricTest, RoutesAroundCutLastLink) {
   AsId current = from;
   std::size_t guard = 0;
   while (current != to) {
-    const auto next = fabric().next_hop(current, to, plan, 500.0);
-    ASSERT_TRUE(next.has_value());
-    EXPECT_FALSE(current == penultimate && *next == to);
-    current = *next;
+    const auto hop = fabric().hop_toward(current, to, plan, 500.0);
+    ASSERT_TRUE(hop.has_value());
+    EXPECT_FALSE(current == penultimate && hop->next == to);
+    current = hop->next;
     ASSERT_LT(++guard, 300u);
   }
 }

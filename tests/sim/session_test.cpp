@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "../support/fixtures.hpp"
 
@@ -139,6 +142,125 @@ TEST(SimSessionTest, RejectsNonFiniteResolverTtl) {
               std::string::npos)
         << bad;
   }
+}
+
+TEST(SimSessionTest, RejectsFailurePlanOutsideGraph) {
+  const AsId outside =
+      static_cast<AsId>(shared_internet().graph().as_count());
+  FailurePlan plan;
+  plan.link_cut(edge(0), outside, 100.0, 200.0);
+  SessionConfig config = stationary_config();
+  config.failures = &plan;
+  for (const auto arch : kAll) {
+    EXPECT_THROW((void)simulate_session(fabric(), arch, config),
+                 std::out_of_range);
+  }
+}
+
+// The rules the packet front-ends share (session.hpp), at their
+// boundaries.
+
+TEST(SessionRulesTest, LocationAtIsTheLastStepAtOrBefore) {
+  const std::vector<MobilityStep> schedule = {
+      {0.0, edge(10)}, {1000.0, edge(20)}, {3000.0, edge(30)}};
+  EXPECT_EQ(location_at(schedule, 0.0), edge(10));
+  EXPECT_EQ(location_at(schedule, std::nextafter(1000.0, 0.0)), edge(10));
+  EXPECT_EQ(location_at(schedule, 1000.0), edge(20));  // a move exactly at t
+  EXPECT_EQ(location_at(schedule, 2999.0), edge(20));  // later step ignored
+  EXPECT_EQ(location_at(schedule, 3000.0), edge(30));
+  EXPECT_EQ(location_at(schedule, 1e9), edge(30));
+}
+
+TEST(SessionRulesTest, WavefrontArrivingExactlyAtTIsBelieved) {
+  const AsId router = edge(0);
+  const std::vector<MobilityStep> schedule = {{0.0, edge(10)},
+                                              {1000.0, edge(20)}};
+  const std::size_t hops = fabric().physical_hops(router, edge(20));
+  ASSERT_GT(hops, 0u);
+  const double arrival = 1000.0 + wavefront_lag_ms(hops, 5.0);
+  EXPECT_EQ(wavefront_lag_ms(hops, 5.0), 5.0 * static_cast<double>(hops));
+  const auto belief = [&](double t) {
+    return wavefront_belief(fabric(), schedule, router, t, 5.0, SIZE_MAX);
+  };
+  EXPECT_EQ(belief(arrival), edge(20));
+  EXPECT_EQ(belief(std::nextafter(arrival, 0.0)), edge(10));
+  // The moved-to router itself learns at the move instant.
+  EXPECT_EQ(wavefront_belief(fabric(), schedule, edge(20), 1000.0, 5.0,
+                             SIZE_MAX),
+            edge(20));
+}
+
+TEST(SessionRulesTest, WavefrontIgnoresStepsAfterT) {
+  // A step at the router itself (zero hops) is not believed before it
+  // happens, and an older step whose flood has arrived is.
+  const AsId router = edge(20);
+  const std::vector<MobilityStep> schedule = {
+      {0.0, edge(10)}, {100.0, edge(15)}, {1000.0, router}};
+  const double t = std::nextafter(1000.0, 0.0);
+  const std::size_t hops = fabric().physical_hops(router, edge(15));
+  ASSERT_LE(100.0 + wavefront_lag_ms(hops, 1.0), t);
+  EXPECT_EQ(wavefront_belief(fabric(), schedule, router, t, 1.0, SIZE_MAX),
+            edge(15));
+}
+
+TEST(SessionRulesTest, NewestKnownStepSkipsNewsThatNeverArrives) {
+  const std::vector<MobilityStep> schedule = {
+      {0.0, edge(10)}, {1000.0, edge(20)}, {2000.0, edge(30)}};
+  std::vector<AsId> asked;
+  const auto lag = [&](const MobilityStep& step) -> std::optional<double> {
+    asked.push_back(step.as);
+    if (step.as == edge(30)) return std::nullopt;  // never arrives
+    return 50.0;
+  };
+  EXPECT_EQ(newest_known_step(schedule, 1e9, 0.0, lag), edge(20));
+  EXPECT_EQ(asked, (std::vector<AsId>{edge(30), edge(20)}));
+  // Only steps at or before t are asked, newest first.
+  asked.clear();
+  EXPECT_EQ(newest_known_step(schedule, 1049.0, 0.0, lag), edge(10));
+  EXPECT_EQ(asked, (std::vector<AsId>{edge(20)}));
+  asked.clear();
+  EXPECT_EQ(newest_known_step(schedule, 1049.0, 125.0, lag), edge(10));
+  EXPECT_TRUE(asked.empty());
+}
+
+TEST(SessionRulesTest, RouterBeyondScopeKeepsTheInitialAttachment) {
+  // Scope 0: a move is announced only at its own AS.
+  const std::vector<MobilityStep> schedule = {
+      {0.0, edge(10)}, {1000.0, edge(20)}, {2000.0, edge(30)}};
+  ASSERT_GT(fabric().physical_hops(edge(0), edge(20)), 0u);
+  ASSERT_GT(fabric().physical_hops(edge(0), edge(30)), 0u);
+  ASSERT_GT(fabric().physical_hops(edge(20), edge(30)), 0u);
+  EXPECT_EQ(wavefront_belief(fabric(), schedule, edge(0), 1e9, 5.0, 0),
+            edge(10));
+  // A router inside an older step's scope keeps that step once a newer
+  // move is announced out of its reach.
+  EXPECT_EQ(wavefront_belief(fabric(), schedule, edge(20), 1e9, 5.0, 0),
+            edge(20));
+  EXPECT_EQ(wavefront_belief(fabric(), schedule, edge(30), 2000.0, 5.0, 0),
+            edge(30));
+}
+
+TEST(SessionRulesTest, StartOffsetShiftsEveryArrival) {
+  // The DES places a schedule at start_ms; times stay relative to it.
+  constexpr double kStart = 125.0;
+  const AsId router = edge(0);
+  const std::vector<MobilityStep> schedule = {{0.0, edge(10)},
+                                              {1000.0, edge(20)}};
+  const std::size_t hops = fabric().physical_hops(router, edge(20));
+  const double arrival = kStart + 1000.0 + wavefront_lag_ms(hops, 5.0);
+  const auto belief = [&](double t) {
+    return wavefront_belief(fabric(), schedule, router, t, 5.0, SIZE_MAX,
+                            kStart);
+  };
+  EXPECT_EQ(belief(arrival), edge(20));
+  EXPECT_EQ(belief(std::nextafter(arrival, 0.0)), edge(10));
+  // At the moved-to router the move lands at start + 1000, not at 1000.
+  EXPECT_EQ(wavefront_belief(fabric(), schedule, edge(20), 1000.0, 5.0,
+                             SIZE_MAX, kStart),
+            edge(10));
+  EXPECT_EQ(wavefront_belief(fabric(), schedule, edge(20), kStart + 1000.0,
+                             5.0, SIZE_MAX, kStart),
+            edge(20));
 }
 
 TEST(SimSessionTest, StationaryDeviceFullDelivery) {
