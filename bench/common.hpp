@@ -473,6 +473,10 @@ inline const trace::ShardSet& paper_trace_shards() {
           }
         }
         note("trace.reuse", "miss");
+        // Writing the cache is work a warm run skips: it stays out of the
+        // run record's metrics, so a cold and a warm run of the same code
+        // carry the same counters (trace.reuse above says which ran).
+        const obs::EnabledScope unrecorded(false);
         const mobility::DeviceWorkloadGenerator generator(internet, config);
         trace::StreamingWorkloadConfig stream_config;
         // Small shards so even the paper-scale set exercises the k-way

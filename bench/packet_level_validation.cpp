@@ -7,7 +7,9 @@
 // replay figure uses, so the run record carries trace.reuse), and a
 // second phase drives the same sessions through the lina::des sharded
 // packet engine, cross-checking its delivered-packet digest against the
-// serial reference — a digest mismatch fails the bench (exit 1). Both
+// serial reference — a digest mismatch fails the bench (exit 1) — and
+// timing both (des_*_serial_events_per_sec and
+// des_*_conservative_events_per_sec, informational). Both
 // models' per-variant counts (sim_*: sent, delivered, control messages,
 // stretch and outage sample sums; des_*: delivered, fingerprint) are
 // gated results (bench/baselines/BENCH_packet_level_threads1.json).
@@ -19,6 +21,7 @@
 #include <chrono>
 #include <cmath>
 #include <iostream>
+#include <utility>
 
 #include "common.hpp"
 #include "lina/des/engine.hpp"
@@ -224,8 +227,22 @@ int main(int argc, char** argv) {
   const des::ShardMap map = des::ShardMap::from_topology(internet,
                                                          des_shards);
   std::vector<std::vector<std::string>> engine_rows;
-  engine_rows.push_back({"architecture", "events", "events/sec", "windows",
-                         "redrain passes", "digest"});
+  engine_rows.push_back({"architecture", "events", "serial events/sec",
+                         "sharded events/sec", "windows", "redrain passes",
+                         "digest"});
+  // Runs one DES driver and returns its stats with events per second.
+  const auto timed = [](auto&& run) {
+    const auto start = std::chrono::steady_clock::now();
+    const des::RunStats stats = run();
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
+    return std::pair{stats, seconds > 0.0
+                                ? static_cast<double>(stats.events) /
+                                      seconds
+                                : 0.0};
+  };
   for (const Variant& variant : variants) {
     des::PacketModel model(fabric, variant.arch);
     for (const mobility::DeviceTrace& trace : mobile_users) {
@@ -240,7 +257,8 @@ int main(int argc, char** argv) {
       params.update_scope_hops = variant.scope;
       model.add_session(params);
     }
-    const des::RunStats serial = des::run_serial(model);
+    const auto [serial, serial_events_per_sec] =
+        timed([&] { return des::run_serial(model); });
     harness.result("des_" + variant.key + "_delivered",
                    static_cast<double>(serial.digest.delivered));
     harness.result("des_" + variant.key + "_fingerprint_lo32",
@@ -249,13 +267,8 @@ int main(int argc, char** argv) {
     des::EngineConfig engine_config;
     engine_config.shard_count = des_shards;
     engine_config.window_ms = des_window_ms;
-    const auto start = std::chrono::steady_clock::now();
-    des::ShardedEngine engine(model, map, engine_config);
-    const des::RunStats sharded = engine.run();
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
+    const auto [sharded, events_per_sec] = timed(
+        [&] { return des::ShardedEngine(model, map, engine_config).run(); });
     if (sharded.digest != serial.digest || sharded.events != serial.events) {
       std::cerr << "packet_level_validation: sharded engine digest "
                    "mismatch for "
@@ -265,16 +278,17 @@ int main(int argc, char** argv) {
                 << ") — the bit-identity contract is broken\n";
       return 1;
     }
-    const double events_per_sec =
-        seconds > 0.0 ? static_cast<double>(sharded.events) / seconds : 0.0;
     engine_rows.push_back(
         {variant.label, std::to_string(sharded.events),
+         stats::fmt(serial_events_per_sec / 1e6, 2) + "M",
          stats::fmt(events_per_sec / 1e6, 2) + "M",
          std::to_string(sharded.windows),
          std::to_string(sharded.redrain_passes),
          "ok (fp " +
              std::to_string(sharded.digest.fingerprint() & 0xffffffffULL) +
              ")"});
+    harness.result("des_" + variant.key + "_serial_events_per_sec",
+                   serial_events_per_sec);
     harness.result("des_" + variant.key + "_conservative_events_per_sec",
                    events_per_sec);
   }

@@ -1,7 +1,8 @@
 #pragma once
 
-// Internals shared by the engine and the serial reference
-// (src/engine.cpp, src/serial.cpp). Not part of the public surface.
+// Internals of the sharded engine (src/engine.cpp). Not part of the
+// public surface; run_serial needs none of them, since it runs events in
+// no particular order.
 
 #include <limits>
 
@@ -16,8 +17,8 @@ inline constexpr double kInf = std::numeric_limits<double>::infinity();
 /// re-drain fixpoint carries correctness.
 inline constexpr double kZeroLookaheadWindowMs = 0.25;
 
-/// Min-heap order: earliest time first, FIFO (push sequence) within a
-/// time — the same tie-break sim::EventQueue uses.
+/// The shard queues' min-heap order: earliest time first, FIFO (push
+/// sequence) within a time — the same tie-break sim::EventQueue uses.
 [[nodiscard]] inline bool later(const EventRecord& a, const EventRecord& b) {
   if (a.time_ms != b.time_ms) return a.time_ms > b.time_ms;
   return a.seq > b.seq;

@@ -20,9 +20,10 @@
 // level up: the streamed replay (lina/des/replay.hpp) runs whole batches,
 // each with its own engine, concurrently.
 //
-// The result is the bit-identical DeliveryDigest of the serial run_serial
-// reference — asserted by tests/des across all four architectures ×
-// shards {1,4,16}, ± FailurePlan.
+// The result is the bit-identical DeliveryDigest of run_serial, which
+// runs the same events in an unrelated (work-list) order — asserted by
+// tests/des across all four architectures × shards {1,4,16}, ±
+// FailurePlan.
 
 #include <cstdint>
 #include <span>
@@ -150,11 +151,13 @@ class ShardedEngine {
   std::vector<BundleChain> mailboxes_;
 };
 
-/// The serial reference: the same PacketModel driven through one flat
-/// min-heap of EventRecords, executing every event in global (time, FIFO)
-/// order. The sharded engine's digest must equal this one bit-for-bit.
-/// Throws std::invalid_argument when a handler emits an event before the
-/// current time or at a non-finite time.
+/// The serial reference: the same PacketModel driven through a LIFO
+/// work-list of EventRecords. Events run in no time order — each handler
+/// is pure (model.hpp), so the delivered multiset, and with it the digest
+/// and the event count, is the same under any order. The sharded engine,
+/// which runs every event at its time, must match it bit-for-bit.
+/// Throws std::invalid_argument when a handler emits an event earlier
+/// than the event being handled or at a non-finite time.
 RunStats run_serial(const PacketModel& model);
 
 }  // namespace lina::des

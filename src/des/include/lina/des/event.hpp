@@ -6,10 +6,10 @@ namespace lina::des {
 
 /// What a flat event record means to the packet model.
 ///
-/// The engine replaces sim::EventQueue's type-erased std::function entries
-/// with these fixed-size POD records: the hot loop moves 48-byte values
-/// through vector-backed binary heaps and mailboxes, never allocating and
-/// never chasing a closure pointer.
+/// The DES replaces sim::EventQueue's type-erased std::function entries
+/// with these fixed-size POD records: the hot loops move 48-byte values
+/// through vector-backed heaps, work-lists and mailboxes, never
+/// allocating and never chasing a closure pointer.
 enum class EventType : std::uint8_t {
   kEmit,  // the correspondent emits packet `packet` (and re-arms itself)
   kHop,   // packet `packet` is at AS `at`, forwarding toward `dest`
@@ -26,7 +26,7 @@ enum class HopStage : std::uint8_t {
 struct EventRecord {
   double time_ms = 0.0;    // absolute simulated time
   double sent_ms = 0.0;    // kHop: when the packet left the correspondent
-  std::uint64_t seq = 0;   // per-queue FIFO tie-break (assigned on push)
+  std::uint64_t seq = 0;   // time-ordered queues: FIFO tie-break on push
   std::uint32_t session = 0;  // index into the model's session arena
   std::uint32_t packet = 0;   // packet sequence number within the session
   std::uint32_t at = 0;       // current AS (kEmit: the correspondent)
@@ -53,8 +53,9 @@ namespace detail {
 /// Order-independent summary of every delivered packet: a commutative
 /// fold (XOR and wrapping sum of per-packet hashes), so any execution
 /// order of the same delivered-packet multiset produces the same digest —
-/// the property that lets the sharded engine be compared bit-for-bit
-/// against the serial run_serial loop at any shard count or batch size.
+/// the property that lets run_serial run events in work-list order and
+/// the sharded engine, in time order, match it bit-for-bit at any shard
+/// count or batch size.
 /// Delay is accumulated in integer microseconds (exact, associative); a
 /// floating-point sum would depend on accumulation order.
 struct DeliveryDigest {

@@ -8,8 +8,9 @@
 // values). No handler mutates state another handler can observe, so the
 // multiset of delivered packets — and therefore the DeliveryDigest — is
 // invariant under any execution order of the same event set. That is the
-// lemma that makes the sharded engine bit-identical to the serial
-// run_serial loop at any shard count and thread count.
+// lemma that lets run_serial drain its events from an unordered LIFO
+// work-list, and that makes the sharded engine bit-identical to it at any
+// shard count and thread count.
 //
 // Architecture semantics (who the correspondent/routers believe the
 // mobile is attached to) are *closed-form in time*: beliefs are derived

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "../support/fixtures.hpp"
 #include "lina/des/engine.hpp"
 #include "lina/exec/thread_pool.hpp"
@@ -110,6 +113,23 @@ TEST(DesEdgeCaseTest, ZeroDelayCrossShardHops) {
     // intra-window pass somewhere.
     EXPECT_GT(stats.handoffs, 0u);
     EXPECT_GT(stats.redrain_passes, 0u);
+  }
+}
+
+TEST(DesEdgeCaseTest, SerialRejectsEventBeforeItsParentOrNotFinite) {
+  // The fabric does not validate its delays: a negative per-hop delay
+  // makes a forwarded hop land before the hop that emitted it, and an
+  // infinite or NaN one makes its time non-finite. run_serial rejects
+  // each at push, before any handler sees such a time.
+  for (const double per_hop_ms :
+       {-50.0, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    sim::FabricConfig config;
+    config.per_hop_ms = per_hop_ms;
+    config.min_link_ms = -50.0;
+    const sim::ForwardingFabric broken(shared_internet(), config);
+    EXPECT_THROW(run_serial(basic_model(broken)), std::invalid_argument)
+        << "per_hop_ms=" << per_hop_ms;
   }
 }
 

@@ -1,14 +1,18 @@
 // The acceptance gate of DESIGN.md §4i: the sharded engine's
-// delivered-packet digest must equal the serial run_serial flat-heap
+// delivered-packet digest must equal the serial run_serial work-list
 // reference bit-for-bit for every architecture, at shard counts
-// {1, 4, 16}, with and without an active FailurePlan.
+// {1, 4, 16}, with and without an active FailurePlan. DesOrderTest adds
+// the time-ordered heap reference (tests/support/time_ordered_run.hpp),
+// so three execution orders of the same events are compared.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "../support/fixtures.hpp"
+#include "../support/time_ordered_run.hpp"
 #include "lina/des/engine.hpp"
 
 namespace lina::des {
@@ -31,8 +35,11 @@ std::vector<AsId> metro_locals(std::size_t anchor, std::size_t k) {
 
 /// A small mixed population: stationary, metro-local roamers, and one
 /// cross-metro mover, so every belief path (stale resolver answers,
-/// wavefront re-aiming, triangle re-addressing) fires.
-void add_population(PacketModel& model) {
+/// wavefront re-aiming, triangle re-addressing) fires. The first two
+/// sessions flood `scope_hops` far (global by default); the mover always
+/// floods 3 hops.
+void add_population(PacketModel& model,
+                    std::size_t scope_hops = SIZE_MAX) {
   const std::vector<AsId> near0 = metro_locals(0, 4);
   const std::vector<AsId> near1 = metro_locals(1, 3);
   {
@@ -43,6 +50,7 @@ void add_population(PacketModel& model) {
     p.duration_ms = 1600.0;
     p.resolver_as = edge(10);
     p.resolver_replicas = {edge(10), edge(30), edge(50)};
+    p.update_scope_hops = scope_hops;
     model.add_session(p);
   }
   {
@@ -57,6 +65,7 @@ void add_population(PacketModel& model) {
     p.resolver_ttl_ms = 120.0;
     p.resolver_as = edge(10);
     p.resolver_replicas = {edge(10), edge(30), edge(50)};
+    p.update_scope_hops = scope_hops;
     model.add_session(p);
   }
   {
@@ -144,6 +153,47 @@ TEST(DesIdentityTest, DigestIsThreadAndShardInvariantButFaultSensitive) {
   // Faults must change the digest (otherwise the with-faults arm of the
   // matrix proves nothing).
   EXPECT_NE(run_serial(healthy).digest, run_serial(faulted).digest);
+}
+
+// run_serial drains a LIFO work-list in no time order; the reference
+// pops a min-heap in (time, FIFO) order. Equal digests and event counts
+// across the two orders (and the 4-shard engine's windowed one) fail the
+// day a handler starts to depend on the order events run in.
+TEST(DesOrderTest, WorkListMatchesTimeOrderedHeap) {
+  const sim::FailurePlan plan = faulty_plan();
+  const ShardMap map = ShardMap::from_topology(shared_internet(), 4);
+  EngineConfig config;
+  config.shard_count = 4;
+  struct Variant {
+    sim::SimArchitecture arch;
+    std::size_t scope_hops;
+  };
+  constexpr Variant variants[] = {
+      {sim::SimArchitecture::kIndirection, SIZE_MAX},
+      {sim::SimArchitecture::kNameResolution, SIZE_MAX},
+      {sim::SimArchitecture::kReplicatedResolution, SIZE_MAX},
+      {sim::SimArchitecture::kNameBased, SIZE_MAX},
+      {sim::SimArchitecture::kNameBased, 3},  // §8 scoped flooding
+  };
+  for (const bool with_faults : {false, true}) {
+    for (const Variant& variant : variants) {
+      PacketModel model(fabric(), variant.arch,
+                        with_faults ? &plan : nullptr);
+      add_population(model, variant.scope_hops);
+      const RunStats work_list = run_serial(model);
+      const RunStats time_ordered = testref::run_time_ordered(model);
+      const RunStats sharded = ShardedEngine(model, map, config).run();
+      const std::string where =
+          "arch=" + std::to_string(static_cast<int>(variant.arch)) +
+          " scope=" + std::to_string(variant.scope_hops) +
+          " faults=" + std::to_string(with_faults);
+      ASSERT_GT(time_ordered.digest.delivered, 0u) << where;
+      EXPECT_EQ(work_list.digest, time_ordered.digest) << where;
+      EXPECT_EQ(work_list.events, time_ordered.events) << where;
+      EXPECT_EQ(sharded.digest, time_ordered.digest) << where;
+      EXPECT_EQ(sharded.events, time_ordered.events) << where;
+    }
+  }
 }
 
 }  // namespace
