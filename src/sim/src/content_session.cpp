@@ -49,15 +49,13 @@ class ContentSessionRunner {
   }
 
   ContentSessionStats run() {
-    for (double t = 0.0; t < config_.duration_ms;
-         t += config_.request_interval_ms) {
-      queue_.schedule(t, [this] {
-        ++stats_.interests_sent;
-        const auto segment =
-            static_cast<std::uint64_t>(zipf_.sample(rng_));
-        issue(segment, queue_.now(), 0);
-      });
-    }
+    queue_.schedule_every(0.0, config_.request_interval_ms,
+                          config_.duration_ms, [this] {
+                            ++stats_.interests_sent;
+                            const auto segment = static_cast<std::uint64_t>(
+                                zipf_.sample(rng_));
+                            issue(segment, queue_.now(), 0);
+                          });
     if (fib_cached_) {
       // The name-update wavefront is the cache's churn stream: when a
       // move's flood reaches the consumer, every cached publisher location

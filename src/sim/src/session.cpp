@@ -156,15 +156,13 @@ class SessionRunner {
                       [this, repair_ms] { awaiting_recovery_ = repair_ms; });
     }
     // Packet generation.
-    for (double t = 0.0; t < config_.duration_ms;
-         t += config_.packet_interval_ms) {
-      queue_.schedule(t, [this] {
-        ++stats_.packets_sent;
-        if (plan_.any_active(queue_.now()))
-          ++stats_.packets_sent_during_failure;
-        send_packet(queue_.now());
-      });
-    }
+    queue_.schedule_every(0.0, config_.packet_interval_ms,
+                          config_.duration_ms, [this] {
+                            ++stats_.packets_sent;
+                            if (plan_.any_active(queue_.now()))
+                              ++stats_.packets_sent_during_failure;
+                            send_packet(queue_.now());
+                          });
     queue_.run();
     stats_.packets_lost = stats_.packets_sent - stats_.packets_delivered;
     stats_.mapping_cache = binding_.stats();
@@ -395,10 +393,8 @@ class ResolutionRunner final : public SessionRunner {
     // With a mapping cache the correspondent resolves on demand (per
     // cache-miss packet) instead of on a TTL clock.
     if (!cached_) {
-      for (double t = config.resolver_ttl_ms; t < config.duration_ms;
-           t += config.resolver_ttl_ms) {
-        queue_.schedule(t, [this] { resolve(0); });
-      }
+      queue_.schedule_every(config.resolver_ttl_ms, config.resolver_ttl_ms,
+                            config.duration_ms, [this] { resolve(0); });
     }
     // Anti-entropy: at each repair instant a replica that was down (its
     // process crashed or its AS went dark) pulls the current record from

@@ -91,6 +91,15 @@ TEST(ContentSessionTest, RejectsNonFiniteDuration) {
   }
 }
 
+TEST(ContentSessionTest, RejectsADurationTheRequestClockNeverReaches) {
+  // 1 ms steps stop advancing at 2^53 ms (2^53 + 1 rounds back), far
+  // short of 2e17 ms: a request loop would never end.
+  ContentSessionConfig config = base_config();
+  config.request_interval_ms = 1.0;
+  config.duration_ms = 2e17;
+  ASSERT_NE(rejection(config).find("stops advancing"), std::string::npos);
+}
+
 TEST(ContentSessionTest, RejectsNonFiniteUpdateHop) {
   for (const double bad : kNonFinite) {
     ContentSessionConfig config = base_config();

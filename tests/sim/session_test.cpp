@@ -122,6 +122,20 @@ TEST(SimSessionTest, RejectsNonFiniteDuration) {
   }
 }
 
+TEST(SimSessionTest, RejectsADurationThePacketClockNeverReaches) {
+  // 1 ms steps stop advancing at 2^53 ms (2^53 + 1 rounds back), far
+  // short of 2e17 ms: a send loop would never end.
+  SessionConfig config = stationary_config();
+  config.packet_interval_ms = 1.0;
+  config.duration_ms = 2e17;
+  for (const SimArchitecture arch :
+       {SimArchitecture::kIndirection, SimArchitecture::kNameBased}) {
+    ASSERT_NE(rejection(arch, config).find("stops advancing"),
+              std::string::npos)
+        << static_cast<int>(arch);
+  }
+}
+
 TEST(SimSessionTest, RejectsNonFiniteUpdateHop) {
   for (const double bad : kNonFinite) {
     SessionConfig config = mobile_config();
